@@ -10,8 +10,7 @@ from .spectrum import (BandStructure, FlatSpectrum, MagneticConfig,
 from .masses import (MassTable, effective_masses, verify_mass_asymptotics,
                      verify_mass_series, verify_partial_fraction,
                      verify_trace_identity)
-from .quasimomentum import (CombMap, comb_map, k_eval, verify_deep_asymptotics,
-                            verify_kprime_squared)
+from .quasimomentum import k_eval, verify_deep_asymptotics, verify_kprime_squared
 from .verifier import (CheckRecord, InequalityReport, check_comb_comparison,
                        check_height_mass_gap, check_merged_band_bound,
                        check_monotonicity)
@@ -21,13 +20,13 @@ from .floquet_oracle import (CellSystem, CrossValidation, FlatBandVicinityError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandStructure", "CellSystem", "CheckRecord", "CombMap", "CrossValidation",
+    "BandStructure", "CellSystem", "CheckRecord", "CrossValidation",
     "FlatBandVicinityError", "FlatSpectrum", "FourierCoeffs", "HillSpectrum",
     "InequalityReport", "MagneticConfig", "MassTable", "Monodromy",
     "PotentialSpec", "PurePointRegimeError", "RootBracketError",
     "band_structure", "build_cell_system", "check_comb_comparison",
     "check_height_mass_gap", "check_merged_band_bound", "check_monotonicity",
-    "comb_map", "cross_validate", "dirichlet_spectrum", "dispersion_roots",
+    "cross_validate", "dirichlet_spectrum", "dispersion_roots",
     "effective_masses", "evaluate", "flat_spectrum", "fourier_coeffs",
     "hill_quasimomentum", "hill_spectrum", "k_eval", "make_potential",
     "verify_deep_asymptotics", "verify_kprime_squared",

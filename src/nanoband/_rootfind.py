@@ -1,17 +1,20 @@
-"""Bracketed root finding and the generic comb-spectrum engine.
+"""Bracketed root finding and the comb structure shared by both discriminants.
 
 Everything that turns a discriminant-like function f (with f(band edges)
 alternating between +1 and -1) into labeled edges, critical points and
 slit heights lives here.  Both the Hill discriminant and the nanotube's
 modified discriminant reuse the same machinery; only the seed positions
-differ.
+differ.  The result type CombRoots carries the band/gap bookkeeping and
+is subclassed by monodromy.HillSpectrum and spectrum.BandStructure;
+_comb_k maps a discriminant value onto the comb (the quasimomentum
+branch) and _depth_for says how many gaps cover a given lambda.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 # Degeneracy threshold on (-1)^n f(crit) - 1: below double-root resolution
 # of the edge solver.  Gaps narrower than GAP_WIDTH_TOL * max(1, |lam|)
@@ -19,6 +22,9 @@ from typing import Callable, Sequence
 DEGENERACY_TOL = 1e-12
 GAP_WIDTH_TOL = 1e-9
 MAX_DOUBLINGS = 8
+
+# Domain slack allowed when clamping arccos/arccosh arguments onto the comb.
+_CLAMP_TOL = 1e-12
 
 
 class RootBracketError(RuntimeError):
@@ -148,11 +154,13 @@ def find_sign_change(f: Callable[[float], float], lo: float, hi: float,
 
 @dataclass(frozen=True)
 class CombRoots:
-    """Raw output of the comb engine: labeled edges and critical points.
+    """Labeled comb structure: edges, critical points and slit heights.
 
-    Index n runs 1..n_max for gap quantities; lambda0 is the lowest
-    spectral point (the simple zero of f - 1 left of everything else).
-    cosh_heights[n-1] is (-1)^n f(critical[n-1]), clipped at 1.
+    minus/plus/critical/degenerate/heights are indexed by gap number
+    n = 1..n_max (python index n-1); lambda0 is the lowest spectral point
+    (the simple zero of f - 1 left of everything else).  heights[n-1] is
+    arccosh((-1)^n f(critical[n-1])), clipped at 0.  Band n is
+    [plus_{n-1}, minus_n] with plus_0 = lambda0.
     """
 
     lambda0: float
@@ -160,15 +168,74 @@ class CombRoots:
     plus: tuple[float, ...]
     critical: tuple[float, ...]
     degenerate: tuple[bool, ...]
-    cosh_heights: tuple[float, ...]
-    anomalies: tuple[str, ...] = field(default=())
+    heights: tuple[float, ...]
+    anomalies: tuple[str, ...]
 
     @property
     def n_max(self) -> int:
         return len(self.minus)
 
-    def heights(self) -> tuple[float, ...]:
-        return tuple(math.acosh(c) for c in self.cosh_heights)
+    def band(self, n: int) -> tuple[float, float]:
+        """Spectral band sigma_n = [plus_{n-1}, minus_n] (n >= 1)."""
+        left = self.lambda0 if n == 1 else self.plus[n - 2]
+        return left, self.minus[n - 1]
+
+    def band_length(self, n: int) -> float:
+        lo, hi = self.band(n)
+        return hi - lo
+
+    def gap(self, n: int) -> tuple[float, float] | None:
+        """Open gap gamma_n = (minus_n, plus_n), or None if degenerate."""
+        if self.degenerate[n - 1]:
+            return None
+        return self.minus[n - 1], self.plus[n - 1]
+
+    def gap_length(self, n: int) -> float:
+        return self.plus[n - 1] - self.minus[n - 1]
+
+    def open_gaps(self) -> tuple[int, ...]:
+        return tuple(n for n in range(1, self.n_max + 1)
+                     if not self.degenerate[n - 1])
+
+    def first_open_gap(self) -> int | None:
+        for n in range(1, self.n_max + 1):
+            if not self.degenerate[n - 1]:
+                return n
+        return None
+
+    def merged_intervals(self) -> tuple[tuple[int, int, float, float], ...]:
+        """Maximal spectral intervals [plus_n, minus_n1] made of n1 - n
+        bands joined through degenerate interior gaps.
+
+        Only intervals bounded by open gaps (or the spectral bottom on
+        the left, n = 0) within the computed range are reported.
+        """
+        out = []
+        start = 0  # interval starts above gap `start` (0 = bottom)
+        for g in range(1, self.n_max + 1):
+            if not self.degenerate[g - 1]:
+                lo = self.lambda0 if start == 0 else self.plus[start - 1]
+                out.append((start, g, lo, self.minus[g - 1]))
+                start = g
+        return tuple(out)
+
+    def locate(self, lam: float) -> tuple[str, int]:
+        """Classify lam: ('below', 0), ('band', n) with n >= 1, or ('gap', n).
+
+        Edge points fall into the adjacent band/gap arbitrarily but
+        consistently (closed gaps, half-open bands); values above the last
+        computed gap raise.
+        """
+        if lam < self.lambda0:
+            return ("below", 0)
+        for n in range(1, self.n_max + 1):
+            left = self.lambda0 if n == 1 else self.plus[n - 2]
+            if left <= lam < self.minus[n - 1]:
+                return ("band", n)
+            if self.minus[n - 1] <= lam <= self.plus[n - 1]:
+                return ("gap", n)
+        raise ValueError(f"lambda={lam} lies above the computed structure "
+                         f"(n_max={self.n_max})")
 
 
 def comb_roots(fval: Callable[[float], tuple[float, float, float]],
@@ -212,7 +279,7 @@ def comb_roots(fval: Callable[[float], tuple[float, float, float]],
     minus: list[float] = []
     plus: list[float] = []
     degenerate: list[bool] = []
-    cosh_h: list[float] = []
+    heights: list[float] = []
     anomalies: list[str] = []
     for n in range(1, n_max + 1):
         t = -1.0 if n % 2 else 1.0
@@ -221,7 +288,7 @@ def comb_roots(fval: Callable[[float], tuple[float, float, float]],
         if d < -1e-9:
             anomalies.append(
                 f"(-1)^{n} f at critical point {n} is {1.0 + d:.3e} < 1")
-        cosh_h.append(max(1.0 + d, 1.0))
+        heights.append(math.acosh(max(1.0 + d, 1.0)))
         if d <= DEGENERACY_TOL:
             minus.append(cn)
             plus.append(cn)
@@ -247,26 +314,36 @@ def comb_roots(fval: Callable[[float], tuple[float, float, float]],
         degenerate.append(False)
 
     return CombRoots(lam0, tuple(minus), tuple(plus), tuple(crit[:n_max]),
-                     tuple(degenerate), tuple(cosh_h), tuple(anomalies))
+                     tuple(degenerate), tuple(heights), tuple(anomalies))
 
 
-def locate(lam: float, lambda0: float,
-           minus: Sequence[float], plus: Sequence[float]) -> tuple[str, int]:
-    """Classify lam against a comb structure.
+def _comb_k(where: str, n: int, f: float) -> complex:
+    """Quasimomentum on the comb from a discriminant value f at a point
+    that CombRoots.locate placed at (where, n).
 
-    Returns ('below', 0), ('band', n) with n >= 1, or ('gap', n).
-    Edge points fall into the adjacent band/gap arbitrarily but
-    consistently (closed gaps, half-open bands); values above the last
-    computed gap raise.
+    Band n maps onto [pi(n-1), pi n] increasing, gap n onto the vertical
+    slit pi n + i [0, h_n], and the ray below the spectrum onto the
+    positive imaginary axis.  The arccos/arccosh argument is clamped to
+    its domain; a clamp larger than _CLAMP_TOL raises ValueError.
     """
-    if lam < lambda0:
-        return ("below", 0)
-    n_max = len(minus)
-    for n in range(1, n_max + 1):
-        left = lambda0 if n == 1 else plus[n - 2]
-        if left <= lam < minus[n - 1]:
-            return ("band", n)
-        if minus[n - 1] <= lam <= plus[n - 1]:
-            return ("gap", n)
-    raise ValueError(
-        f"lambda={lam} lies above the computed structure (n_max={n_max})")
+    x = -f if n % 2 else f
+    if where == "band":
+        x = -x
+        lo, hi = -1.0, 1.0
+    else:
+        lo, hi = 1.0, math.inf
+    if not lo - _CLAMP_TOL <= x <= hi + _CLAMP_TOL:
+        raise ValueError(f"discriminant value {f} is off the comb branch "
+                         f"({where} {n}) beyond the clamp tolerance")
+    x = min(max(x, lo), hi)
+    if where == "band":
+        return math.pi * (n - 1) + math.acos(x)
+    return math.pi * n + 1j * math.acosh(x)
+
+
+def _depth_for(lam: float, q0: float) -> int:
+    """Gap count whose structure reaches past lam (nanotube gaps sit near
+    z = pi n / 2 with z = sqrt(lambda - q0); Hill gaps are twice as sparse,
+    so the same count covers them too)."""
+    z = math.sqrt(max(lam - q0, 1.0))
+    return max(2, int(math.ceil(2.0 * z / math.pi)) + 3)

@@ -13,7 +13,6 @@ not be established), 2 usage/config errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -25,7 +24,7 @@ from . import quasimomentum as _qm
 from . import spectrum as _spec
 from . import verifier as _ver
 from . import floquet_oracle as _oracle
-from ._rootfind import RootBracketError
+from ._rootfind import RootBracketError, _depth_for
 from .potential import PotentialSpec, from_config
 from .spectrum import MagneticConfig, PurePointRegimeError
 
@@ -218,8 +217,7 @@ def cmd_dispersion(args, parser) -> None:
     if not echo["grid"]:
         parser.error("dispersion needs --grid lo:hi:count")
     lams = _parse_grid(echo["grid"])
-    z_top = math.sqrt(max(max(lams) - q.q0, 1.0))
-    n_need = max(2, int(math.ceil(2.0 * z_top / math.pi)) + 3, echo["n_max"])
+    n_need = max(_depth_for(max(lams), q.q0), echo["n_max"])
     bs = _spec.band_structure(q, cfg, n_need, include_flat=False)
     rows = []
     for lam in lams:
@@ -248,12 +246,9 @@ def cmd_verify(args, parser) -> None:
                                          bs=bs_pf, mt=mt_pf)
     ineq = _ver.check_height_mass_gap(bs, mt)
     merged = _ver.check_merged_band_bound(bs, mt)
-    mt = dataclasses.replace(
-        mt, trace_residual=trace.residual,
-        partial_fraction_residuals=tuple((r.lam, r.residual_rel) for r in pf))
     records = [_record_dict(r) for r in ineq.records + merged.records]
     result = {
-        "trace_residual": mt.trace_residual,
+        "trace_residual": trace.residual,
         "trace_partial_sum": trace.partial_sum,
         "trace_extrapolated": trace.extrapolated,
         "partial_fraction": [{"lambda": r.lam, "direct": r.direct,

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import monodromy, spectrum as _spec
+from ._rootfind import _depth_for
 from .potential import PotentialSpec
 from .spectrum import BandStructure, MagneticConfig
 
@@ -155,9 +156,8 @@ def cross_validate(q: PotentialSpec, cfg: MagneticConfig, lam_grid,
     """
     lams = [float(x) for x in lam_grid]
     if bs is None:
-        z_est = math.sqrt(max(max(lams) - q.q0, 1.0))
-        n_need = max(2, int(math.ceil(2.0 * z_est / math.pi)) + 3)
-        bs = _spec.band_structure(q, cfg, n_need, include_flat=False)
+        bs = _spec.band_structure(q, cfg, _depth_for(max(lams), q.q0),
+                                  include_flat=False)
     devs = []
     kept = []
     skipped = []

@@ -51,8 +51,6 @@ class MassTable:
     """Effective masses mu_n^+- for gaps 1..n_max plus mu_0 at the bottom.
 
     bare_* hold the zero-potential values at the same c for comparison.
-    The residual fields stay None until filled by the verification
-    drivers (the CLI attaches them with dataclasses.replace).
     """
 
     cfg: MagneticConfig
@@ -62,10 +60,6 @@ class MassTable:
     bare_mu0: float
     bare_plus: tuple[float, ...]
     bare_minus: tuple[float, ...]
-    trace_residual: float | None = None
-    series_residuals: tuple | None = None
-    partial_fraction_residuals: tuple | None = None
-    asymptotic_residuals: tuple | None = None
 
     @property
     def n_max(self) -> int:
@@ -108,6 +102,18 @@ def effective_masses(bs: BandStructure) -> MassTable:
 # tail extrapolation
 # ----------------------------------------------------------------------
 
+def _fit_line(xs, ys) -> tuple[float, float]:
+    """Least-squares (intercept, slope) of ys against xs."""
+    m = len(xs)
+    mx = math.fsum(xs) / m
+    my = math.fsum(ys) / m
+    sxx = math.fsum((x - mx) ** 2 for x in xs)
+    if sxx == 0.0:
+        return my, 0.0
+    slope = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
+    return my - slope * mx, slope
+
+
 def fit_tail(ns, sums) -> float:
     """Extrapolate partial sums S(n) -> S_inf by a least-squares fit of
     S = S_inf + C/n over the last decade of indices.  Deterministic."""
@@ -119,14 +125,7 @@ def fit_tail(ns, sums) -> float:
     ys = [s for n, s in zip(ns, sums) if n >= cutoff]
     if len(xs) < 2:
         return ys[-1]
-    mx = math.fsum(xs) / len(xs)
-    my = math.fsum(ys) / len(ys)
-    sxx = math.fsum((x - mx) ** 2 for x in xs)
-    if sxx == 0.0:
-        return ys[-1]
-    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    return my - slope * mx
+    return _fit_line(xs, ys)[0]
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from . import _rootfind
-from ._rootfind import CombRoots, comb_roots, locate, solve_bracketed
+from ._rootfind import CombRoots, comb_roots, solve_bracketed
 from .potential import PotentialSpec
 
 # Below this |mu| the closed forms for S and its mu-derivatives lose
@@ -150,15 +150,9 @@ def evaluate(q: PotentialSpec, lam: float) -> Monodromy:
                      d2_lam=(p2[0], p2[2], p2[1], p2[3]))
 
 
-def delta_with_derivs(q: PotentialSpec, lam: float) -> tuple[float, float, float]:
-    """(Delta, dDelta/dlam, d2Delta/dlam2) without building a Monodromy."""
-    p, p1, p2 = transfer(q, lam)
-    return (0.5 * (p[0] + p[3]), 0.5 * (p1[0] + p1[3]), 0.5 * (p2[0] + p2[3]))
-
-
 @dataclass(frozen=True)
-class HillSpectrum:
-    """2-periodic spectrum of -y'' + q y: edges, Dirichlet points, heights.
+class HillSpectrum(CombRoots):
+    """2-periodic spectrum of -y'' + q y: the Hill comb plus Dirichlet points.
 
     edges interlace lam0 < minus_1 <= plus_1 < minus_2 <= ...; dirichlet
     holds the zeros of phi(1, .) (one per closed gap); heights are the
@@ -166,39 +160,7 @@ class HillSpectrum:
     """
 
     q: PotentialSpec
-    lambda0: float
-    minus: tuple[float, ...]
-    plus: tuple[float, ...]
-    critical: tuple[float, ...]
-    degenerate: tuple[bool, ...]
-    heights: tuple[float, ...]
     dirichlet: tuple[float, ...]
-    anomalies: tuple[str, ...] = ()
-
-    @property
-    def n_max(self) -> int:
-        return len(self.minus)
-
-    def gap(self, n: int) -> tuple[float, float]:
-        return self.minus[n - 1], self.plus[n - 1]
-
-    def band(self, n: int) -> tuple[float, float]:
-        left = self.lambda0 if n == 1 else self.plus[n - 2]
-        return left, self.minus[n - 1]
-
-
-def _hill_comb(q: PotentialSpec, n_max: int) -> CombRoots:
-    q0 = q.q0
-
-    def fval(lam: float) -> tuple[float, float, float]:
-        return delta_with_derivs(q, lam)
-
-    def window(n: int) -> tuple[float, float]:
-        zl = math.pi * (n - 0.5)
-        zr = math.pi * (n + 0.5)
-        return zl * zl + q0, zr * zr + q0
-
-    return comb_roots(fval, n_max, window, q0, what="hill")
 
 
 def hill_spectrum(q: PotentialSpec, n_max: int) -> HillSpectrum:
@@ -207,12 +169,21 @@ def hill_spectrum(q: PotentialSpec, n_max: int) -> HillSpectrum:
     if any bracket cannot be established."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    roots = _hill_comb(q, n_max)
-    return HillSpectrum(q=q, lambda0=roots.lambda0, minus=roots.minus,
-                        plus=roots.plus, critical=roots.critical,
-                        degenerate=roots.degenerate, heights=roots.heights(),
-                        dirichlet=dirichlet_spectrum(q, n_max),
-                        anomalies=roots.anomalies)
+    q0 = q.q0
+
+    def fval(lam: float) -> tuple[float, float, float]:
+        p, p1, p2 = transfer(q, lam)
+        return (0.5 * (p[0] + p[3]), 0.5 * (p1[0] + p1[3]),
+                0.5 * (p2[0] + p2[3]))
+
+    def window(n: int) -> tuple[float, float]:
+        zl = math.pi * (n - 0.5)
+        zr = math.pi * (n + 0.5)
+        return zl * zl + q0, zr * zr + q0
+
+    roots = comb_roots(fval, n_max, window, q0, what="hill")
+    return HillSpectrum(q=q, dirichlet=dirichlet_spectrum(q, n_max),
+                        **vars(roots))
 
 
 def dirichlet_spectrum(q: PotentialSpec, n_max: int) -> tuple[float, ...]:
@@ -245,20 +216,10 @@ def hill_quasimomentum(q: PotentialSpec, lam: float,
     """Hill quasimomentum arccos Delta with the comb branch convention.
 
     Real and increasing from pi(n-1) to pi n across band n; pi n + i h on
-    gap n; purely imaginary on (-inf, lowest edge).
+    gap n; purely imaginary on (-inf, lowest edge).  Raises ValueError if
+    Delta lies off that branch by more than the clamp tolerance.
     """
     if spectrum is None:
-        z_est = math.sqrt(max(lam - q.q0, 1.0))
-        spectrum = hill_spectrum(q, max(2, int(z_est / math.pi) + 2))
-    d = delta_with_derivs(q, lam)[0]
-    where, n = locate(lam, spectrum.lambda0, spectrum.minus, spectrum.plus)
-    if where == "below":
-        return 1j * math.acosh(max(d, 1.0))
-    if where == "gap":
-        t = -1.0 if n % 2 else 1.0
-        return math.pi * n + 1j * math.acosh(max(t * d, 1.0))
-    t = -1.0 if n % 2 else 1.0
-    arg = -t * d
-    if abs(arg) > 1.0 + 1e-12:
-        raise AssertionError(f"discriminant {d} out of band range at {lam}")
-    return math.pi * (n - 1) + math.acos(max(-1.0, min(1.0, arg)))
+        spectrum = hill_spectrum(q, _rootfind._depth_for(lam, q.q0))
+    p = transfer(q, lam)[0]
+    return _rootfind._comb_k(*spectrum.locate(lam), 0.5 * (p[0] + p[3]))

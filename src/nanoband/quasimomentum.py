@@ -3,8 +3,9 @@
 k is represented by (band index, in-band phase) rather than a bare
 arccos call: band n maps onto [pi(n-1), pi n] increasing, gap n onto the
 vertical slit pi n + i [0, h_n], and the ray below the spectrum onto the
-positive imaginary axis.  arccos/arccosh arguments are clamped to their
-domains with the clamp amount checked against 1e-12.
+positive imaginary axis.  The branch is the one shared with the Hill
+quasimomentum (_rootfind._comb_k): arccos/arccosh arguments are clamped
+to their domains, and a clamp beyond 1e-12 raises ValueError.
 
 The deep-asymptotics probe fits the constant term of k on the negative
 axis and resolves its closed form among candidate readings numerically
@@ -19,75 +20,21 @@ import math
 from dataclasses import dataclass
 
 from . import spectrum as _spec
+from ._rootfind import _comb_k, _depth_for
+from .masses import _fit_line
 from .potential import PotentialSpec
 from .spectrum import BandStructure, MagneticConfig
-
-_CLAMP_TOL = 1e-12
-
-
-def _clamped_acos(x: float) -> float:
-    if abs(x) > 1.0 + _CLAMP_TOL:
-        raise AssertionError(f"arccos argument {x} beyond clamp tolerance")
-    return math.acos(max(-1.0, min(1.0, x)))
-
-
-def _clamped_acosh(x: float) -> float:
-    if x < 1.0 - _CLAMP_TOL:
-        raise AssertionError(f"arccosh argument {x} beyond clamp tolerance")
-    return math.acosh(max(1.0, x))
-
-
-def _bs_for(q: PotentialSpec, cfg: MagneticConfig, lam: float,
-            bs: BandStructure | None) -> BandStructure:
-    if bs is not None:
-        return bs
-    z_est = math.sqrt(max(lam - q.q0, 1.0))
-    n_need = max(2, int(math.ceil(2.0 * z_est / math.pi)) + 2)
-    return _spec.band_structure(q, cfg, n_need, include_flat=False)
 
 
 def k_eval(q: PotentialSpec, cfg: MagneticConfig, lam: float,
            bs: BandStructure | None = None) -> complex:
-    """Quasimomentum at real lam; complex on gaps and below the spectrum."""
-    bs = _bs_for(q, cfg, lam, bs)
-    v = _spec._xi_eff(q, cfg, lam)[0]
-    where, n = bs.locate(lam)
-    if where == "below":
-        return 1j * _clamped_acosh(v)
-    t = -1.0 if n % 2 else 1.0
-    if where == "gap":
-        return math.pi * n + 1j * _clamped_acosh(t * v)
-    return math.pi * (n - 1) + _clamped_acos(-t * v)
+    """Quasimomentum at real lam; complex on gaps and below the spectrum.
 
-
-@dataclass(frozen=True)
-class CombMap:
-    """Callable wrapper holding the band structure behind k(lambda)."""
-
-    bs: BandStructure
-
-    @property
-    def heights(self) -> tuple[float, ...]:
-        return self.bs.heights
-
-    def __call__(self, lam: float) -> complex:
-        return k_eval(self.bs.q, self.bs.cfg, lam, bs=self.bs)
-
-
-def comb_map(q: PotentialSpec, cfg: MagneticConfig, n_max: int) -> CombMap:
-    return CombMap(_spec.band_structure(q, cfg, n_max, include_flat=False))
-
-
-def _fit_line(xs, ys) -> tuple[float, float]:
-    """Least-squares (intercept, slope) of ys against xs."""
-    m = len(xs)
-    mx = math.fsum(xs) / m
-    my = math.fsum(ys) / m
-    sxx = math.fsum((x - mx) ** 2 for x in xs)
-    if sxx == 0.0:
-        return my, 0.0
-    slope = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
-    return my - slope * mx, slope
+    Without bs, a structure deep enough to cover lam is built."""
+    if bs is None:
+        bs = _spec.band_structure(q, cfg, _depth_for(lam, q.q0),
+                                  include_flat=False)
+    return _comb_k(*bs.locate(lam), _spec._xi_eff(q, cfg, lam)[0])
 
 
 @dataclass(frozen=True)
@@ -129,8 +76,7 @@ def verify_deep_asymptotics(q: PotentialSpec, cfg: MagneticConfig,
     q0n = qn.q0
     ests = []
     for y in ys:
-        v = _spec._xi_eff(qn, cfg, -y * y)[0]
-        im_k = _clamped_acosh(v)
+        im_k = _comb_k("below", 0, _spec._xi_eff(qn, cfg, -y * y)[0]).imag
         ests.append(im_k - 2.0 * y - q0n / y)
     const_fit, _ = _fit_line([1.0 / (y * y) for y in ys], ests)
     base = math.log(9.0 / (8.0 * c))

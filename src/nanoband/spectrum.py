@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from . import monodromy
-from ._rootfind import (comb_roots, expand_left, find_sign_change, locate,
+from ._rootfind import (CombRoots, comb_roots, expand_left, find_sign_change,
                         solve_bracketed)
 from .potential import PotentialSpec
 
@@ -123,44 +123,18 @@ def bare_cosh_heights(c: float) -> tuple[float, float]:
     return (1.0 + s2) / c, (1.0 + 4.0 * c * c) / (4.0 * c)
 
 
-# F0 = (9 cos 2 sqrt(lambda) - 1)/8 and derivatives, entire in lambda.
+# Zero-potential reduced discriminant F0 = (9 cos 2 sqrt(lambda) - 1)/8:
+# F0' = -(9/8) S and F0'' = -(9/8) dS/dmu for the width-2 transfer factor
+# S = sin(2 sqrt(mu)) / sqrt(mu) at mu = lambda, which is entire.
 
 def _sin2z_over_z(lam: float) -> float:
     """sin(2 sqrt(lam)) / sqrt(lam), entire (hyperbolic for lam < 0)."""
-    if lam > 1e-6:
-        z = math.sqrt(lam)
-        return math.sin(2.0 * z) / z
-    if lam < -1e-6:
-        y = math.sqrt(-lam)
-        return math.sinh(2.0 * y) / y
-    return 2.0 - 4.0 * lam / 3.0 + 4.0 * lam * lam / 15.0 \
-        - 8.0 * lam ** 3 / 315.0
-
-
-def F0(lam: float) -> float:
-    """Zero-potential reduced discriminant (9 cos 2 sqrt(lam) - 1) / 8."""
-    if lam >= 0.0:
-        return (9.0 * math.cos(2.0 * math.sqrt(lam)) - 1.0) / 8.0
-    return (9.0 * math.cosh(2.0 * math.sqrt(-lam)) - 1.0) / 8.0
-
-
-def dF0(lam: float) -> float:
-    """First lambda-derivative of F0."""
-    return -(9.0 / 8.0) * _sin2z_over_z(lam)
+    return monodromy._factor(2.0, lam)[0][1]
 
 
 def d2F0(lam: float) -> float:
     """Second lambda-derivative of F0."""
-    if lam > 1e-4:
-        z = math.sqrt(lam)
-        return -(9.0 / 8.0) * (2.0 * z * math.cos(2.0 * z)
-                               - math.sin(2.0 * z)) / (2.0 * z ** 3)
-    if lam < -1e-4:
-        y = math.sqrt(-lam)
-        return -(9.0 / 8.0) * (2.0 * y * math.cosh(2.0 * y)
-                               - math.sinh(2.0 * y)) / (2.0 * y ** 3)
-    return (9.0 / 8.0) * (4.0 / 3.0 - 8.0 * lam / 15.0
-                          + 8.0 * lam * lam / 70.0)
+    return -(9.0 / 8.0) * monodromy._factor(2.0, lam)[1][1]
 
 
 # ----------------------------------------------------------------------
@@ -182,17 +156,6 @@ def F_with_derivs(q: PotentialSpec, lam: float) -> tuple[float, float, float]:
     return f, f1, f2
 
 
-def xi(q: PotentialSpec, cfg: MagneticConfig, lam: float) -> tuple[float, float]:
-    """Modified discriminant xi_j(lam) and its lambda-derivative (signed,
-    i.e. with the true c_j).  Raises PurePointRegimeError for |c_j| < cutoff."""
-    c = cfg.c_j
-    if abs(c) < PURE_POINT_CUTOFF:
-        raise PurePointRegimeError(c)
-    f, f1, _ = F_with_derivs(q, lam)
-    s2 = cfg.s_j ** 2
-    return (f + s2) / c, f1 / c
-
-
 def _xi_eff(q: PotentialSpec, cfg: MagneticConfig, lam: float
             ) -> tuple[float, float, float]:
     """(xi, xi', xi'') at |c_j|, the labeling convention used internally."""
@@ -204,84 +167,33 @@ def _xi_eff(q: PotentialSpec, cfg: MagneticConfig, lam: float
     return (f + s2) / c, f1 / c, f2 / c
 
 
+def xi(q: PotentialSpec, cfg: MagneticConfig, lam: float) -> tuple[float, float]:
+    """Modified discriminant xi_j(lam) and its lambda-derivative (signed,
+    i.e. with the true c_j).  Raises PurePointRegimeError for |c_j| < cutoff."""
+    v, d1, _ = _xi_eff(q, cfg, lam)
+    sign = math.copysign(1.0, cfg.c_j)
+    return sign * v, sign * d1
+
+
 # ----------------------------------------------------------------------
 # band structure
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BandStructure:
+class BandStructure(CombRoots):
     """Labeled nanotube band structure for one (q, magnetic sector).
 
-    minus/plus/critical/heights/degenerate are indexed by gap number
-    n = 1..n_max (python index n-1).  lambda0 is the bottom of the
-    spectrum.  flat_bands holds the Dirichlet set (eigenvalues of
-    infinite multiplicity, present for every c).  xi_sign records the
-    sign of c_j: for negative c_j the parity labeling follows |c_j|.
+    The comb data (edges, criticals, heights, degeneracy flags) and its
+    band/gap bookkeeping come from CombRoots.  flat_bands holds the
+    Dirichlet set (eigenvalues of infinite multiplicity, present for
+    every c).  xi_sign records the sign of c_j: for negative c_j the
+    parity labeling follows |c_j|.
     """
 
     q: PotentialSpec
     cfg: MagneticConfig
-    lambda0: float
-    minus: tuple[float, ...]
-    plus: tuple[float, ...]
-    critical: tuple[float, ...]
-    heights: tuple[float, ...]
-    degenerate: tuple[bool, ...]
     flat_bands: tuple[float, ...]
     xi_sign: float
-    anomalies: tuple[str, ...] = ()
-
-    @property
-    def n_max(self) -> int:
-        return len(self.minus)
-
-    def band(self, n: int) -> tuple[float, float]:
-        """Spectral band sigma_n = [plus_{n-1}, minus_n] (n >= 1)."""
-        left = self.lambda0 if n == 1 else self.plus[n - 2]
-        return left, self.minus[n - 1]
-
-    def band_length(self, n: int) -> float:
-        lo, hi = self.band(n)
-        return hi - lo
-
-    def gap(self, n: int) -> tuple[float, float] | None:
-        """Open gap gamma_n = (minus_n, plus_n), or None if degenerate."""
-        if self.degenerate[n - 1]:
-            return None
-        return self.minus[n - 1], self.plus[n - 1]
-
-    def gap_length(self, n: int) -> float:
-        return self.plus[n - 1] - self.minus[n - 1]
-
-    def open_gaps(self) -> tuple[int, ...]:
-        return tuple(n for n in range(1, self.n_max + 1)
-                     if not self.degenerate[n - 1])
-
-    def first_open_gap(self) -> int | None:
-        for n in range(1, self.n_max + 1):
-            if not self.degenerate[n - 1]:
-                return n
-        return None
-
-    def merged_intervals(self) -> tuple[tuple[int, int, float, float], ...]:
-        """Maximal spectral intervals [plus_n, minus_n1] made of n1 - n
-        bands joined through degenerate interior gaps.
-
-        Only intervals bounded by open gaps (or the spectral bottom on
-        the left, n = 0) within the computed range are reported.
-        """
-        out = []
-        start = 0  # interval starts above gap `start` (0 = bottom)
-        for g in range(1, self.n_max + 1):
-            if not self.degenerate[g - 1]:
-                lo = self.lambda0 if start == 0 else self.plus[start - 1]
-                out.append((start, g, lo, self.minus[g - 1]))
-                start = g
-        return tuple(out)
-
-    def locate(self, lam: float) -> tuple[str, int]:
-        """('below', 0) / ('band', n) / ('gap', n) classification."""
-        return locate(lam, self.lambda0, self.minus, self.plus)
 
 
 def band_structure(q: PotentialSpec, cfg: MagneticConfig, n_max: int,
@@ -310,12 +222,8 @@ def band_structure(q: PotentialSpec, cfg: MagneticConfig, n_max: int,
     roots = comb_roots(fval, n_max, window, bare_edge(c, 0, +1) + q0,
                        what="band structure")
     flats = monodromy.dirichlet_spectrum(q, n_max) if include_flat else ()
-    return BandStructure(q=q, cfg=cfg, lambda0=roots.lambda0,
-                         minus=roots.minus, plus=roots.plus,
-                         critical=roots.critical, heights=roots.heights(),
-                         degenerate=roots.degenerate, flat_bands=flats,
-                         xi_sign=math.copysign(1.0, cfg.c_j),
-                         anomalies=roots.anomalies)
+    return BandStructure(q=q, cfg=cfg, flat_bands=flats,
+                         xi_sign=math.copysign(1.0, cfg.c_j), **vars(roots))
 
 
 # ----------------------------------------------------------------------

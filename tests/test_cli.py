@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -8,6 +9,20 @@ import pytest
 from nanoband.cli import main
 
 HALF_PI = "1.5707963267948966"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# The README's CLI commands and the stored output of each.  `oracle` is
+# left out: its deviations come from LAPACK determinants, whose last bits
+# can differ between BLAS builds.
+README_COMMANDS = {
+    "bands_zero.json": "bands --q zero --a 0 --n-max 5",
+    "bands_two_step_field.json":
+        "bands --q two-step --B 1.0 --N 4 --j 1 --n-max 8",
+    "masses_two_step.json": "masses --q two-step --a 0.9 --n-max 10",
+    "dispersion_zero.json": "dispersion --q zero --a 0 --grid 0:40:400",
+    "verify_two_step.json": "verify --q two-step --a 0.9 --n-max 20",
+    "flatbands_zero.json": f"flatbands --q zero --a {HALF_PI} --n-max 5",
+}
 
 
 def run_cli(args, capsys):
@@ -202,3 +217,23 @@ def test_console_script_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "bands"
+
+
+@pytest.mark.parametrize("golden", sorted(README_COMMANDS))
+def test_readme_commands_match_golden_bytes(golden, capsys):
+    code, out, _ = run_cli(README_COMMANDS[golden].split(), capsys)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_dispersion_at_near_pure_point_edge_is_clean(capsys):
+    # at c = 1e-4 the edge computed by `bands` may sit a little outside
+    # the comb branch that k_eval clamps to; that must end as a CLI error
+    # (exit 1) or a value, never as an uncaught exception
+    a = repr(math.acos(1e-4))
+    code, out, _ = run_cli(["bands", "--q", "two-step", "--a", a], capsys)
+    assert code == 0
+    edge = repr(json.loads(out)["result"]["gaps"][0]["lambda_minus"])
+    code, out, err = run_cli(["dispersion", "--q", "two-step", "--a", a,
+                              "--grid", f"{edge}:{edge}:1"], capsys)
+    assert code == 0 or "nanoband: error:" in err

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -216,6 +217,19 @@ def test_curvature_correction_scale():
     c = math.cos(math.pi / 5)
     vals = [abs(d2F0(bare_edge(c, n, +1))) * n * n for n in range(5, 40)]
     assert max(vals) < 3.0 * min(vals)
+
+
+def test_d2F0_matches_finite_difference():
+    # central difference of F0' = -(9/8) sin(2 sqrt(lam)) / sqrt(lam) on
+    # both sides of lam = 0 (the complex root gives the sinh branch)
+    def dF0(lam):
+        z = cmath.sqrt(lam)
+        return (-(9.0 / 8.0) * cmath.sin(2.0 * z) / z).real
+
+    for lam in (-30.0, -1.0, -1e-5, 5e-5, 2.0, 400.0):
+        h = 1e-6 * max(1.0, abs(lam))
+        fd = (dF0(lam + h) - dF0(lam - h)) / (2.0 * h)
+        assert abs(d2F0(lam) - fd) < 1e-6 * max(1.0, abs(fd)), lam
 
 
 def test_fit_tail_recovers_limit():

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from nanoband.quasimomentum import (comb_map, k_eval, verify_deep_asymptotics,
+from nanoband.quasimomentum import (k_eval, verify_deep_asymptotics,
                                     verify_kprime_squared)
 from nanoband.spectrum import MagneticConfig, bare_cosh_heights, xi
 
@@ -144,9 +144,3 @@ def test_kprime_squared_rejects_nonnegative_points(zero_q):
     with pytest.raises(ValueError):
         verify_kprime_squared(zero_q, MagneticConfig(a=0.0), [-5.0, 1.0])
 
-
-def test_comb_map_wrapper(two_step):
-    cm = comb_map(two_step, MagneticConfig(a=0.9), 5)
-    assert len(cm.heights) == 5
-    k = cm(cm.bs.critical[0])
-    assert abs(k.imag - cm.heights[0]) < 1e-12
