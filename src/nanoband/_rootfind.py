@@ -8,13 +8,36 @@ differ.  The result type CombRoots carries the band/gap bookkeeping and
 is subclassed by monodromy.HillSpectrum and spectrum.BandStructure;
 _comb_k maps a discriminant value onto the comb (the quasimomentum
 branch) and _depth_for says how many gaps cover a given lambda.
+
+The two control algorithms that per-gap tasks run (solve_bracketed and
+find_sign_change) each exist once, as a private step generator that
+yields the points it wants evaluated and receives the values.  They
+run in one of two ways:
+
+* the public functions answer each point with their scalar callable, one
+  evaluation at a time (every structure below _LOCKSTEP_GAPS gaps, the
+  Hill comb, flat_spectrum and every pointwise caller);
+* _lockstep advances up to _LANES independent per-gap tasks together and
+  answers all their points with one batched evaluator call per step
+  (from _LOCKSTEP_GAPS gaps on: comb_roots when given a batched
+  evaluator, and monodromy.dirichlet_spectrum; _Lanes picks the way).
+  From the same depth masses.effective_masses evaluates F' at _LANES
+  edges per call.
+
+The batched evaluators (monodromy._transfer_batch and what is built on
+it) return the scalar numbers bit for bit, and lockstep changes only the
+order in which points are evaluated, not which points: both ways give
+identical structures and raise the same RootBracketError.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 # Degeneracy threshold on (-1)^n f(crit) - 1: below double-root resolution
 # of the edge solver.  Gaps narrower than GAP_WIDTH_TOL * max(1, |lam|)
@@ -26,6 +49,15 @@ MAX_DOUBLINGS = 8
 # Domain slack allowed when clamping arccos/arccosh arguments onto the comb.
 _CLAMP_TOL = 1e-12
 
+# Lockstep solving (see _Lanes) starts at this many gaps.  A structure
+# with its masses, 1-6 pieces, best of 5: lockstep was 1.7-3x slower at
+# 20 gaps, broke even near 70 and was 1.3-1.7x faster at 100.
+_LOCKSTEP_GAPS = 100
+# Live lanes in lockstep.  On a 2400-gap two-step comb, 64/256/1024/all
+# live lanes took 0.87/0.52/0.61/0.60 s and raised the peak RSS by
+# 1.4/1.8/3.4/6.5 MB (0.6 MB one lane at a time).
+_LANES = 256
+
 
 class RootBracketError(RuntimeError):
     """A sign-change bracket could not be established after expansion."""
@@ -35,6 +67,23 @@ class RootBracketError(RuntimeError):
         self.index = index
         msg = what if index is None else f"{what} (index {index})"
         super().__init__(msg)
+
+
+def _run(steps, f: Callable):
+    """Run a step generator to its return value, answering every point x
+    it yields with f(x)."""
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _same(v):
+    """The pick of the public functions: their callables already return
+    what the algorithm reads."""
+    return v
 
 
 def solve_bracketed(fdf: Callable[[float], tuple[float, float | None]],
@@ -54,10 +103,18 @@ def solve_bracketed(fdf: Callable[[float], tuple[float, float | None]],
     to machine accuracy.  The bracket sign invariant is maintained
     throughout the main loop.
     """
+    return _run(_solve_steps(_same, lo, hi, flo, fhi, xtol, maxiter,
+                             polish), fdf)
+
+
+def _solve_steps(pick, lo, hi, flo=None, fhi=None, xtol=1e-13, maxiter=100,
+                 polish=2):
+    """solve_bracketed as a step generator: yields x and reads fdf(x) as
+    pick of the value sent back."""
     if flo is None:
-        flo = fdf(lo)[0]
+        flo = pick((yield lo))[0]
     if fhi is None:
-        fhi = fdf(hi)[0]
+        fhi = pick((yield hi))[0]
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -67,7 +124,7 @@ def solve_bracketed(fdf: Callable[[float], tuple[float, float | None]],
     lo_pos = flo > 0
 
     x = 0.5 * (lo + hi)
-    fx, dfx = fdf(x)
+    fx, dfx = pick((yield x))
     dx_old = abs(hi - lo)
     dx = dx_old
     for _ in range(maxiter):
@@ -92,9 +149,9 @@ def solve_bracketed(fdf: Callable[[float], tuple[float, float | None]],
             x = x_new
             break
         x = x_new
-        fx, dfx = fdf(x)
+        fx, dfx = pick((yield x))
     for _ in range(polish):
-        fx, dfx = fdf(x)
+        fx, dfx = pick((yield x))
         if not dfx:
             break
         step = fx / dfx
@@ -129,14 +186,25 @@ def find_sign_change(f: Callable[[float], float], lo: float, hi: float,
     MAX_DOUBLINGS).  Among several sign changes the one closest to
     `prefer` wins.
     """
+    return _run(_scan_steps(_same, lo, hi, prefer, samples, what, index), f)
+
+
+def _scan_steps(pick, lo, hi, prefer, samples=9, what="sign change scan",
+                index=None):
+    """find_sign_change as a step generator: yields x and reads f(x) as
+    pick of the value sent back."""
     span = hi - lo
     for attempt in range(MAX_DOUBLINGS + 1):
-        flo, fhi = f(lo), f(hi)
+        flo = pick((yield lo))
+        fhi = pick((yield hi))
         if (flo > 0) != (fhi > 0):
             if attempt == 0:
                 return lo, hi, flo, fhi
         xs = [lo + span * i / (samples - 1) for i in range(samples)]
-        fs = [flo] + [f(x) for x in xs[1:-1]] + [fhi]
+        fs = [flo]
+        for x in xs[1:-1]:
+            fs.append(pick((yield x)))
+        fs.append(fhi)
         best = None
         for i in range(samples - 1):
             if (fs[i] > 0) != (fs[i + 1] > 0):
@@ -150,6 +218,77 @@ def find_sign_change(f: Callable[[float], float], lo: float, hi: float,
         hi = prefer + span
         span *= 2.0
     raise RootBracketError(what, index)
+
+
+class _Lanes:
+    """How a solver runs its independent per-gap tasks ("lanes").
+
+    A lane is a generator.  It yields a spectral point x to get the raw
+    evaluator value there (a tuple), and runs a control algorithm through
+    `yield from lanes.call(...)`.  Below _LOCKSTEP_GAPS lanes run one
+    after another: raw values come from the scalar fval, and `call` runs
+    the public function (solve_bracketed or find_sign_change) on fval at
+    once.  From _LOCKSTEP_GAPS on, up to _LANES lanes run in lockstep:
+    each solver step answers every live lane with one call of fbatch,
+    which maps a float64 array of points to a tuple of arrays.  Both
+    ways evaluate the same points and compute the same numbers.
+    """
+
+    def __init__(self, fval: Callable, fbatch: Callable | None, count: int):
+        self.fval = fval
+        self.fbatch = fbatch if count >= _LOCKSTEP_GAPS else None
+
+    def call(self, public: Callable, steps: Callable, pick: Callable,
+             *args, **kwargs):
+        """public(lambda x: pick(fval(x)), *args, **kwargs), where steps
+        is the same algorithm as a step generator (see _solve_steps)."""
+        if self.fbatch is None:
+            fval = self.fval
+            return public(lambda x: pick(fval(x)), *args, **kwargs)
+        return (yield from steps(pick, *args, **kwargs))
+
+    def run(self, lanes) -> list:
+        """The lanes' return values in order.  If lanes raise
+        RootBracketError, that of the lowest-index one is raised, as
+        running them one after another would."""
+        if self.fbatch is None:
+            return [_run(lane, self.fval) for lane in lanes]
+        return _lockstep(lanes, self.fbatch)
+
+
+def _lockstep(lanes, fbatch: Callable) -> list:
+    """_Lanes.run with fbatch: at most _LANES live lanes, one fbatch call
+    per step for all of them."""
+    results = []
+    failed = None  # (lane index, exception) of the lowest failing lane
+    live = []  # (lane index, generator, pending x)
+    pending = iter(lanes)
+    while True:
+        step = []
+        if live:
+            cols = fbatch(np.array([x for _, _, x in live]))
+            step = [(i, gen, v) for (i, gen, _), v
+                    in zip(live, zip(*[col.tolist() for col in cols]))]
+        if failed is None:
+            for gen in itertools.islice(pending, _LANES - len(live)):
+                step.append((len(results), gen, None))
+                results.append(None)
+        if not step:
+            break
+        live = []
+        for i, gen, value in step:
+            if failed is not None and i > failed[0]:
+                continue
+            try:
+                live.append((i, gen, gen.send(value)))
+            except StopIteration as stop:
+                results[i] = stop.value
+            except RootBracketError as exc:
+                if failed is None or i < failed[0]:
+                    failed = (i, exc)
+    if failed is not None:
+        raise failed[1]
+    return results
 
 
 @dataclass(frozen=True)
@@ -242,79 +381,80 @@ def comb_roots(fval: Callable[[float], tuple[float, float, float]],
                n_max: int,
                crit_window: Callable[[int], tuple[float, float]],
                lambda0_seed: float,
-               what: str = "comb") -> CombRoots:
+               what: str = "comb",
+               _fbatch: Callable | None = None) -> CombRoots:
     """Compute edges/criticals of a comb discriminant.
 
     fval(lam) returns (f, f', f'').  Edges with index n satisfy
     f = (-1)^n; the critical point of gap n is the unique zero of f'
     in [minus_n, plus_n].  crit_window(n) seeds the search for that zero
     (an interval straddling the n-th gap, clear of adjacent criticals).
+    _fbatch, if given, is fval over a float64 array (a tuple of three
+    arrays); from _LOCKSTEP_GAPS gaps on the gaps are then solved in
+    lockstep: first every critical point, then (after the lowest edge)
+    every gap's two edges.
     """
-    fc = lambda x: fval(x)[0]
-    f1 = lambda x: fval(x)[1]
+    lanes = _Lanes(fval, _fbatch, n_max)
+    f1 = lambda v: v[1]
+    f12 = lambda v: (v[1], v[2])
 
-    def fdf_crit(x: float) -> tuple[float, float]:
-        _, d1, d2 = fval(x)
-        return d1, d2
-
-    # critical points for gaps 1 .. n_max+1 (one extra as a right anchor)
-    crit: list[float] = []
-    for n in range(1, n_max + 2):
+    # critical points for gaps 1 .. n_max+1 (one extra as a right anchor),
+    # with f there: it sets the heights and the bracket ends of the edges
+    def critical(n: int):
         lo, hi = crit_window(n)
         prefer = 0.5 * (lo + hi)
-        blo, bhi, flo, fhi = find_sign_change(
-            f1, lo, hi, prefer, what=f"{what}: critical point", index=n)
-        crit.append(solve_bracketed(fdf_crit, blo, bhi, flo, fhi))
+        blo, bhi, flo, fhi = yield from lanes.call(
+            find_sign_change, _scan_steps, f1, lo, hi, prefer,
+            what=f"{what}: critical point", index=n)
+        x = yield from lanes.call(solve_bracketed, _solve_steps, f12,
+                                  blo, bhi, flo, fhi)
+        return x, (yield x)[0]
 
-    # lowest edge: f - 1 = 0 on (-inf, crit[0])
+    crit, fcrit = zip(*lanes.run(critical(n) for n in range(1, n_max + 2)))
+
+    # lowest edge: f - 1 = 0 on (-inf, crit[0]); one solve, so never in
+    # lockstep
     def fdf_bottom(x: float) -> tuple[float, float]:
         v, d1, _ = fval(x)
         return v - 1.0, d1
 
-    left = expand_left(lambda x: fc(x) - 1.0,
+    left = expand_left(lambda x: fval(x)[0] - 1.0,
                        min(lambda0_seed, crit[0]) - 0.25, 0.5,
                        lambda v: v > 0.0, what=f"{what}: lowest edge")
-    lam0 = solve_bracketed(fdf_bottom, left, crit[0])
+    lam0 = solve_bracketed(fdf_bottom, left, crit[0], None, fcrit[0] - 1.0)
 
-    minus: list[float] = []
-    plus: list[float] = []
-    degenerate: list[bool] = []
-    heights: list[float] = []
-    anomalies: list[str] = []
-    for n in range(1, n_max + 1):
+    # (minus, plus, degenerate, height, anomalies) of gap n
+    def gap(n: int):
         t = -1.0 if n % 2 else 1.0
         cn = crit[n - 1]
-        d = t * fc(cn) - 1.0
+        d = t * fcrit[n - 1] - 1.0
+        anomalies = []
         if d < -1e-9:
             anomalies.append(
                 f"(-1)^{n} f at critical point {n} is {1.0 + d:.3e} < 1")
-        heights.append(math.acosh(max(1.0 + d, 1.0)))
+        height = math.acosh(max(1.0 + d, 1.0))
         if d <= DEGENERACY_TOL:
-            minus.append(cn)
-            plus.append(cn)
-            degenerate.append(True)
-            continue
-
-        def fdf_edge(x: float, t: float = t) -> tuple[float, float]:
-            v, d1, _ = fval(x)
-            return t * v - 1.0, t * d1
-
-        anchor_l = lam0 if n == 1 else crit[n - 2]
-        lo_edge = solve_bracketed(fdf_edge, anchor_l, cn)
-        hi_edge = solve_bracketed(fdf_edge, cn, crit[n])
+            return cn, cn, True, height, anomalies
+        edge = lambda v: (t * v[0] - 1.0, t * v[1])
+        if n == 1:
+            anchor_l, f_l = lam0, None
+        else:
+            anchor_l, f_l = crit[n - 2], t * fcrit[n - 2] - 1.0
+        lo_edge = yield from lanes.call(solve_bracketed, _solve_steps, edge,
+                                        anchor_l, cn, f_l, d)
+        hi_edge = yield from lanes.call(solve_bracketed, _solve_steps, edge,
+                                        cn, crit[n], d, t * fcrit[n] - 1.0)
         if hi_edge - lo_edge < GAP_WIDTH_TOL * max(1.0, abs(lo_edge)):
-            minus.append(cn)
-            plus.append(cn)
-            degenerate.append(True)
-            continue
+            return cn, cn, True, height, anomalies
         if not (lo_edge - 1e-9 <= cn <= hi_edge + 1e-9):
             anomalies.append(f"critical point {n} escaped its closed gap")
-        minus.append(lo_edge)
-        plus.append(hi_edge)
-        degenerate.append(False)
+        return lo_edge, hi_edge, False, height, anomalies
 
-    return CombRoots(lam0, tuple(minus), tuple(plus), tuple(crit[:n_max]),
-                     tuple(degenerate), tuple(heights), tuple(anomalies))
+    minus, plus, degenerate, heights, anomalies = zip(
+        *lanes.run(gap(n) for n in range(1, n_max + 1)))
+    return CombRoots(lam0, minus, plus, crit[:n_max], degenerate, heights,
+                     tuple(a for gap_anomalies in anomalies
+                           for a in gap_anomalies))
 
 
 def _comb_k(where: str, n: int, f: float) -> complex:

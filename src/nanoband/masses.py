@@ -23,7 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import spectrum as _spec
+from ._rootfind import _LANES, _LOCKSTEP_GAPS
 from .potential import PotentialSpec
 from .spectrum import (BandStructure, MagneticConfig, bare_edge, bare_edge_z,
                        d2F0, gap_phase_even, _sin2z_over_z)
@@ -78,17 +81,23 @@ def effective_masses(bs: BandStructure) -> MassTable:
     edge of bs; zeros at degenerate gaps."""
     q, cfg = bs.q, bs.cfg
     c = cfg.c_abs
-    mu0 = -_spec.F_with_derivs(q, bs.lambda0)[1] / c
-    plus = []
-    minus = []
-    for n in range(1, bs.n_max + 1):
-        if bs.degenerate[n - 1]:
-            plus.append(0.0)
-            minus.append(0.0)
-            continue
+    open_gaps = bs.open_gaps()
+    lams = [bs.lambda0]
+    for n in open_gaps:
+        lams += (bs.plus[n - 1], bs.minus[n - 1])
+    if bs.n_max >= _LOCKSTEP_GAPS:
+        d1 = []
+        for i in range(0, len(lams), _LANES):
+            d1 += _spec._F_batch(q, np.array(lams[i:i + _LANES]))[1].tolist()
+    else:
+        d1 = [_spec.F_with_derivs(q, lam)[1] for lam in lams]
+    mu0 = -d1[0] / c
+    plus = [0.0] * bs.n_max
+    minus = [0.0] * bs.n_max
+    for i, n in enumerate(open_gaps):
         t = -1.0 if n % 2 else 1.0
-        plus.append(-t * _spec.F_with_derivs(q, bs.plus[n - 1])[1] / c)
-        minus.append(-t * _spec.F_with_derivs(q, bs.minus[n - 1])[1] / c)
+        plus[n - 1] = -t * d1[2 * i + 1] / c
+        minus[n - 1] = -t * d1[2 * i + 2] / c
     bare_p = tuple(0.0 if bs.degenerate[n - 1] else bare_mass(c, n, +1)
                    for n in range(1, bs.n_max + 1))
     bare_m = tuple(0.0 if bs.degenerate[n - 1] else bare_mass(c, n, -1)

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import monodromy
 from ._rootfind import (CombRoots, comb_roots, expand_left, find_sign_change,
                         solve_bracketed)
@@ -143,7 +145,16 @@ def d2F0(lam: float) -> float:
 
 def F_with_derivs(q: PotentialSpec, lam: float) -> tuple[float, float, float]:
     """(F, F', F'') at lam, from the exact monodromy derivatives."""
-    p, p1, p2 = monodromy.transfer(q, lam)
+    return _F_of(*monodromy.transfer(q, lam))
+
+
+def _F_batch(q: PotentialSpec, lams: np.ndarray):
+    """F_with_derivs at every entry of a float64 array, bit for bit."""
+    return _F_of(*monodromy._transfer_batch(q, lams))
+
+
+def _F_of(p, p1, p2):
+    """(F, F', F'') from a monodromy jet, entries floats or arrays."""
     d = 0.5 * (p[0] + p[3])
     dm = 0.5 * (p[3] - p[0])
     d1 = 0.5 * (p1[0] + p1[3])
@@ -162,8 +173,11 @@ def _xi_eff(q: PotentialSpec, cfg: MagneticConfig, lam: float
     c = cfg.c_abs
     if c < PURE_POINT_CUTOFF:
         raise PurePointRegimeError(cfg.c_j)
-    f, f1, f2 = F_with_derivs(q, lam)
-    s2 = cfg.s_j ** 2
+    return _xi_of(c, cfg.s_j ** 2, *F_with_derivs(q, lam))
+
+
+def _xi_of(c: float, s2: float, f, f1, f2):
+    """(xi, xi', xi'') = ((F + s^2)/c, F'/c, F''/c); floats or arrays."""
     return (f + s2) / c, f1 / c, f2 / c
 
 
@@ -219,8 +233,11 @@ def band_structure(q: PotentialSpec, cfg: MagneticConfig, n_max: int,
         zr = 0.5 * (bare_edge_z(c, n, +1) + bare_edge_z(c, n + 1, -1))
         return zl * zl + q0, zr * zr + q0
 
+    def fbatch(lams: np.ndarray):
+        return _xi_of(c, cfg.s_j ** 2, *_F_batch(q, lams))
+
     roots = comb_roots(fval, n_max, window, bare_edge(c, 0, +1) + q0,
-                       what="band structure")
+                       what="band structure", _fbatch=fbatch)
     flats = monodromy.dirichlet_spectrum(q, n_max) if include_flat else ()
     return BandStructure(q=q, cfg=cfg, flat_bands=flats,
                          xi_sign=math.copysign(1.0, cfg.c_j), **vars(roots))
