@@ -9,23 +9,15 @@ is subclassed by monodromy.HillSpectrum and spectrum.BandStructure;
 _comb_k maps a discriminant value onto the comb (the quasimomentum
 branch) and _depth_for says how many gaps cover a given lambda.
 
-The two control algorithms that per-gap tasks run (solve_bracketed and
-find_sign_change) each exist once, as a private step generator that
-yields the points it wants evaluated and receives the values.  They
-run in one of two ways:
-
-* the public functions answer each point with their scalar callable, one
-  evaluation at a time (every structure below _LOCKSTEP_GAPS gaps, the
-  Hill comb, flat_spectrum and every pointwise caller);
-* _lockstep advances up to _LANES independent per-gap tasks together and
-  answers all their points with one batched evaluator call per step
-  (from _LOCKSTEP_GAPS gaps on: comb_roots when given a batched
-  evaluator, and monodromy.dirichlet_spectrum; _Lanes picks the way).
-  From the same depth masses.effective_masses evaluates F' at _LANES
-  edges per call.
-
-The batched evaluators (monodromy._transfer_batch and what is built on
-it) return the scalar numbers bit for bit, and lockstep changes only the
+The two control algorithms (solve_bracketed and find_sign_change) each
+exist once, as a private step generator that yields the points it wants
+evaluated and receives the values.  A per-gap search ("lane") chains
+them with `yield from`; _solve_lanes drives a structure's lanes with one
+evaluator f, which maps a float to a tuple of floats and a float64 array
+to a tuple of arrays.  Below _LOCKSTEP_GAPS gaps the lanes run one after
+another on scalar points; from there on up to _LANES of them advance in
+lockstep and share one call of f per solver step.  The evaluators return
+the scalar numbers bit for bit on arrays, and lockstep changes only the
 order in which points are evaluated, not which points: both ways give
 identical structures and raise the same RootBracketError.
 """
@@ -45,13 +37,20 @@ import numpy as np
 DEGENERACY_TOL = 1e-12
 GAP_WIDTH_TOL = 1e-9
 MAX_DOUBLINGS = 8
+# solve_bracketed: relative step tolerance, iteration cap and the number
+# of unguarded Newton steps that polish a converged root
+SOLVE_XTOL = 1e-13
+SOLVE_MAXITER = 100
+POLISH_STEPS = 2
+# find_sign_change: samples across the interval per attempt
+SCAN_SAMPLES = 9
 
 # Domain slack allowed when clamping arccos/arccosh arguments onto the comb.
 _CLAMP_TOL = 1e-12
 
-# Lockstep solving (see _Lanes) starts at this many gaps.  A structure
-# with its masses, 1-6 pieces, best of 5: lockstep was 1.7-3x slower at
-# 20 gaps, broke even near 70 and was 1.3-1.7x faster at 100.
+# Lockstep solving (see _solve_lanes) starts at this many gaps.  A
+# structure with its masses, 1-6 pieces, best of 5: lockstep was 1.7-3x
+# slower at 20 gaps, broke even near 70 and was 1.3-1.7x faster at 100.
 _LOCKSTEP_GAPS = 100
 # Live lanes in lockstep.  On a 2400-gap two-step comb, 64/256/1024/all
 # live lanes took 0.87/0.52/0.61/0.60 s and raised the peak RSS by
@@ -81,36 +80,32 @@ def _run(steps, f: Callable):
 
 
 def _same(v):
-    """The pick of the public functions: their callables already return
-    what the algorithm reads."""
+    """The pick of callables that already return what the algorithm reads."""
     return v
 
 
 def solve_bracketed(fdf: Callable[[float], tuple[float, float | None]],
                     lo: float, hi: float,
                     flo: float | None = None,
-                    fhi: float | None = None,
-                    xtol: float = 1e-13,
-                    maxiter: int = 100,
-                    polish: int = 2) -> float:
+                    fhi: float | None = None) -> float:
     """Safeguarded Newton/bisection solve of f(x)=0 on a sign-change bracket.
 
     fdf(x) returns (f(x), f'(x)); the derivative may be None, in which
     case the solve is pure bisection.  Newton steps are taken while they
     stay inside the bracket and make decent progress, with bisection as
-    the fallback; terminates when the step drops below the (relative)
-    tolerance, after which `polish` unguarded Newton steps push the root
-    to machine accuracy.  The bracket sign invariant is maintained
-    throughout the main loop.
+    the fallback; terminates when the step drops below the relative
+    tolerance SOLVE_XTOL, after which POLISH_STEPS unguarded Newton steps
+    push the root to machine accuracy.  The bracket sign invariant is
+    maintained throughout the main loop.
     """
-    return _run(_solve_steps(_same, lo, hi, flo, fhi, xtol, maxiter,
-                             polish), fdf)
+    return _run(_solve_steps(_same, lo, hi, flo, fhi), fdf)
 
 
-def _solve_steps(pick, lo, hi, flo=None, fhi=None, xtol=1e-13, maxiter=100,
-                 polish=2):
+def _solve_steps(pick, lo, hi, flo=None, fhi=None, what="bracketed solve",
+                 index=None):
     """solve_bracketed as a step generator: yields x and reads fdf(x) as
-    pick of the value sent back."""
+    pick of the value sent back.  A bracket without a sign change raises
+    RootBracketError(what, index)."""
     if flo is None:
         flo = pick((yield lo))[0]
     if fhi is None:
@@ -120,14 +115,15 @@ def _solve_steps(pick, lo, hi, flo=None, fhi=None, xtol=1e-13, maxiter=100,
     if fhi == 0.0:
         return hi
     if (flo > 0) == (fhi > 0):
-        raise RootBracketError(f"no sign change on [{lo}, {hi}]")
+        raise RootBracketError(f"{what}: no sign change on [{lo}, {hi}]",
+                               index)
     lo_pos = flo > 0
 
     x = 0.5 * (lo + hi)
     fx, dfx = pick((yield x))
     dx_old = abs(hi - lo)
     dx = dx_old
-    for _ in range(maxiter):
+    for _ in range(SOLVE_MAXITER):
         if fx == 0.0:
             return x
         if lo_pos == (fx > 0):
@@ -144,13 +140,13 @@ def _solve_steps(pick, lo, hi, flo=None, fhi=None, xtol=1e-13, maxiter=100,
         else:
             dx = fx / dfx
             x_new = x - dx
-        tol = xtol * max(1.0, abs(x_new))
+        tol = SOLVE_XTOL * max(1.0, abs(x_new))
         if abs(dx) < tol or hi - lo < tol:
             x = x_new
             break
         x = x_new
         fx, dfx = pick((yield x))
-    for _ in range(polish):
+    for _ in range(POLISH_STEPS):
         fx, dfx = pick((yield x))
         if not dfx:
             break
@@ -165,32 +161,31 @@ def expand_left(f: Callable[[float], float], start: float, step: float,
                 predicate: Callable[[float], bool],
                 what: str = "leftward expansion") -> float:
     """Walk left from `start` in geometrically growing steps until
-    predicate(f(x)) holds; return that x."""
+    predicate(f(x)) holds; return that x.  The walk looks for the bottom
+    of a comb, so its RootBracketError names index 0."""
     s = step
     for _ in range(MAX_DOUBLINGS + 1):
         x = start - s
         if predicate(f(x)):
             return x
         s *= 2.0
-    raise RootBracketError(what)
+    raise RootBracketError(what, 0)
 
 
 def find_sign_change(f: Callable[[float], float], lo: float, hi: float,
-                     prefer: float, samples: int = 9,
-                     what: str = "sign change scan",
+                     prefer: float, what: str = "sign change scan",
                      index: int | None = None) -> tuple[float, float, float, float]:
     """Locate a sign-change subinterval of f on [lo, hi].
 
-    Endpoints are tried first; on failure the interval is sampled and, if
-    still single-signed, geometrically widened around `prefer` (up to
-    MAX_DOUBLINGS).  Among several sign changes the one closest to
-    `prefer` wins.
+    Endpoints are tried first; on failure SCAN_SAMPLES points across the
+    interval are tried and, if still single-signed, the interval is
+    geometrically widened around `prefer` (up to MAX_DOUBLINGS).  Among
+    several sign changes the one closest to `prefer` wins.
     """
-    return _run(_scan_steps(_same, lo, hi, prefer, samples, what, index), f)
+    return _run(_scan_steps(_same, lo, hi, prefer, what, index), f)
 
 
-def _scan_steps(pick, lo, hi, prefer, samples=9, what="sign change scan",
-                index=None):
+def _scan_steps(pick, lo, hi, prefer, what="sign change scan", index=None):
     """find_sign_change as a step generator: yields x and reads f(x) as
     pick of the value sent back."""
     span = hi - lo
@@ -200,13 +195,13 @@ def _scan_steps(pick, lo, hi, prefer, samples=9, what="sign change scan",
         if (flo > 0) != (fhi > 0):
             if attempt == 0:
                 return lo, hi, flo, fhi
-        xs = [lo + span * i / (samples - 1) for i in range(samples)]
+        xs = [lo + span * i / (SCAN_SAMPLES - 1) for i in range(SCAN_SAMPLES)]
         fs = [flo]
         for x in xs[1:-1]:
             fs.append(pick((yield x)))
         fs.append(fhi)
         best = None
-        for i in range(samples - 1):
+        for i in range(SCAN_SAMPLES - 1):
             if (fs[i] > 0) != (fs[i + 1] > 0):
                 mid = 0.5 * (xs[i] + xs[i + 1])
                 d = abs(mid - prefer)
@@ -220,45 +215,35 @@ def _scan_steps(pick, lo, hi, prefer, samples=9, what="sign change scan",
     raise RootBracketError(what, index)
 
 
-class _Lanes:
-    """How a solver runs its independent per-gap tasks ("lanes").
-
-    A lane is a generator.  It yields a spectral point x to get the raw
-    evaluator value there (a tuple), and runs a control algorithm through
-    `yield from lanes.call(...)`.  Below _LOCKSTEP_GAPS lanes run one
-    after another: raw values come from the scalar fval, and `call` runs
-    the public function (solve_bracketed or find_sign_change) on fval at
-    once.  From _LOCKSTEP_GAPS on, up to _LANES lanes run in lockstep:
-    each solver step answers every live lane with one call of fbatch,
-    which maps a float64 array of points to a tuple of arrays.  Both
-    ways evaluate the same points and compute the same numbers.
-    """
-
-    def __init__(self, fval: Callable, fbatch: Callable | None, count: int):
-        self.fval = fval
-        self.fbatch = fbatch if count >= _LOCKSTEP_GAPS else None
-
-    def call(self, public: Callable, steps: Callable, pick: Callable,
-             *args, **kwargs):
-        """public(lambda x: pick(fval(x)), *args, **kwargs), where steps
-        is the same algorithm as a step generator (see _solve_steps)."""
-        if self.fbatch is None:
-            fval = self.fval
-            return public(lambda x: pick(fval(x)), *args, **kwargs)
-        return (yield from steps(pick, *args, **kwargs))
-
-    def run(self, lanes) -> list:
-        """The lanes' return values in order.  If lanes raise
-        RootBracketError, that of the lowest-index one is raised, as
-        running them one after another would."""
-        if self.fbatch is None:
-            return [_run(lane, self.fval) for lane in lanes]
-        return _lockstep(lanes, self.fbatch)
+def _root_in(pick, lo, hi, prefer, what, index):
+    """Lane: the zero of g nearest `prefer` in [lo, hi] (widened as
+    find_sign_change does), where pick maps an evaluator value to
+    (g, g')."""
+    blo, bhi, glo, ghi = yield from _scan_steps(lambda v: pick(v)[0], lo, hi,
+                                                prefer, what, index)
+    return (yield from _solve_steps(pick, blo, bhi, glo, ghi, what, index))
 
 
-def _lockstep(lanes, fbatch: Callable) -> list:
-    """_Lanes.run with fbatch: at most _LANES live lanes, one fbatch call
-    per step for all of them."""
+def _critical(lo, hi, prefer, what, index):
+    """Lane: (x, f(x)) at the zero x of f' nearest `prefer` in [lo, hi],
+    for an evaluator returning (f, f', f'')."""
+    x = yield from _root_in(lambda v: (v[1], v[2]), lo, hi, prefer, what,
+                            index)
+    return x, (yield x)[0]
+
+
+def _solve_lanes(lanes, f: Callable, count: int) -> list:
+    """The return values of the lanes (generators that yield points x and
+    receive f(x)) of a `count`-gap search, in order.  If lanes raise
+    RootBracketError, that of the lowest-index one is raised."""
+    if count < _LOCKSTEP_GAPS:
+        return [_run(lane, f) for lane in lanes]
+    return _lockstep(lanes, f)
+
+
+def _lockstep(lanes, f: Callable) -> list:
+    """_solve_lanes from _LOCKSTEP_GAPS gaps on: at most _LANES live lanes,
+    one call of f on a float64 array per step for all of them."""
     results = []
     failed = None  # (lane index, exception) of the lowest failing lane
     live = []  # (lane index, generator, pending x)
@@ -266,7 +251,7 @@ def _lockstep(lanes, fbatch: Callable) -> list:
     while True:
         step = []
         if live:
-            cols = fbatch(np.array([x for _, _, x in live]))
+            cols = f(np.array([x for _, _, x in live]))
             step = [(i, gen, v) for (i, gen, _), v
                     in zip(live, zip(*[col.tolist() for col in cols]))]
         if failed is None:
@@ -289,7 +274,6 @@ def _lockstep(lanes, fbatch: Callable) -> list:
     if failed is not None:
         raise failed[1]
     return results
-
 
 @dataclass(frozen=True)
 class CombRoots:
@@ -377,51 +361,42 @@ class CombRoots:
                          f"(n_max={self.n_max})")
 
 
-def comb_roots(fval: Callable[[float], tuple[float, float, float]],
-               n_max: int,
+def comb_roots(f: Callable, n_max: int,
                crit_window: Callable[[int], tuple[float, float]],
                lambda0_seed: float,
-               what: str = "comb",
-               _fbatch: Callable | None = None) -> CombRoots:
+               what: str = "comb") -> CombRoots:
     """Compute edges/criticals of a comb discriminant.
 
-    fval(lam) returns (f, f', f'').  Edges with index n satisfy
-    f = (-1)^n; the critical point of gap n is the unique zero of f'
-    in [minus_n, plus_n].  crit_window(n) seeds the search for that zero
-    (an interval straddling the n-th gap, clear of adjacent criticals).
-    _fbatch, if given, is fval over a float64 array (a tuple of three
-    arrays); from _LOCKSTEP_GAPS gaps on the gaps are then solved in
-    lockstep: first every critical point, then (after the lowest edge)
-    every gap's two edges.
+    f(lam) returns (f, f', f''), on a float or a float64 array (see
+    _solve_lanes).  Edges with index n satisfy f = (-1)^n; the critical
+    point of gap n is the unique zero of f' in [minus_n, plus_n].
+    crit_window(n) seeds the search for that zero (an interval straddling
+    the n-th gap, clear of adjacent criticals).  Every critical point is
+    found first, then the lowest edge, then every gap's two edges.
     """
-    lanes = _Lanes(fval, _fbatch, n_max)
-    f1 = lambda v: v[1]
-    f12 = lambda v: (v[1], v[2])
-
     # critical points for gaps 1 .. n_max+1 (one extra as a right anchor),
     # with f there: it sets the heights and the bracket ends of the edges
     def critical(n: int):
         lo, hi = crit_window(n)
-        prefer = 0.5 * (lo + hi)
-        blo, bhi, flo, fhi = yield from lanes.call(
-            find_sign_change, _scan_steps, f1, lo, hi, prefer,
-            what=f"{what}: critical point", index=n)
-        x = yield from lanes.call(solve_bracketed, _solve_steps, f12,
-                                  blo, bhi, flo, fhi)
-        return x, (yield x)[0]
+        return _critical(lo, hi, 0.5 * (lo + hi), f"{what}: critical point",
+                         n)
 
-    crit, fcrit = zip(*lanes.run(critical(n) for n in range(1, n_max + 2)))
+    crit, fcrit = zip(*_solve_lanes(map(critical, range(1, n_max + 2)), f,
+                                    n_max))
 
-    # lowest edge: f - 1 = 0 on (-inf, crit[0]); one solve, so never in
-    # lockstep
-    def fdf_bottom(x: float) -> tuple[float, float]:
-        v, d1, _ = fval(x)
+    # lowest edge: f - 1 = 0 on (-inf, crit[0]); a single solve, so never
+    # in lockstep; its failures name index 0
+    def bottom(x: float) -> tuple[float, float]:
+        v, d1, _ = f(x)
         return v - 1.0, d1
 
-    left = expand_left(lambda x: fval(x)[0] - 1.0,
+    left = expand_left(lambda x: f(x)[0] - 1.0,
                        min(lambda0_seed, crit[0]) - 0.25, 0.5,
                        lambda v: v > 0.0, what=f"{what}: lowest edge")
-    lam0 = solve_bracketed(fdf_bottom, left, crit[0], None, fcrit[0] - 1.0)
+    try:
+        lam0 = solve_bracketed(bottom, left, crit[0], None, fcrit[0] - 1.0)
+    except RootBracketError as exc:
+        raise RootBracketError(f"{what}: lowest edge: {exc.what}", 0) from None
 
     # (minus, plus, degenerate, height, anomalies) of gap n
     def gap(n: int):
@@ -440,10 +415,11 @@ def comb_roots(fval: Callable[[float], tuple[float, float, float]],
             anchor_l, f_l = lam0, None
         else:
             anchor_l, f_l = crit[n - 2], t * fcrit[n - 2] - 1.0
-        lo_edge = yield from lanes.call(solve_bracketed, _solve_steps, edge,
-                                        anchor_l, cn, f_l, d)
-        hi_edge = yield from lanes.call(solve_bracketed, _solve_steps, edge,
-                                        cn, crit[n], d, t * fcrit[n] - 1.0)
+        label = f"{what}: gap edge"
+        lo_edge = yield from _solve_steps(edge, anchor_l, cn, f_l, d, label,
+                                          n)
+        hi_edge = yield from _solve_steps(edge, cn, crit[n], d,
+                                          t * fcrit[n] - 1.0, label, n)
         if hi_edge - lo_edge < GAP_WIDTH_TOL * max(1.0, abs(lo_edge)):
             return cn, cn, True, height, anomalies
         if not (lo_edge - 1e-9 <= cn <= hi_edge + 1e-9):
@@ -451,7 +427,7 @@ def comb_roots(fval: Callable[[float], tuple[float, float, float]],
         return lo_edge, hi_edge, False, height, anomalies
 
     minus, plus, degenerate, heights, anomalies = zip(
-        *lanes.run(gap(n) for n in range(1, n_max + 1)))
+        *_solve_lanes(map(gap, range(1, n_max + 1)), f, n_max))
     return CombRoots(lam0, minus, plus, crit[:n_max], degenerate, heights,
                      tuple(a for gap_anomalies in anomalies
                            for a in gap_anomalies))

@@ -11,16 +11,15 @@ for mu < 0, power series near mu = 0), so evaluation works for any real
 lambda without branch trouble.  First and second lambda-derivatives are
 carried through the product exactly.
 
-There are two entry points to that one product (`_product`).
-`transfer` takes one lambda; `_transfer_batch` takes a float64 array of
-them and is what the lockstep solvers of `_rootfind` (deep structures,
-see _LOCKSTEP_GAPS there) call once per solver step.  The batch returns
-the same numbers as `transfer`, bit for bit: numpy's elementwise
-+ - * / and sqrt round exactly like Python floats, both share
-`_closed_form` and `_product`, cos/sin/cosh/sinh go through
-`math` one lambda at a time (numpy's versions can differ from libm in
-the last bit), and lanes in the series window |mu| <= _SERIES_CUT are
-computed by `_factor` itself.
+`transfer` is the one entry point to that product.  It takes one lambda
+or a float64 array of them; the lockstep solvers of `_rootfind` (deep
+structures, see _LOCKSTEP_GAPS there) pass an array once per solver
+step.  An array gives the same numbers as one lambda at a time, bit for
+bit: numpy's elementwise + - * / and sqrt round exactly like Python
+floats, both kinds share `_closed_form` and `_product`, cos/sin/cosh/sinh
+go through `math` one lambda at a time (numpy's versions can differ from
+libm in the last bit), and lanes in the series window |mu| <= _SERIES_CUT
+are computed by `_factor` itself.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rootfind
-from ._rootfind import CombRoots, comb_roots, solve_bracketed
+from ._rootfind import CombRoots, comb_roots
 from .potential import PotentialSpec
 
 # Below this |mu| the closed forms for S and its mu-derivatives lose
@@ -111,9 +110,10 @@ def _factor_batch(w: float, mu: np.ndarray) -> tuple[Mat, Mat, Mat]:
     return out
 
 
-def _product(q: PotentialSpec, lam, factor) -> tuple[Mat, Mat, Mat]:
-    """The product over the pieces of q, with factor = _factor (one lambda)
-    or _factor_batch (an array)."""
+def _product(q: PotentialSpec, lam) -> tuple[Mat, Mat, Mat]:
+    """The product over the pieces of q, by _factor for one lambda and by
+    _factor_batch for a float64 array."""
+    factor = _factor_batch if isinstance(lam, np.ndarray) else _factor
     p: Mat = (1.0, 0.0, 0.0, 1.0)
     p1: Mat = (0.0, 0.0, 0.0, 0.0)
     p2: Mat = (0.0, 0.0, 0.0, 0.0)
@@ -128,19 +128,15 @@ def _product(q: PotentialSpec, lam, factor) -> tuple[Mat, Mat, Mat]:
     return p, p1, p2
 
 
-def transfer(q: PotentialSpec, lam: float) -> tuple[Mat, Mat, Mat]:
+def transfer(q: PotentialSpec, lam: float | np.ndarray
+             ) -> tuple[Mat, Mat, Mat]:
     """Monodromy matrix over one period with first/second lambda-derivatives.
 
     Returns (P, dP, d2P), each row-major (theta1, phi1, theta1', phi1').
+    For a float64 array lam each matrix entry is an array of the values
+    at its entries.
     """
-    return _product(q, lam, _factor)
-
-
-def _transfer_batch(q: PotentialSpec, lams: np.ndarray
-                    ) -> tuple[Mat, Mat, Mat]:
-    """transfer at every entry of the float64 array lams: the same
-    (P, dP, d2P) with each matrix entry an array."""
-    return _product(q, lams, _factor_batch)
+    return _product(q, lam)
 
 
 @dataclass(frozen=True)
@@ -221,7 +217,7 @@ def hill_spectrum(q: PotentialSpec, n_max: int) -> HillSpectrum:
         raise ValueError("n_max must be >= 1")
     q0 = q.q0
 
-    def fval(lam: float) -> tuple[float, float, float]:
+    def f(lam):
         p, p1, p2 = transfer(q, lam)
         return (0.5 * (p[0] + p[3]), 0.5 * (p1[0] + p1[3]),
                 0.5 * (p2[0] + p2[3]))
@@ -231,7 +227,7 @@ def hill_spectrum(q: PotentialSpec, n_max: int) -> HillSpectrum:
         zr = math.pi * (n + 0.5)
         return zl * zl + q0, zr * zr + q0
 
-    roots = comb_roots(fval, n_max, window, q0, what="hill")
+    roots = comb_roots(f, n_max, window, q0, what="hill")
     return HillSpectrum(q=q, dirichlet=dirichlet_spectrum(q, n_max),
                         **vars(roots))
 
@@ -242,28 +238,18 @@ def dirichlet_spectrum(q: PotentialSpec, n_max: int) -> tuple[float, ...]:
         raise ValueError("n_max must be >= 1")
     q0 = q.q0
 
-    def fval(lam: float) -> tuple[float, float]:
+    def f(lam):
         p, p1, _ = transfer(q, lam)
         return p[1], p1[1]
-
-    def fbatch(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p, p1, _ = _transfer_batch(q, lams)
-        return p[1], p1[1]
-
-    lanes = _rootfind._Lanes(fval, fbatch, n_max)
 
     def root(n: int):
         zl = math.pi * (n - 0.5)
         zr = math.pi * (n + 0.5)
-        lo, hi = zl * zl + q0, zr * zr + q0
-        prefer = (math.pi * n) ** 2 + q0
-        blo, bhi, flo, fhi = yield from lanes.call(
-            _rootfind.find_sign_change, _rootfind._scan_steps,
-            lambda v: v[0], lo, hi, prefer, what="dirichlet root", index=n)
-        return (yield from lanes.call(solve_bracketed, _rootfind._solve_steps,
-                                      lambda v: v, blo, bhi, flo, fhi))
+        return _rootfind._root_in(_rootfind._same, zl * zl + q0, zr * zr + q0,
+                                  (math.pi * n) ** 2 + q0, "dirichlet root", n)
 
-    return tuple(lanes.run(root(n) for n in range(1, n_max + 1)))
+    return tuple(_rootfind._solve_lanes(map(root, range(1, n_max + 1)), f,
+                                        n_max))
 
 
 def hill_quasimomentum(q: PotentialSpec, lam: float,

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import monodromy
-from ._rootfind import (CombRoots, comb_roots, expand_left, find_sign_change,
-                        solve_bracketed)
+from ._rootfind import (CombRoots, _critical, _solve_lanes, _solve_steps,
+                        comb_roots, expand_left)
 from .potential import PotentialSpec
 
 #: Below this |cos a_j| the operator is in the pure-point regime and xi
@@ -143,18 +143,11 @@ def d2F0(lam: float) -> float:
 # the modified discriminant
 # ----------------------------------------------------------------------
 
-def F_with_derivs(q: PotentialSpec, lam: float) -> tuple[float, float, float]:
-    """(F, F', F'') at lam, from the exact monodromy derivatives."""
-    return _F_of(*monodromy.transfer(q, lam))
-
-
-def _F_batch(q: PotentialSpec, lams: np.ndarray):
-    """F_with_derivs at every entry of a float64 array, bit for bit."""
-    return _F_of(*monodromy._transfer_batch(q, lams))
-
-
-def _F_of(p, p1, p2):
-    """(F, F', F'') from a monodromy jet, entries floats or arrays."""
+def F_with_derivs(q: PotentialSpec, lam: float | np.ndarray
+                  ) -> tuple[float, float, float]:
+    """(F, F', F'') at lam, from the exact monodromy derivatives; for a
+    float64 array lam, arrays of the values at its entries."""
+    p, p1, p2 = monodromy.transfer(q, lam)
     d = 0.5 * (p[0] + p[3])
     dm = 0.5 * (p[3] - p[0])
     d1 = 0.5 * (p1[0] + p1[3])
@@ -167,18 +160,15 @@ def _F_of(p, p1, p2):
     return f, f1, f2
 
 
-def _xi_eff(q: PotentialSpec, cfg: MagneticConfig, lam: float
+def _xi_eff(q: PotentialSpec, cfg: MagneticConfig, lam: float | np.ndarray
             ) -> tuple[float, float, float]:
-    """(xi, xi', xi'') at |c_j|, the labeling convention used internally."""
+    """(xi, xi', xi'') = ((F + s^2)/c, F'/c, F''/c) at c = |c_j|, the
+    labeling convention used internally; floats or arrays as lam."""
     c = cfg.c_abs
     if c < PURE_POINT_CUTOFF:
         raise PurePointRegimeError(cfg.c_j)
-    return _xi_of(c, cfg.s_j ** 2, *F_with_derivs(q, lam))
-
-
-def _xi_of(c: float, s2: float, f, f1, f2):
-    """(xi, xi', xi'') = ((F + s^2)/c, F'/c, F''/c); floats or arrays."""
-    return (f + s2) / c, f1 / c, f2 / c
+    f, f1, f2 = F_with_derivs(q, lam)
+    return (f + cfg.s_j ** 2) / c, f1 / c, f2 / c
 
 
 def xi(q: PotentialSpec, cfg: MagneticConfig, lam: float) -> tuple[float, float]:
@@ -224,20 +214,14 @@ def band_structure(q: PotentialSpec, cfg: MagneticConfig, n_max: int,
         raise PurePointRegimeError(cfg.c_j)
     q0 = q.q0
 
-    def fval(lam: float) -> tuple[float, float, float]:
-        return _xi_eff(q, cfg, lam)
-
     def window(n: int) -> tuple[float, float]:
         # straddle gap n: from the middle of band n to the middle of band n+1
         zl = 0.5 * (bare_edge_z(c, n - 1, +1) + bare_edge_z(c, n, -1))
         zr = 0.5 * (bare_edge_z(c, n, +1) + bare_edge_z(c, n + 1, -1))
         return zl * zl + q0, zr * zr + q0
 
-    def fbatch(lams: np.ndarray):
-        return _xi_of(c, cfg.s_j ** 2, *_F_batch(q, lams))
-
-    roots = comb_roots(fval, n_max, window, bare_edge(c, 0, +1) + q0,
-                       what="band structure", _fbatch=fbatch)
+    roots = comb_roots(lambda lam: _xi_eff(q, cfg, lam), n_max, window,
+                       bare_edge(c, 0, +1) + q0, what="band structure")
     flats = monodromy.dirichlet_spectrum(q, n_max) if include_flat else ()
     return BandStructure(q=q, cfg=cfg, flat_bands=flats,
                          xi_sign=math.copysign(1.0, cfg.c_j), **vars(roots))
@@ -276,43 +260,34 @@ def flat_spectrum(q: PotentialSpec, cfg: MagneticConfig,
         return FlatSpectrum(dirichlet=diri, f_locus=())
 
     q0 = q.q0
-
-    def f1_at(lam: float) -> float:
-        return F_with_derivs(q, lam)[1]
-
-    def fdf_crit(lam: float) -> tuple[float, float]:
-        _, d1, d2 = F_with_derivs(q, lam)
-        return d1, d2
-
-    def g(lam: float) -> float:
-        return F_with_derivs(q, lam)[0] + 1.0
-
-    def fdf_root(lam: float) -> tuple[float, float]:
-        v, d1, _ = F_with_derivs(q, lam)
-        return v + 1.0, d1
+    f = lambda lam: F_with_derivs(q, lam)
 
     # critical points of F bracket the F = -1 roots (F alternates between
-    # values >= 1 and <= -5/4 at consecutive criticals)
-    crits = []
-    for n in range(1, 2 * n_max + 2):
+    # values >= 1 and <= -5/4 at consecutive criticals); 2 n_max + 1 of
+    # them, so the search is as deep as a structure of that many gaps
+    def critical(n: int):
         zl = 0.25 * math.pi * (2 * n - 1)
         zr = 0.25 * math.pi * (2 * n + 1)
-        lo, hi = zl * zl + q0, zr * zr + q0
-        prefer = (0.5 * math.pi * n) ** 2 + q0
-        blo, bhi, flo, fhi = find_sign_change(
-            f1_at, lo, hi, prefer, what="flat locus critical", index=n)
-        crits.append(solve_bracketed(fdf_crit, blo, bhi, flo, fhi))
+        return _critical(zl * zl + q0, zr * zr + q0,
+                         (0.5 * math.pi * n) ** 2 + q0,
+                         "flat locus critical", n)
 
-    roots = []
-    left = expand_left(g, crits[0] - 0.25, 0.5, lambda v: v > 0.0,
-                       what="flat locus: leftmost root")
-    anchors = [left] + crits
-    ceiling = diri[-1]
-    for lo, hi in zip(anchors, anchors[1:]):
-        glo, ghi = g(lo), g(hi)
+    count = 2 * n_max + 1
+    anchors = _solve_lanes(map(critical, range(1, count + 1)), f, count)
+    left = expand_left(lambda x: f(x)[0] + 1.0, anchors[0][0] - 0.25, 0.5,
+                       lambda v: v > 0.0, what="flat locus: leftmost root")
+    anchors.insert(0, (left, f(left)[0]))
+
+    # the root of F + 1 between anchors i and i + 1, if they bracket one
+    def root(i: int):
+        (lo, flo), (hi, fhi) = anchors[i], anchors[i + 1]
+        glo, ghi = flo + 1.0, fhi + 1.0
         if (glo > 0) == (ghi > 0):
-            continue
-        r = solve_bracketed(fdf_root, lo, hi, glo, ghi)
-        if r <= ceiling:
-            roots.append(r)
-    return FlatSpectrum(dirichlet=diri, f_locus=tuple(roots))
+            return None
+        return (yield from _solve_steps(lambda v: (v[0] + 1.0, v[1]), lo, hi,
+                                        glo, ghi, "flat locus root", i))
+
+    ceiling = diri[-1]
+    roots = _solve_lanes(map(root, range(count)), f, count)
+    return FlatSpectrum(dirichlet=diri, f_locus=tuple(
+        r for r in roots if r is not None and r <= ceiling))
