@@ -10,23 +10,30 @@ _comb_k maps a discriminant value onto the comb (the quasimomentum
 branch) and _depth_for says how many gaps cover a given lambda.
 
 The two control algorithms (solve_bracketed and find_sign_change) each
-exist once, as a private step generator that yields the points it wants
-evaluated and receives the values.  A per-gap search ("lane") chains
-them with `yield from`; _solve_lanes drives a structure's lanes with one
-evaluator f, which maps a float to a tuple of floats and a float64 array
-to a tuple of arrays.  Below _LOCKSTEP_GAPS gaps the lanes run one after
-another on scalar points; from there on up to _LANES of them advance in
-lockstep and share one call of f per solver step.  The evaluators return
-the scalar numbers bit for bit on arrays, and lockstep changes only the
-order in which points are evaluated, not which points: both ways give
-identical structures and raise the same RootBracketError.
+exist once as a step generator (_solve_steps, _scan_steps) that yields
+the points it wants evaluated and receives the values: the scalar
+reference.  A structure describes each phase of its search as arrays of
+brackets, one lane per gap or edge, for one evaluator f that maps a float
+to a tuple of floats and a float64 array to a tuple of arrays:
+_critical_all (critical points), _roots_all (the zero nearest a guess)
+and _solve_all (zeros on known brackets).  Below _LOCKSTEP_GAPS gaps the
+lanes run one after another through the step generators on floats.  From
+there on the array-state engine (_scan_array, _solve_array) keeps every
+piece of solver state of up to _LANES live lanes in a float64 array and
+advances all of them with masked numpy steps, one call of f per step.
+It evaluates the same points and takes the same branches as the
+generators, and the evaluators return the scalar numbers bit for bit on
+arrays, so both ways give identical structures and raise the same
+RootBracketError, that of the lowest failing lane.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -48,14 +55,14 @@ SCAN_SAMPLES = 9
 # Domain slack allowed when clamping arccos/arccosh arguments onto the comb.
 _CLAMP_TOL = 1e-12
 
-# Lockstep solving (see _solve_lanes) starts at this many gaps.  A
-# structure with its masses, 1-6 pieces, best of 5: lockstep was 1.7-3x
-# slower at 20 gaps, broke even near 70 and was 1.3-1.7x faster at 100.
-_LOCKSTEP_GAPS = 100
-# Live lanes in lockstep.  On a 2400-gap two-step comb, 64/256/1024/all
-# live lanes took 0.87/0.52/0.61/0.60 s and raised the peak RSS by
-# 1.4/1.8/3.4/6.5 MB (0.6 MB one lane at a time).
-_LANES = 256
+# The array-state engine (_scan_array, _solve_array) runs from this many
+# gaps on.  A structure with its masses, best of 9: it was 2.9x (1-6
+# pieces) and 2.3x (64 pieces) slower than one lane at a time at 20 gaps,
+# broke even near 65 and 45 gaps, and was 1.2x and 1.8x faster at 70
+# gaps, 1.6x and 3.3x at 100.
+_LOCKSTEP_GAPS = 70
+# Live lanes of the engine, and points per call of the evaluator.
+_LANES = 512
 
 
 class RootBracketError(RuntimeError):
@@ -215,65 +222,187 @@ def _scan_steps(pick, lo, hi, prefer, what="sign change scan", index=None):
     raise RootBracketError(what, index)
 
 
-def _root_in(pick, lo, hi, prefer, what, index):
-    """Lane: the zero of g nearest `prefer` in [lo, hi] (widened as
-    find_sign_change does), where pick maps an evaluator value to
-    (g, g')."""
-    blo, bhi, glo, ghi = yield from _scan_steps(lambda v: pick(v)[0], lo, hi,
-                                                prefer, what, index)
-    return (yield from _solve_steps(pick, blo, bhi, glo, ghi, what, index))
-
-
-def _critical(lo, hi, prefer, what, index):
-    """Lane: (x, f(x)) at the zero x of f' nearest `prefer` in [lo, hi],
-    for an evaluator returning (f, f', f'')."""
-    x = yield from _root_in(lambda v: (v[1], v[2]), lo, hi, prefer, what,
-                            index)
-    return x, (yield x)[0]
-
-
-def _solve_lanes(lanes, f: Callable, count: int) -> list:
-    """The return values of the lanes (generators that yield points x and
-    receive f(x)) of a `count`-gap search, in order.  If lanes raise
-    RootBracketError, that of the lowest-index one is raised."""
+def _solve_all(f: Callable, pick: Callable, lo, hi, flo, fhi, what: str,
+               index, count: int) -> np.ndarray:
+    """The zero of g_i in each bracket [lo[i], hi[i]] whose ends have the
+    values flo[i], fhi[i] (float64 arrays), where pick(f(x), index[i]) is
+    (g_i(x), g_i'(x)) for the int array index; solved as solve_bracketed
+    does, one lane at a time below _LOCKSTEP_GAPS (= `count`) gaps and by
+    _solve_array from there on.  A bracket without a sign change raises
+    RootBracketError(what, index[i]) for the lowest such i."""
     if count < _LOCKSTEP_GAPS:
-        return [_run(lane, f) for lane in lanes]
-    return _lockstep(lanes, f)
+        return np.array([
+            _run(_solve_steps(lambda v, i=i: pick(v, i), *bracket, what, i),
+                 f)
+            for i, *bracket in zip(*(v.tolist()
+                                     for v in (index, lo, hi, flo, fhi)))])
+    bad = np.flatnonzero((flo != 0.0) & (fhi != 0.0)
+                         & ((flo > 0) == (fhi > 0)))
+    if bad.size:
+        i = bad[0]
+        raise RootBracketError(f"{what}: no sign change on "
+                               f"[{float(lo[i])}, {float(hi[i])}]",
+                               int(index[i]))
+    return _solve_array(f, pick, lo, hi, flo, fhi, index)
 
 
-def _lockstep(lanes, f: Callable) -> list:
-    """_solve_lanes from _LOCKSTEP_GAPS gaps on: at most _LANES live lanes,
-    one call of f on a float64 array per step for all of them."""
-    results = []
-    failed = None  # (lane index, exception) of the lowest failing lane
-    live = []  # (lane index, generator, pending x)
-    pending = iter(lanes)
-    while True:
-        step = []
-        if live:
-            cols = f(np.array([x for _, _, x in live]))
-            step = [(i, gen, v) for (i, gen, _), v
-                    in zip(live, zip(*[col.tolist() for col in cols]))]
-        if failed is None:
-            for gen in itertools.islice(pending, _LANES - len(live)):
-                step.append((len(results), gen, None))
-                results.append(None)
-        if not step:
+def _roots_all(f: Callable, pick: Callable, lo, hi, prefer, what: str,
+               index, count: int) -> np.ndarray:
+    """The zero of g_i nearest prefer[i] in [lo[i], hi[i]] for each i,
+    widened as find_sign_change does (arguments as for _solve_all; from
+    _LOCKSTEP_GAPS gaps on by _scan_array and _solve_array).  If the
+    scans of some lanes fail, the lowest one's RootBracketError is
+    raised."""
+    if count < _LOCKSTEP_GAPS:
+        out = []
+        for i, *scan in zip(*(v.tolist() for v in (index, lo, hi, prefer))):
+            g = lambda v, i=i: pick(v, i)
+            bracket = _run(_scan_steps(lambda v: g(v)[0], *scan, what, i), f)
+            out.append(_run(_solve_steps(g, *bracket, what, i), f))
+        return np.array(out)
+    *bracket, failed = _scan_array(f, lambda v, i: pick(v, i)[0], lo, hi,
+                                   prefer, index)
+    if failed.size:
+        raise RootBracketError(what, int(index[failed[0]]))
+    return _solve_array(f, pick, *bracket, index)
+
+
+def _critical_all(f: Callable, lo, hi, prefer, what: str, index,
+                  count: int) -> tuple[np.ndarray, np.ndarray]:
+    """x and f(x) at the zero x of f' nearest prefer[i] in [lo[i], hi[i]]
+    for each i (as _roots_all), for an evaluator f returning
+    (f, f', f'')."""
+    xs = _roots_all(f, lambda v, i: (v[1], v[2]), lo, hi, prefer, what,
+                    index, count)
+    if count < _LOCKSTEP_GAPS:
+        return xs, np.array([f(x)[0] for x in xs.tolist()])
+    return xs, _eval(f, xs)[0]
+
+
+def _eval(f, x):
+    """f on the float64 array x, _LANES points per call."""
+    if x.size <= _LANES:
+        return f(x)
+    parts = [f(x[i:i + _LANES]) for i in range(0, x.size, _LANES)]
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+# the sample positions of a scan as fractions i / (SCAN_SAMPLES - 1) of
+# its span, applied as span * i / (SCAN_SAMPLES - 1) in that order
+_SAMPLE_STEPS = np.arange(SCAN_SAMPLES, dtype=float)
+
+
+def _scan_array(f, g, lo, hi, prefer, index):
+    """The array-state engine's _scan_steps: every lane of the float64
+    arrays lo, hi, prefer at once, where g(f(x), index) is the scanned
+    function, with the same points and branches.  Returns the bracket
+    arrays (lo, hi, g(lo), g(hi)) and the sorted positions of the lanes
+    that found no sign change.  The first attempt evaluates the ends of
+    all lanes in one call and the interior samples of those without a
+    sign change in another; later attempts take one call of all nine
+    samples."""
+    n = lo.size
+    v = g(_eval(f, np.concatenate((lo, hi))), np.concatenate((index, index)))
+    out = [lo.copy(), hi.copy(), v[:n], v[n:]]
+    live = np.flatnonzero((v[:n] > 0) == (v[n:] > 0))
+    a, b, p, ends = lo[live], hi[live], prefer[live], (v[:n][live],
+                                                       v[n:][live])
+    span = b - a
+    inner = SCAN_SAMPLES - 2
+    for attempt in range(MAX_DOUBLINGS + 1):
+        if not live.size:
             break
-        live = []
-        for i, gen, value in step:
-            if failed is not None and i > failed[0]:
-                continue
-            try:
-                live.append((i, gen, gen.send(value)))
-            except StopIteration as stop:
-                results[i] = stop.value
-            except RootBracketError as exc:
-                if failed is None or i < failed[0]:
-                    failed = (i, exc)
-    if failed is not None:
-        raise failed[1]
-    return results
+        xs = a[:, None] + span[:, None] * _SAMPLE_STEPS / (SCAN_SAMPLES - 1)
+        idx = np.repeat(index[live], inner)
+        pts = xs[:, 1:-1].ravel()
+        if attempt:
+            idx = np.concatenate((index[live], index[live], idx))
+            pts = np.concatenate((a, b, pts))
+        v = g(_eval(f, pts), idx)
+        if attempt:
+            ends, v = (v[:live.size], v[live.size:2 * live.size]), \
+                v[2 * live.size:]
+        fs = np.column_stack((ends[0], v.reshape(-1, inner), ends[1]))
+        pos = fs > 0
+        change = pos[:, :-1] != pos[:, 1:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = np.where(change,
+                         np.abs(0.5 * (xs[:, :-1] + xs[:, 1:]) - p[:, None]),
+                         np.inf)
+        found = change.any(axis=1)
+        rows = np.flatnonzero(found)
+        best = d[rows].argmin(axis=1)
+        for arr, vals, col in zip(out, (xs, xs, fs, fs), (0, 1, 0, 1)):
+            arr[live[rows]] = vals[rows, best + col]
+        keep = ~found
+        live, p, span = live[keep], p[keep], span[keep]
+        a, b = p - span, p + span
+        span = span * 2.0
+    return (*out, live)
+
+
+def _solve_array(f, pick, lo, hi, flo, fhi, index):
+    """The array-state engine's _solve_steps: one float64 array per piece
+    of solver state, the same points and branches, one call of f per
+    step, and numpy's elementwise + - * /, abs and comparisons, which
+    round as Python floats do.  Solves every lane of the float64 arrays
+    lo, hi, flo, fhi (each bracket has a sign change or a zero end),
+    where pick(f(x), index) is (g, g').  At most _LANES lanes are live: a
+    finished lane's slot takes the next waiting one.  Each live lane's
+    step counter k counts Newton/bisection steps up to SOLVE_MAXITER and
+    polish steps above it; a converged lane jumps to SOLVE_MAXITER.
+    Divisions by g' = 0 are masked where Python would not reach them,
+    and overflow to inf or nan stays silent as with floats."""
+    root = np.where(flo == 0.0, lo, hi)
+    wait = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
+    live, wait = wait[:_LANES].copy(), wait[_LANES:]
+    a, b, lo_pos = lo[live], hi[live], flo[live] > 0
+    x = 0.5 * (a + b)
+    dx = dx_old = np.abs(b - a)
+    k = np.zeros(live.size, dtype=np.intp)
+    while live.size:
+        fx, dfx = pick(_eval(f, x), index[live])
+        main = k < SOLVE_MAXITER
+        with np.errstate(over="ignore", invalid="ignore"):
+            nz = dfx != 0.0
+            step = np.divide(fx, dfx, out=np.zeros_like(fx), where=nz)
+            # Newton/bisection on [a, b]: lanes in the polish stage
+            # compute this too, but never read their bracket again
+            up = lo_pos == (fx > 0)
+            a = np.where(up, x, a)
+            b = np.where(up, b, x)
+            newton = x - step
+            halve = (~nz | ~((a < newton) & (newton < b))
+                     | (np.abs(2.0 * fx) > np.abs(dx_old * dfx)))
+            dx_old = dx
+            dx = np.where(halve, 0.5 * (b - a), step)
+            x_new = np.where(halve, a + dx, newton)
+            tol = SOLVE_XTOL * np.fmax(1.0, np.abs(x_new))
+            conv = (np.abs(dx) < tol) | (b - a < tol)
+            # polish
+            stop = ~nz | (np.abs(step) > 1e-3 * np.fmax(1.0, np.abs(x)))
+        zero = main & (fx == 0.0)
+        x = np.where(main, np.where(zero, x, x_new),
+                     np.where(stop, x, newton))
+        k = np.where(main & conv, SOLVE_MAXITER, k + 1)
+        done = zero | (~main & (stop | (k == SOLVE_MAXITER + POLISH_STEPS)))
+        if not done.any():
+            continue
+        slots = np.flatnonzero(done)
+        root[live[slots]] = x[slots]
+        new, wait = wait[:slots.size], wait[slots.size:]
+        s = slots[:new.size]
+        live[s], a[s], b[s], lo_pos[s] = new, lo[new], hi[new], flo[new] > 0
+        x[s] = 0.5 * (a[s] + b[s])
+        dx[s] = dx_old[s] = np.abs(b[s] - a[s])
+        k[s] = 0
+        if new.size < slots.size:
+            keep = np.ones(live.size, dtype=bool)
+            keep[slots[new.size:]] = False
+            live, a, b, lo_pos, x, dx, dx_old, k = (
+                v[keep] for v in (live, a, b, lo_pos, x, dx, dx_old, k))
+    return root
+
 
 @dataclass(frozen=True)
 class CombRoots:
@@ -342,23 +471,30 @@ class CombRoots:
                 start = g
         return tuple(out)
 
+    @cached_property
+    def _edges(self) -> list[float]:
+        """The interlaced edges lambda0, minus_1, plus_1, minus_2, ..."""
+        return [self.lambda0, *itertools.chain(*zip(self.minus, self.plus))]
+
     def locate(self, lam: float) -> tuple[str, int]:
         """Classify lam: ('below', 0), ('band', n) with n >= 1, or ('gap', n).
 
         Edge points fall into the adjacent band/gap arbitrarily but
         consistently (closed gaps, half-open bands); values above the last
-        computed gap raise.
+        computed gap raise.  A bisection over the interlaced edges.
         """
         if lam < self.lambda0:
             return ("below", 0)
-        for n in range(1, self.n_max + 1):
-            left = self.lambda0 if n == 1 else self.plus[n - 2]
-            if left <= lam < self.minus[n - 1]:
-                return ("band", n)
-            if self.minus[n - 1] <= lam <= self.plus[n - 1]:
-                return ("gap", n)
-        raise ValueError(f"lambda={lam} lies above the computed structure "
-                         f"(n_max={self.n_max})")
+        edges = self._edges
+        if not lam <= edges[-1]:
+            raise ValueError(f"lambda={lam} lies above the computed structure "
+                             f"(n_max={self.n_max})")
+        # the first edge at or above lam: minus_n (index 2n - 1) closes
+        # band n unless lam is on it, plus_n (index 2n) closes gap n
+        i = bisect.bisect_left(edges, lam, 1)
+        if i % 2 and lam < edges[i]:
+            return ("band", (i + 1) // 2)
+        return ("gap", (i + 1) // 2)
 
 
 def comb_roots(f: Callable, n_max: int,
@@ -368,69 +504,76 @@ def comb_roots(f: Callable, n_max: int,
     """Compute edges/criticals of a comb discriminant.
 
     f(lam) returns (f, f', f''), on a float or a float64 array (see
-    _solve_lanes).  Edges with index n satisfy f = (-1)^n; the critical
+    _solve_all).  Edges with index n satisfy f = (-1)^n; the critical
     point of gap n is the unique zero of f' in [minus_n, plus_n].
     crit_window(n) seeds the search for that zero (an interval straddling
     the n-th gap, clear of adjacent criticals).  Every critical point is
-    found first, then the lowest edge, then every gap's two edges.
+    found first, then the lowest edge, then both edges of every open gap
+    together.
     """
     # critical points for gaps 1 .. n_max+1 (one extra as a right anchor),
     # with f there: it sets the heights and the bracket ends of the edges
-    def critical(n: int):
-        lo, hi = crit_window(n)
-        return _critical(lo, hi, 0.5 * (lo + hi), f"{what}: critical point",
-                         n)
+    ns = np.arange(1, n_max + 2)
+    lo, hi = np.array([crit_window(n) for n in range(1, n_max + 2)],
+                      dtype=float).T
+    crit, fcrit = _critical_all(f, lo, hi, 0.5 * (lo + hi),
+                                f"{what}: critical point", ns, n_max)
 
-    crit, fcrit = zip(*_solve_lanes(map(critical, range(1, n_max + 2)), f,
-                                    n_max))
-
-    # lowest edge: f - 1 = 0 on (-inf, crit[0]); a single solve, so never
-    # in lockstep; its failures name index 0
+    # lowest edge: f - 1 = 0 on (-inf, crit_1); a single scalar solve;
+    # its failures name index 0
     def bottom(x: float) -> tuple[float, float]:
         v, d1, _ = f(x)
         return v - 1.0, d1
 
     left = expand_left(lambda x: f(x)[0] - 1.0,
-                       min(lambda0_seed, crit[0]) - 0.25, 0.5,
+                       min(lambda0_seed, float(crit[0])) - 0.25, 0.5,
                        lambda v: v > 0.0, what=f"{what}: lowest edge")
     try:
-        lam0 = solve_bracketed(bottom, left, crit[0], None, fcrit[0] - 1.0)
+        lam0 = solve_bracketed(bottom, left, float(crit[0]), None,
+                               float(fcrit[0]) - 1.0)
     except RootBracketError as exc:
         raise RootBracketError(f"{what}: lowest edge: {exc.what}", 0) from None
 
-    # (minus, plus, degenerate, height, anomalies) of gap n
-    def gap(n: int):
-        t = -1.0 if n % 2 else 1.0
-        cn = crit[n - 1]
-        d = t * fcrit[n - 1] - 1.0
-        anomalies = []
-        if d < -1e-9:
-            anomalies.append(
-                f"(-1)^{n} f at critical point {n} is {1.0 + d:.3e} < 1")
-        height = math.acosh(max(1.0 + d, 1.0))
-        if d <= DEGENERACY_TOL:
-            return cn, cn, True, height, anomalies
-        edge = lambda v: (t * v[0] - 1.0, t * v[1])
-        if n == 1:
-            anchor_l, f_l = lam0, None
-        else:
-            anchor_l, f_l = crit[n - 2], t * fcrit[n - 2] - 1.0
-        label = f"{what}: gap edge"
-        lo_edge = yield from _solve_steps(edge, anchor_l, cn, f_l, d, label,
-                                          n)
-        hi_edge = yield from _solve_steps(edge, cn, crit[n], d,
-                                          t * fcrit[n] - 1.0, label, n)
-        if hi_edge - lo_edge < GAP_WIDTH_TOL * max(1.0, abs(lo_edge)):
-            return cn, cn, True, height, anomalies
-        if not (lo_edge - 1e-9 <= cn <= hi_edge + 1e-9):
-            anomalies.append(f"critical point {n} escaped its closed gap")
-        return lo_edge, hi_edge, False, height, anomalies
+    # heights and degeneracy from d_n = (-1)^n f(crit_n) - 1
+    t = _parity(ns)
+    d = t[:-1] * fcrit[:-1] - 1.0
+    heights = tuple(math.acosh(max(1.0 + x, 1.0)) for x in d.tolist())
+    g = np.flatnonzero(d > DEGENERACY_TOL)  # open gaps, as n - 1
 
-    minus, plus, degenerate, heights, anomalies = zip(
-        *_solve_lanes(map(gap, range(1, n_max + 1)), f, n_max))
-    return CombRoots(lam0, minus, plus, crit[:n_max], degenerate, heights,
-                     tuple(a for gap_anomalies in anomalies
-                           for a in gap_anomalies))
+    # the edges of open gap n: zeros of (-1)^n f - 1 on [crit_{n-1},
+    # crit_n] and [crit_n, crit_{n+1}] (crit_0 = lam0), all solved
+    # together, the lower edge of a gap first
+    f0 = f(lam0)[0] if g[:1].tolist() == [0] else math.nan
+    below = np.concatenate(([lam0], crit)), np.concatenate(([f0], fcrit))
+    roots = _solve_all(
+        f, lambda v, n: (_parity(n) * v[0] - 1.0, _parity(n) * v[1]),
+        *(np.column_stack(pair).ravel() for pair in (
+            (below[0][g], crit[g]), (crit[g], crit[g + 1]),
+            (t[g] * below[1][g] - 1.0, d[g]),
+            (d[g], t[g] * fcrit[g + 1] - 1.0))),
+        f"{what}: gap edge", np.repeat(g + 1, 2), n_max)
+    lo, hi = roots[0::2], roots[1::2]
+    wide = ~(hi - lo < GAP_WIDTH_TOL * np.fmax(1.0, np.abs(lo)))
+    escaped = wide & ~((lo - 1e-9 <= crit[g]) & (crit[g] <= hi + 1e-9))
+    minus, plus = crit[:n_max].copy(), crit[:n_max].copy()
+    minus[g[wide]], plus[g[wide]] = lo[wide], hi[wide]
+    degenerate = np.ones(n_max, dtype=bool)
+    degenerate[g[wide]] = False
+
+    notes = [(n, f"(-1)^{n} f at critical point {n} is {1.0 + d[n - 1]:.3e}"
+                 " < 1") for n in (np.flatnonzero(d < -1e-9) + 1).tolist()]
+    notes += [(n, f"critical point {n} escaped its closed gap")
+              for n in (g[escaped] + 1).tolist()]
+    return CombRoots(lam0, tuple(minus.tolist()), tuple(plus.tolist()),
+                     tuple(crit[:n_max].tolist()),
+                     tuple(degenerate.tolist()), heights,
+                     tuple(note for _, note in sorted(notes,
+                                                      key=lambda p: p[0])))
+
+
+def _parity(n):
+    """(-1)^n as a float, for an int or elementwise for an int array."""
+    return 1.0 - 2.0 * (n % 2)
 
 
 def _comb_k(where: str, n: int, f: float) -> complex:

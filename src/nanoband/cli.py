@@ -33,15 +33,11 @@ OUTPUT_DIR_ENV = "NANOBAND_OUT_DIR"
 
 
 def _fmt(x: Any) -> Any:
-    """Round-trip-safe JSON projection (floats at 17 significant digits)."""
-    if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
-        return x
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return float(format(x, ".17g"))
+    """JSON projection: nan and infinities as strings, complex numbers as
+    {"re", "im"}; finite floats as they are (json writes the shortest
+    repr that reads back to the same float)."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
     if isinstance(x, complex):
         return {"re": _fmt(x.real), "im": _fmt(x.imag)}
     if isinstance(x, dict):
@@ -183,11 +179,11 @@ def _record_dict(r) -> dict:
 
 def cmd_bands(args, parser) -> None:
     q, cfg, echo = _resolve(args, parser)
-    bs = _spec.band_structure(q, cfg, echo["n_max"])
+    structure = _structure_dict(_spec.band_structure(q, cfg, echo["n_max"]))
     rows = [(g["n"], g["lambda_minus"], g["lambda_plus"],
              int(g["degenerate"]), g["critical"], g["height"])
-            for g in _structure_dict(bs)["gaps"]]
-    _emit(_payload("bands", echo, _structure_dict(bs)), args,
+            for g in structure["gaps"]]
+    _emit(_payload("bands", echo, structure), args,
           csv_rows=rows,
           csv_header=["n", "lambda_minus", "lambda_plus", "degenerate",
                       "critical", "height"])

@@ -12,10 +12,10 @@ lambda without branch trouble.  First and second lambda-derivatives are
 carried through the product exactly.
 
 `transfer` is the one entry point to that product.  It takes one lambda
-or a float64 array of them; the lockstep solvers of `_rootfind` (deep
-structures, see _LOCKSTEP_GAPS there) pass an array once per solver
-step.  An array gives the same numbers as one lambda at a time, bit for
-bit: numpy's elementwise + - * / and sqrt round exactly like Python
+or a float64 array of them; the array-state root engine of `_rootfind`
+(deep structures, see _LOCKSTEP_GAPS there) passes an array once per
+solver step.  An array gives the same numbers as one lambda at a time,
+bit for bit: numpy's elementwise + - * / and sqrt round exactly like Python
 floats, both kinds share `_closed_form` and `_product`, cos/sin/cosh/sinh
 go through `math` one lambda at a time (numpy's versions can differ from
 libm in the last bit), and lanes in the series window |mu| <= _SERIES_CUT
@@ -242,14 +242,13 @@ def dirichlet_spectrum(q: PotentialSpec, n_max: int) -> tuple[float, ...]:
         p, p1, _ = transfer(q, lam)
         return p[1], p1[1]
 
-    def root(n: int):
-        zl = math.pi * (n - 0.5)
-        zr = math.pi * (n + 0.5)
-        return _rootfind._root_in(_rootfind._same, zl * zl + q0, zr * zr + q0,
-                                  (math.pi * n) ** 2 + q0, "dirichlet root", n)
-
-    return tuple(_rootfind._solve_lanes(map(root, range(1, n_max + 1)), f,
-                                        n_max))
+    ns = np.arange(1, n_max + 1)
+    zl = math.pi * (ns - 0.5)
+    zr = math.pi * (ns + 0.5)
+    prefer = np.array([(math.pi * n) ** 2 + q0 for n in range(1, n_max + 1)])
+    return tuple(_rootfind._roots_all(
+        f, lambda v, n: v, zl * zl + q0, zr * zr + q0, prefer,
+        "dirichlet root", ns, n_max).tolist())
 
 
 def hill_quasimomentum(q: PotentialSpec, lam: float,

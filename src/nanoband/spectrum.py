@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import monodromy
-from ._rootfind import (CombRoots, _critical, _solve_lanes, _solve_steps,
-                        comb_roots, expand_left)
+from ._rootfind import (CombRoots, _critical_all, _solve_all, comb_roots,
+                        expand_left)
 from .potential import PotentialSpec
 
 #: Below this |cos a_j| the operator is in the pure-point regime and xi
@@ -265,29 +265,25 @@ def flat_spectrum(q: PotentialSpec, cfg: MagneticConfig,
     # critical points of F bracket the F = -1 roots (F alternates between
     # values >= 1 and <= -5/4 at consecutive criticals); 2 n_max + 1 of
     # them, so the search is as deep as a structure of that many gaps
-    def critical(n: int):
-        zl = 0.25 * math.pi * (2 * n - 1)
-        zr = 0.25 * math.pi * (2 * n + 1)
-        return _critical(zl * zl + q0, zr * zr + q0,
-                         (0.5 * math.pi * n) ** 2 + q0,
-                         "flat locus critical", n)
-
     count = 2 * n_max + 1
-    anchors = _solve_lanes(map(critical, range(1, count + 1)), f, count)
-    left = expand_left(lambda x: f(x)[0] + 1.0, anchors[0][0] - 0.25, 0.5,
+    ns = np.arange(1, count + 1)
+    zl = 0.25 * math.pi * (2 * ns - 1)
+    zr = 0.25 * math.pi * (2 * ns + 1)
+    prefer = np.array([(0.5 * math.pi * n) ** 2 + q0
+                       for n in range(1, count + 1)])
+    xs, fs = _critical_all(f, zl * zl + q0, zr * zr + q0, prefer,
+                           "flat locus critical", ns, count)
+    left = expand_left(lambda x: f(x)[0] + 1.0, float(xs[0]) - 0.25, 0.5,
                        lambda v: v > 0.0, what="flat locus: leftmost root")
-    anchors.insert(0, (left, f(left)[0]))
+    xs = np.concatenate(([left], xs))
+    g = np.concatenate(([f(left)[0]], fs)) + 1.0
 
-    # the root of F + 1 between anchors i and i + 1, if they bracket one
-    def root(i: int):
-        (lo, flo), (hi, fhi) = anchors[i], anchors[i + 1]
-        glo, ghi = flo + 1.0, fhi + 1.0
-        if (glo > 0) == (ghi > 0):
-            return None
-        return (yield from _solve_steps(lambda v: (v[0] + 1.0, v[1]), lo, hi,
-                                        glo, ghi, "flat locus root", i))
-
+    # the root of F + 1 between anchors i and i + 1, where they bracket one
+    lanes = np.flatnonzero((g[:-1] > 0) != (g[1:] > 0))
+    roots = _solve_all(f, lambda v, i: (v[0] + 1.0, v[1]), xs[lanes],
+                       xs[lanes + 1], g[lanes], g[lanes + 1],
+                       "flat locus root", lanes, count)
     ceiling = diri[-1]
-    roots = _solve_lanes(map(root, range(count)), f, count)
-    return FlatSpectrum(dirichlet=diri, f_locus=tuple(
-        r for r in roots if r is not None and r <= ceiling))
+    return FlatSpectrum(dirichlet=diri,
+                        f_locus=tuple(r for r in roots.tolist()
+                                      if r <= ceiling))

@@ -1,8 +1,9 @@
-"""The lockstep engine against the one-lane-at-a-time path it replaces
-for deep structures: `transfer` on an array equals `transfer` at each
-entry exactly, and structures, flat bands, Dirichlet roots, Hill combs,
-flat spectra and masses built in lockstep equal a shallow sequential
-build gap for gap (`==`, not a tolerance)."""
+"""The array-state engine against the one-lane-at-a-time path it
+replaces for deep structures: `transfer` on an array equals `transfer`
+at each entry exactly, and structures, flat bands, Dirichlet roots, Hill
+combs, flat spectra and masses built on arrays equal a shallow scalar
+build gap for gap, and a scalar build of the same depth entry for entry
+(`==`, not a tolerance), with the same errors."""
 
 import math
 import random
@@ -10,9 +11,9 @@ import random
 import numpy as np
 import pytest
 
-from nanoband import _rootfind
-from nanoband._rootfind import (_LOCKSTEP_GAPS, RootBracketError, _lockstep,
-                                comb_roots)
+from nanoband import _rootfind, monodromy
+from nanoband._rootfind import (_LOCKSTEP_GAPS, RootBracketError,
+                                _roots_all, _solve_all, comb_roots)
 from nanoband.masses import effective_masses
 from nanoband.monodromy import dirichlet_spectrum, hill_spectrum, transfer
 from nanoband.potential import make_potential
@@ -130,38 +131,103 @@ def test_mislabelled_critical_fails_the_gap_below_it():
         assert err.index == k and "gap edge" in str(err)
 
 
-def test_lockstep_raises_the_lowest_failing_lane_not_the_first_to_fail():
-    # lane 1 fails after five steps, lane 2 at its first step
-    def lane(fail_after):
-        for k in range(6):
-            if k == fail_after:
-                raise RootBracketError("lane", fail_after)
-            yield float(k)
-        return "done"
+def _scalar(monkeypatch):
+    """Make every search below this depth run one lane at a time."""
+    monkeypatch.setattr(_rootfind, "_LOCKSTEP_GAPS", 10 ** 9)
 
+
+def _line(x):
+    """f = x with f' = 1, on a float or an array."""
+    return x, x * 0.0 + 1.0
+
+
+def _shifted(v, n):
+    """pick(v, n): the zero of lane n is at x = n + 0.3."""
+    return v[0] - (n + 0.3), v[1]
+
+
+def _raised(call):
     with pytest.raises(RootBracketError) as err:
-        _lockstep([lane(None), lane(5), lane(1), lane(None)],
-                  lambda xs: (xs,))
-    assert err.value.index == 5
-    assert _lockstep([lane(None)], lambda xs: (xs,)) == ["done"]
+        call()
+    return type(err.value), str(err.value), err.value.index
 
 
-def test_lockstep_keeps_at_most_the_lane_window_live():
+def test_lockstep_raises_the_lowest_failing_lane_not_the_first_to_fail(
+        monkeypatch):
+    deep = _LOCKSTEP_GAPS
+    # scans: lanes 1 and 2 (naming indices 5 and 1) have no zero within
+    # reach of their windows; lane 1 is raised
+    lo = np.array([0.0, 1000.0, 2000.0, 3.0])
+    idx = np.array([0, 5, 1, 3])
+    assert _both(monkeypatch, lambda: _raised(lambda: _roots_all(
+        _line, _shifted, lo, lo + 1.0, lo + 0.5, "scan", idx, deep))) \
+        == ((RootBracketError, "scan (index 5)", 5),) * 2
+    # solves: both edges of gap 7 fail (and an edge of gap 3 after them);
+    # the lower edge of gap 7 is raised
+    lo = np.array([0.0, 7.5, 7.6, 3.5])
+    hi = np.array([1.0, 7.6, 7.7, 3.6])
+    idx = np.array([0, 7, 7, 3])
+    assert _both(monkeypatch, lambda: _raised(lambda: _solve_all(
+        _line, _shifted, lo, hi, lo - (idx + 0.3), hi - (idx + 0.3), "edge",
+        idx, deep))) == ((RootBracketError,
+                          "edge: no sign change on [7.5, 7.6] (index 7)",
+                          7),) * 2
+    lo = np.array([2.0, 0.0])
+    idx = np.array([2, 0])
+    assert _roots_all(_line, _shifted, lo, lo + 1.0, lo + 0.5, "scan", idx,
+                      deep).tolist() == [2.3, 0.3]
+
+
+def _cube(x):
+    return x * x * x, 3.0 * x * x
+
+
+def _cube_root_at(v, n):
+    """pick(v, n) for _cube: the zero of lane n is at x = n + 0.3."""
+    c = n + 0.3
+    return v[0] - c * c * c, v[1]
+
+
+def test_lockstep_keeps_at_most_the_lane_window_live(monkeypatch):
     sizes = []
 
-    def fbatch(xs):
-        sizes.append(len(xs))
-        return (xs,)
+    def fbatch(x):
+        sizes.append(len(x))
+        return _cube(x)
 
-    def lane(n):
-        for _ in range(1 + n % 5):
-            yield float(n)
-        return n
-
+    # every fifth window starts right of its zero and is widened
     count = 3 * _rootfind._LANES + 7
-    assert _lockstep((lane(n) for n in range(count)), fbatch) \
-        == list(range(count))
+    lo = np.arange(count, dtype=float) + 0.1 * (np.arange(count) % 5)
+    idx = np.arange(count)
+    deep = _roots_all(fbatch, _cube_root_at, lo, lo + 1.0, lo + 0.5, "scan",
+                      idx, count)
     assert max(sizes) == _rootfind._LANES
+    _scalar(monkeypatch)
+    assert deep.tolist() == _roots_all(_cube, _cube_root_at, lo, lo + 1.0,
+                                       lo + 0.5, "scan", idx,
+                                       count).tolist()
+
+
+def test_scans_take_the_sign_change_nearest_the_guess(monkeypatch):
+    # sin over four periods from 0.5 has the same sign at both ends: the
+    # zero nearest each guess wins; the last lanes' windows hold no zero
+    # and are widened first
+    def sine(x):
+        if isinstance(x, np.ndarray):
+            return tuple(np.array(col) for col in zip(*map(sine,
+                                                           x.tolist())))
+        return math.sin(x), math.cos(x)
+
+    lo = np.full(DEEP, 0.5)
+    hi = lo + 4.0 * math.pi
+    hi[-5:] = 2.5
+    prefer = 0.5 + np.arange(DEEP) % 13
+    prefer[-5:] = 1.5
+    deep, scalar = _both(monkeypatch, lambda: _roots_all(
+        sine, lambda v, n: v, lo, hi, prefer, "sine", np.arange(DEEP),
+        DEEP).tolist())
+    assert deep == scalar
+    assert len({round(x / math.pi) for x in deep}) >= 4
 
 
 def test_hill_spectrum_lockstep_and_sequential_paths_agree():
@@ -203,3 +269,93 @@ def test_effective_masses_equal_F_prime_at_each_edge():
             assert mt.plus[n - 1] == -t * F_with_derivs(q, bs.plus[n - 1])[1] / c
             assert mt.minus[n - 1] \
                 == -t * F_with_derivs(q, bs.minus[n - 1])[1] / c
+
+
+def _exact_comb(x):
+    """_cosine_comb through math.cos and math.sin one point at a time, so
+    an array gives the numbers of its entries bit for bit."""
+    if isinstance(x, np.ndarray):
+        return tuple(np.array(col) for col in zip(*map(_exact_comb,
+                                                       x.tolist())))
+    c, s = math.cos(math.pi * x), math.sin(math.pi * x)
+    return 1.5 * c, -1.5 * math.pi * s, -1.5 * math.pi ** 2 * c
+
+
+def _both(monkeypatch, build):
+    """build() on the array engine and one lane at a time."""
+    deep = build()
+    with monkeypatch.context() as m:
+        _scalar(m)
+        return deep, build()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_array_engine_equals_scalar_lanes_at_equal_depth(monkeypatch, seed):
+    rng = random.Random(seed)
+    potentials = [_random_potential(rng, m) for m in range(1, 7)]
+    if seed == 1:
+        potentials.append(make_potential(
+            lambda t: 5.0 * math.cos(2.0 * math.pi * t) + 2.0 * t, mesh=64))
+    sectors = list(_sectors(rng))
+    for k, q in enumerate(potentials):
+        cfg = sectors[k % len(sectors)]  # sectors[0] has c_j < 0
+
+        def build():
+            bs = band_structure(q, cfg, DEEP)
+            return bs, effective_masses(bs)
+
+        deep, scalar = _both(monkeypatch, build)
+        assert repr(deep) == repr(scalar), (seed, k)
+    q = potentials[2]
+    for build in (lambda: hill_spectrum(q, DEEP),
+                  lambda: dirichlet_spectrum(q, DEEP),
+                  lambda: flat_spectrum(q, MagneticConfig(a=math.pi / 2),
+                                        60)):
+        deep, scalar = _both(monkeypatch, build)
+        assert repr(deep) == repr(scalar)
+
+
+def test_array_engine_raises_the_scalar_errors(monkeypatch):
+    def low(x):
+        return tuple(v / 3.0 for v in _exact_comb(x))
+
+    cases = [(_exact_comb, _windows((7, 12, _LOCKSTEP_GAPS + 5))),
+             (_exact_comb, _windows(shift=1)), (low, _windows()),
+             (_exact_comb, _windows(shift=8))]
+    for f, window in cases:
+        deep, scalar = _both(monkeypatch, lambda: _raised(
+            lambda: comb_roots(f, DEEP, window, 0.0)))
+        assert deep == scalar
+
+
+def test_masked_branches_stay_silent_and_exact(monkeypatch):
+    # run under the suite's error::RuntimeWarning filter
+    # f' = 0 exactly: at the first midpoint of [-1, 1] for odd lanes,
+    # everywhere for even lanes (pure bisection, the polish stops at once)
+    def cube(x):
+        return x * x * x + 0.5, 3.0 * x * x
+
+    def pick(v, n):
+        return v[0], v[1] * (n % 2)
+
+    lo = -np.ones(2 * DEEP)
+    idx = np.arange(2 * DEEP)
+    deep, scalar = _both(monkeypatch, lambda: _solve_all(
+        cube, pick, lo, -lo, lo + 0.5, -lo + 0.5, "cube", idx, DEEP).tolist())
+    assert deep == scalar
+    assert abs(deep[0] + 0.5 ** (1 / 3)) < 1e-12
+
+    # mu = lambda - v in the series window: the first Dirichlet window
+    # starts at the value of the second piece
+    v2 = 2.0 * (0.5 * math.pi) ** 2
+    q = make_potential([(0.5, 0.0), (0.5, v2)])
+    assert abs((0.5 * math.pi) ** 2 + q.q0 - v2) <= monodromy._SERIES_CUT
+    deep, scalar = _both(monkeypatch, lambda: dirichlet_spectrum(q, DEEP))
+    assert deep == scalar
+
+    # degenerate gaps mixed with open ones: at c = 1 the even gaps of the
+    # zero potential are closed
+    deep, scalar = _both(monkeypatch, lambda: band_structure(
+        make_potential("zero"), MagneticConfig(a=0.0), DEEP))
+    assert repr(deep) == repr(scalar)
+    assert any(deep.degenerate) and not all(deep.degenerate)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from nanoband.potential import fourier_coeffs
+from nanoband.potential import fourier_coeffs, make_potential
 from nanoband.spectrum import (MagneticConfig, PurePointRegimeError,
                                band_structure, bare_cosh_heights, bare_edge,
                                bare_edge_z, flat_spectrum, gap_phase_even,
@@ -202,6 +202,36 @@ def test_locate_classification(two_step, structure_factory):
     assert bs.locate(bs.critical[2]) == ("gap", 3)
     with pytest.raises(ValueError):
         bs.locate(bs.plus[-1] + 1e3)
+
+
+def _locate_by_scan(bs, lam):
+    """The classification by a linear scan over the gaps."""
+    if lam < bs.lambda0:
+        return ("below", 0)
+    for n in range(1, bs.n_max + 1):
+        left = bs.lambda0 if n == 1 else bs.plus[n - 2]
+        if left <= lam < bs.minus[n - 1]:
+            return ("band", n)
+        if bs.minus[n - 1] <= lam <= bs.plus[n - 1]:
+            return ("gap", n)
+    raise ValueError(lam)
+
+
+@pytest.mark.parametrize("q, a", [("two-step", 0.9), ("zero", 0.0)])
+def test_locate_bisection_agrees_with_a_linear_scan(q, a):
+    # 130 gaps; at c = 1 the even gaps of the zero potential are closed
+    bs = band_structure(make_potential(q), MagneticConfig(a=a), 130)
+    assert (any(bs.degenerate) and not all(bs.degenerate)) == (q == "zero")
+    edges = [bs.lambda0]
+    for lo, hi in zip(bs.minus, bs.plus):
+        edges += (lo, hi)
+    points = (edges + list(bs.critical) + [bs.lambda0 - 1.0]
+              + [0.5 * (x + y) for x, y in zip(edges, edges[1:])])
+    for lam in points:
+        assert bs.locate(lam) == _locate_by_scan(bs, lam), lam
+    for lam in (bs.plus[-1] + 1e-9, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            bs.locate(lam)
 
 
 def test_negative_c_sector_uses_reflected_phase(two_step):
