@@ -1,7 +1,7 @@
 """Layer timings of nanoband, written to BENCH_<tag>.json.
 
-Each quantity is measured --runs times (default 5, rounds interleaved
-so that drift of the machine spreads over all of them) and reported as
+Each quantity is measured RUNS (5) times, in interleaved rounds so
+that drift of the machine spreads over all of them, and reported as
 the median and quartiles of those runs, with the samples:
 
 * `band_structure` of the two-step potential at a = 0.9 with its flat
@@ -33,6 +33,7 @@ import sys
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+RUNS = 5
 DEPTHS = (200, 2000, 20000)
 JET_BATCH = 512
 JET_CALLS = 2000  # one-lambda calls per sample
@@ -54,14 +55,11 @@ def _timed(fn) -> float:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--tag", required=True)
-    ap.add_argument("--runs", type=int, default=5)
     ap.add_argument("--src", default=os.path.join(os.path.dirname(HERE),
                                                    "src"))
     ap.add_argument("--out", default=HERE,
                     help="directory for BENCH_<tag>.json (default: bench/)")
     args = ap.parse_args(argv)
-    if args.runs < 5:
-        ap.error("--runs must be at least 5")
     src = os.path.abspath(args.src)
     sys.path.insert(0, src)
     import numpy as np
@@ -98,7 +96,7 @@ def main(argv=None) -> int:
     for _, fn in cases.values():  # warm-up
         fn()
     samples = {name: [] for name in cases}
-    for _ in range(args.runs):
+    for _ in range(RUNS):
         for name, (_, fn) in cases.items():
             samples[name].append(fn())
 
@@ -108,7 +106,7 @@ def main(argv=None) -> int:
                     "python": platform.python_version(),
                     "numpy": np.__version__,
                     "platform": platform.platform()},
-        "runs": args.runs,
+        "runs": RUNS,
         "metrics": {name: _summary(samples[name], unit)
                     for name, (unit, _) in cases.items()},
     }

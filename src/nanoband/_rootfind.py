@@ -61,7 +61,11 @@ _CLAMP_TOL = 1e-12
 # broke even near 65 and 45 gaps, and was 1.2x and 1.8x faster at 70
 # gaps, 1.6x and 3.3x at 100.
 _LOCKSTEP_GAPS = 70
-# Live lanes of the engine, and points per call of the evaluator.
+# Live lanes of the engine, and points per call of the evaluator (_eval,
+# also for the masses).  perfbench deep-tables, 20 s, two runs each on a
+# 2-core machine: 256, 512 and 1024 lanes gave 4.2-5.4, 5.4-6.4 and
+# 6.5-6.8 jobs/s at 33.8-33.9, 34.3 and 35.2-35.3 MB peak RSS; every
+# lane live took 36.05 MB.
 _LANES = 512
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectrum as _spec
-from ._rootfind import _LANES
+from ._rootfind import _eval
 from .potential import PotentialSpec
 from .spectrum import (BandStructure, MagneticConfig, bare_edge, bare_edge_z,
                        d2F0, gap_phase_even, _sin2z_over_z)
@@ -85,12 +85,11 @@ def effective_masses(bs: BandStructure) -> MassTable:
     lams = [bs.lambda0]
     for n in open_gaps:
         lams += (bs.plus[n - 1], bs.minus[n - 1])
-    # F' at _LANES edges per call.  At the 4801 edges of a 2400-gap
-    # structure one array for all of them was 2 ms (about 10%) faster but
-    # tripled the allocation peak (0.6 -> 1.9 MB, tracemalloc)
-    d1 = []
-    for i in range(0, len(lams), _LANES):
-        d1 += _spec.F_with_derivs(q, np.array(lams[i:i + _LANES]))[1].tolist()
+    # F' at _rootfind._LANES (512) edges per call.  At the 4801 edges of a
+    # 2400-gap structure one array for all of them was no faster beyond
+    # noise (best of 9: 3.7-5.6 ms against 4.4-4.5 ms) but raised the
+    # allocation peak from 0.3 to 1.8 MB (tracemalloc)
+    d1 = _eval(lambda x: _spec.F_with_derivs(q, x), np.array(lams))[1].tolist()
     mu0 = -d1[0] / c
     plus = [0.0] * bs.n_max
     minus = [0.0] * bs.n_max
