@@ -8,8 +8,12 @@ the median and quartiles of those runs, with the samples:
   bands, at n_max 200, 2000 and 20000 (s);
 * the monodromy jet `transfer` for 1, 3 and 64 pieces, in microseconds
   per lambda, one lambda per call and 512 lambdas per array call;
-* `nanoband bands --q two-step --a 0.9 --n-max 2000` end to end in a
-  subprocess, output discarded (s).
+* the Floquet oracle `cross_validate` for 1, 3 and 64 pieces over a
+  300-point grid, its band structure built beforehand, in microseconds
+  per lambda;
+* `nanoband bands --q two-step --a 0.9 --n-max 2000` and the README's
+  `dispersion` and `oracle` commands end to end in a subprocess, output
+  discarded (s).
 
 The file also records the processor count and the Python and numpy
 versions.  Run it from the root of a checkout; --src picks the package
@@ -37,7 +41,13 @@ RUNS = 5
 DEPTHS = (200, 2000, 20000)
 JET_BATCH = 512
 JET_CALLS = 2000  # one-lambda calls per sample
-CLI_ARGS = ("bands", "--q", "two-step", "--a", "0.9", "--n-max", "2000")
+ORACLE_GRID = (0.05, 40.0, 300)  # lo, hi, points
+CLI_RUNS = {
+    "cli_bands_n_max_2000_s": "bands --q two-step --a 0.9 --n-max 2000",
+    "cli_dispersion_s": "dispersion --q zero --a 0 --grid 0:40:400",
+    "cli_oracle_s": "oracle --q two-step --a 0.6283185307179586 "
+                    "--grid 0.05:40:200",
+}
 
 
 def _summary(samples: list[float], unit: str) -> dict:
@@ -64,6 +74,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, src)
     import numpy as np
     import nanoband
+    from nanoband.floquet_oracle import cross_validate
     from nanoband.monodromy import transfer
 
     two_step = nanoband.make_potential("two-step")
@@ -88,10 +99,18 @@ def main(argv=None) -> int:
         cases[f"jet_us_per_lambda.pieces_{m}.batch_{JET_BATCH}"] = (
             "us", lambda q=q: 1e6 * _timed(lambda: transfer(q, lams))
             / JET_BATCH)
-    cases["cli_bands_n_max_2000_s"] = ("s", lambda: _timed(
-        lambda: subprocess.run([sys.executable, "-m", "nanoband.cli",
-                                *CLI_ARGS], env=env, check=True,
-                               stdout=subprocess.DEVNULL)))
+    lo, hi, points = ORACLE_GRID
+    grid = np.linspace(lo, hi, points).tolist()
+    for m, q in jets.items():
+        bs = nanoband.band_structure(q, cfg, 20, include_flat=False)
+        cases[f"oracle_us_per_lambda.pieces_{m}"] = (
+            "us", lambda q=q, bs=bs: 1e6 * _timed(
+                lambda: cross_validate(q, cfg, grid, bs=bs)) / points)
+    for name, command in CLI_RUNS.items():
+        cases[name] = ("s", lambda command=command: _timed(
+            lambda: subprocess.run(
+                [sys.executable, "-m", "nanoband.cli", *command.split()],
+                env=env, check=True, stdout=subprocess.DEVNULL)))
 
     for _, fn in cases.values():  # warm-up
         fn()

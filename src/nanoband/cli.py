@@ -13,11 +13,14 @@ not be established), 2 usage/config errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 from typing import Any
+
+import numpy as np
 
 from . import masses as _masses
 from . import quasimomentum as _qm
@@ -215,10 +218,8 @@ def cmd_dispersion(args, parser) -> None:
     lams = _parse_grid(echo["grid"])
     n_need = max(_depth_for(max(lams), q.q0), echo["n_max"])
     bs = _spec.band_structure(q, cfg, n_need, include_flat=False)
-    rows = []
-    for lam in lams:
-        k = _qm.k_eval(q, cfg, lam, bs=bs)
-        rows.append((lam, k.real, k.imag))
+    ks = _qm.k_eval(q, cfg, np.array(lams), bs=bs).tolist()
+    rows = [(lam, k.real, k.imag) for lam, k in zip(lams, ks)]
     result = {"rows": [{"lambda": a, "re_k": b, "im_k": c}
                        for a, b, c in rows]}
     _emit(_payload("dispersion", echo, result), args, csv_rows=rows,
@@ -309,6 +310,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nanoband",

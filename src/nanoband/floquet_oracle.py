@@ -9,7 +9,21 @@ det M = 0, a quadratic in z; unit-circle roots mark the ac spectrum.
 
 This route never touches the modified discriminant: cross_validate
 compares cos(p + pi j / N) computed from the roots against xi from the
-spectrum module, which is the whole point of the module.
+spectrum module, which is the whole point of the module.  The matrices
+are built from the monodromy entries theta, phi and their x-derivatives
+alone, never from F or xi, so a fault in the xi formula cannot cancel
+out of the comparison.
+
+A grid of lambda is evaluated in chunks of at most _rootfind._LANES
+points, which bounds the memory of large grids.  Per chunk,
+build_cell_system assembles stacked (n, 6, 6) matrices from one array
+transfer call (the same numbers as one lambda at a time, see
+monodromy), det_coeffs takes all their determinants in one stacked
+LAPACK call, and xi comes from one array call of its own.  Points in
+the flat-band vicinity or with a vanishing z^2 coefficient are masked
+and reported as skipped.  The quadratic roots and the comparisons stay
+Python complex arithmetic per point.  One lambda (build_cell_system,
+dispersion_roots) goes through the same code with n = 1.
 
 Elimination order behind the assembly (documenting the reduction): rows
 are (value continuity at the two vertices, then the two derivative
@@ -28,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import monodromy, spectrum as _spec
-from ._rootfind import _depth_for
+from ._rootfind import _LANES, _depth_for
 from .potential import PotentialSpec
 from .spectrum import BandStructure, MagneticConfig
 
@@ -50,48 +64,73 @@ class FlatBandVicinityError(ValueError):
 
 @dataclass(frozen=True)
 class CellSystem:
-    """The 6x6 cell matrix M(lambda, z) = m0 + z m1 and its ingredients."""
+    """The 6x6 cell matrix M(lambda, z) = m0 + z m1 and its ingredients.
 
-    lam: float
+    For a float64 array of lambda, m0 and m1 are (n, 6, 6) stacks, phi1
+    is an array and near_flat flags the points in the flat-band vicinity;
+    for one lambda near_flat is False (build_cell_system raises there).
+    """
+
+    lam: float | np.ndarray
     cfg: MagneticConfig
     m0: np.ndarray
     m1: np.ndarray
-    phi1: float
+    phi1: float | np.ndarray
+    near_flat: bool | np.ndarray
 
     def matrix(self, z: complex) -> np.ndarray:
         return self.m0 + z * self.m1
 
-    def det_coeffs(self) -> tuple[complex, complex, complex]:
-        """(alpha, beta, delta) with det M = alpha z^2 + beta z + delta."""
-        d0 = complex(np.linalg.det(self.m0))
-        dp = complex(np.linalg.det(self.m0 + self.m1))
-        dm = complex(np.linalg.det(self.m0 - self.m1))
-        return 0.5 * (dp + dm) - d0, 0.5 * (dp - dm), d0
+    def det_coeffs(self):
+        """(alpha, beta, delta) with det M = alpha z^2 + beta z + delta:
+        complex numbers for one system, lists of them for a stack.  The
+        determinants of m0 and m0 +- m1 come from one stacked LAPACK
+        call; their combination is Python complex arithmetic per point."""
+        d0, dp, dm = np.linalg.det(np.stack(
+            (self.m0, self.m0 + self.m1, self.m0 - self.m1))
+        ).reshape(3, -1).tolist()
+        alpha = [0.5 * (p + m) - z for z, p, m in zip(d0, dp, dm)]
+        beta = [0.5 * (p - m) for p, m in zip(dp, dm)]
+        if self.m0.ndim == 2:
+            return alpha[0], beta[0], d0[0]
+        return alpha, beta, d0
 
 
 def build_cell_system(q: PotentialSpec, cfg: MagneticConfig,
-                      lam: float) -> CellSystem:
-    """Assemble the Kirchhoff/Floquet cell system at lambda."""
+                      lam: float | np.ndarray) -> CellSystem:
+    """Assemble the Kirchhoff/Floquet cell system at lambda.
+
+    One lambda in the flat-band vicinity raises FlatBandVicinityError.  A
+    float64 array of lambda gives the stacked systems from one transfer
+    call, with such points flagged in near_flat instead.
+    """
     p, p1, _ = monodromy.transfer(q, lam)
-    th, ph, thp, php = p[0], p[1], p[2], p[3]
-    if abs(ph) < FLAT_BAND_VICINITY * max(1.0, abs(p1[1])):
+    th, ph, thp, php = p
+    near = np.abs(ph) < FLAT_BAND_VICINITY * np.fmax(1.0, np.abs(p1[1]))
+    if np.ndim(lam) == 0 and near:
         raise FlatBandVicinityError(lam, ph)
     eps = cmath.exp(1j * cfg.a)
     w = eps * cmath.exp(2j * math.pi * cfg.j / cfg.N)
-    m0 = np.zeros((6, 6), dtype=complex)
-    m1 = np.zeros((6, 6), dtype=complex)
-    # value continuity at the lower vertex: f0(1) = f1(0) = w f2(1)
-    m0[0] = [th, ph, -1.0, 0.0, 0.0, 0.0]
-    m0[1] = [0.0, 0.0, 1.0, 0.0, -w * th, -w * ph]
-    # value continuity at the upper vertex: z f0(0) = eps f1(1) = f2(0)
-    m1[2, 0] = 1.0
-    m0[2] = [0.0, 0.0, -eps * th, -eps * ph, 0.0, 0.0]
-    m0[3] = [0.0, 0.0, eps * th, eps * ph, -1.0, 0.0]
-    # derivative sums at both vertices
-    m0[4] = [-thp, -php, 0.0, 1.0, -w * thp, -w * php]
-    m1[5, 1] = 1.0
-    m0[5] = [0.0, 0.0, -eps * thp, -eps * php, 0.0, 1.0]
-    return CellSystem(lam=lam, cfg=cfg, m0=m0, m1=m1, phi1=ph)
+    m0 = np.zeros(np.shape(lam) + (6, 6), dtype=complex)
+    m1 = np.zeros_like(m0)
+    rows = (
+        # value continuity at the lower vertex: f0(1) = f1(0) = w f2(1)
+        (m0, 0, (th, ph, -1.0, 0.0, 0.0, 0.0)),
+        (m0, 1, (0.0, 0.0, 1.0, 0.0, -w * th, -w * ph)),
+        # value continuity at the upper vertex: z f0(0) = eps f1(1) = f2(0)
+        (m1, 2, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
+        (m0, 2, (0.0, 0.0, -eps * th, -eps * ph, 0.0, 0.0)),
+        (m0, 3, (0.0, 0.0, eps * th, eps * ph, -1.0, 0.0)),
+        # derivative sums at both vertices
+        (m0, 4, (-thp, -php, 0.0, 1.0, -w * thp, -w * php)),
+        (m1, 5, (0.0, 1.0, 0.0, 0.0, 0.0, 0.0)),
+        (m0, 5, (0.0, 0.0, -eps * thp, -eps * php, 0.0, 1.0)),
+    )
+    for m, i, row in rows:
+        for k, v in enumerate(row):
+            m[..., i, k] = v
+    return CellSystem(lam=lam, cfg=cfg, m0=m0, m1=m1, phi1=ph,
+                      near_flat=near)
 
 
 def _quadratic_roots(alpha: complex, beta: complex,
@@ -109,15 +148,29 @@ def _quadratic_roots(alpha: complex, beta: complex,
     return z1, z2
 
 
+def _multipliers(cs: CellSystem) -> list[tuple[complex, complex] | None]:
+    """Both Floquet multipliers of each system of the stack cs, or None
+    where the system degenerates: in the flat-band vicinity, or where the
+    z^2 coefficient vanishes against the others."""
+    out = []
+    for near, alpha, beta, delta in zip(cs.near_flat.tolist(),
+                                        *cs.det_coeffs()):
+        scale = max(abs(alpha), abs(beta), abs(delta))
+        if near or scale == 0.0 or abs(alpha) < 1e-13 * scale:
+            out.append(None)
+        else:
+            out.append(_quadratic_roots(alpha, beta, delta))
+    return out
+
+
 def dispersion_roots(q: PotentialSpec, cfg: MagneticConfig,
                      lam: float) -> tuple[complex, complex]:
     """Both Floquet multipliers at lambda (reciprocal pair up to phase)."""
-    cs = build_cell_system(q, cfg, lam)
-    alpha, beta, delta = cs.det_coeffs()
-    scale = max(abs(alpha), abs(beta), abs(delta))
-    if scale == 0.0 or abs(alpha) < 1e-13 * scale:
-        raise FlatBandVicinityError(lam, cs.phi1)
-    return _quadratic_roots(alpha, beta, delta)
+    cs = build_cell_system(q, cfg, np.array([lam], dtype=float))
+    (roots,) = _multipliers(cs)
+    if roots is None:
+        raise FlatBandVicinityError(lam, float(cs.phi1[0]))
+    return roots
 
 
 def cos_k_from_root(z: complex, cfg: MagneticConfig) -> complex:
@@ -152,7 +205,10 @@ def cross_validate(q: PotentialSpec, cfg: MagneticConfig, lam_grid,
     over a grid, and the band/gap classification of the roots against
     the band structure (at points farther than edge_margin from edges).
 
-    Grid points in the flat-band vicinity are skipped and reported.
+    Grid points in the flat-band vicinity are skipped and reported.  The
+    grid goes through in chunks of _LANES points: per chunk, one stacked
+    cell system (one transfer call and one determinant call) and one
+    call of xi, then the roots and comparisons point by point.
     """
     lams = [float(x) for x in lam_grid]
     if bs is None:
@@ -163,25 +219,29 @@ def cross_validate(q: PotentialSpec, cfg: MagneticConfig, lam_grid,
     skipped = []
     mismatches = []
     checked = 0
-    edges = (bs.lambda0,) + bs.minus + bs.plus
-    for lam in lams:
-        try:
-            z1, z2 = dispersion_roots(q, cfg, lam)
-        except FlatBandVicinityError:
-            skipped.append(lam)
-            continue
-        xi_val = _spec.xi(q, cfg, lam)[0]
-        dev = max(abs(cos_k_from_root(z1, cfg) - xi_val),
-                  abs(cos_k_from_root(z2, cfg) - xi_val))
-        kept.append(lam)
-        devs.append(dev)
-        if min(abs(lam - e) for e in edges) > edge_margin:
-            checked += 1
-            in_band_oracle = is_ac_multiplier_pair(z1, z2)
-            where, _ = bs.locate(lam)
-            in_band_struct = (where == "band")
-            if in_band_oracle != in_band_struct:
-                mismatches.append(lam)
+    edges = np.array((bs.lambda0,) + bs.minus + bs.plus)
+    for start in range(0, len(lams), _LANES):
+        x = np.array(lams[start:start + _LANES])
+        roots = _multipliers(build_cell_system(q, cfg, x))
+        xis = _spec.xi(q, cfg, x)[0].tolist()
+        clear = (np.abs(x[:, None] - edges).min(axis=1)
+                 > edge_margin).tolist()
+        for lam, pair, xi_val, away in zip(x.tolist(), roots, xis, clear):
+            if pair is None:
+                skipped.append(lam)
+                continue
+            z1, z2 = pair
+            dev = max(abs(cos_k_from_root(z1, cfg) - xi_val),
+                      abs(cos_k_from_root(z2, cfg) - xi_val))
+            kept.append(lam)
+            devs.append(dev)
+            if away:
+                checked += 1
+                in_band_oracle = is_ac_multiplier_pair(z1, z2)
+                where, _ = bs.locate(lam)
+                in_band_struct = (where == "band")
+                if in_band_oracle != in_band_struct:
+                    mismatches.append(lam)
     return CrossValidation(lams=tuple(kept), deviations=tuple(devs),
                            max_deviation=max(devs) if devs else 0.0,
                            skipped=tuple(skipped),

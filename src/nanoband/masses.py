@@ -28,8 +28,8 @@ import numpy as np
 from . import spectrum as _spec
 from ._rootfind import _eval
 from .potential import PotentialSpec
-from .spectrum import (BandStructure, MagneticConfig, bare_edge, bare_edge_z,
-                       d2F0, gap_phase_even, _sin2z_over_z)
+from .spectrum import (BandStructure, MagneticConfig, _bare_z, d2F0,
+                       _gap_phases, _sin2z_over_z)
 
 
 def bare_mass(c: float, n: int, sign: int) -> float:
@@ -39,12 +39,18 @@ def bare_mass(c: float, n: int, sign: int) -> float:
     degenerate gaps give exactly 0.  n = 0 admits only sign +1 and is
     positive (a sinc limit handles the c -> 1 edge where the phase -> 0).
     """
+    return _bare_mass(c, _gap_phases(c), n, sign)
+
+
+def _bare_mass(c: float, phases: tuple[float, float], n: int,
+               sign: int) -> float:
+    """bare_mass with the gap phases of c given."""
     if n == 0:
         if sign < 0:
             raise ValueError("the lowest edge only exists with sign +1")
-        ph = gap_phase_even(c)
+        ph = phases[0]
         return (9.0 / (8.0 * c)) * _sin2z_over_z(ph * ph)
-    z = bare_edge_z(c, n, sign)
+    z = _bare_z(phases, n, sign)
     return (9.0 * (1.0 if n % 2 == 0 else -1.0) / (8.0 * c)) \
         * math.sin(2.0 * z) / z
 
@@ -97,12 +103,15 @@ def effective_masses(bs: BandStructure) -> MassTable:
         t = -1.0 if n % 2 else 1.0
         plus[n - 1] = -t * d1[2 * i + 1] / c
         minus[n - 1] = -t * d1[2 * i + 2] / c
-    bare_p = tuple(0.0 if bs.degenerate[n - 1] else bare_mass(c, n, +1)
+    phases = _gap_phases(c)
+    bare_p = tuple(0.0 if bs.degenerate[n - 1]
+                   else _bare_mass(c, phases, n, +1)
                    for n in range(1, bs.n_max + 1))
-    bare_m = tuple(0.0 if bs.degenerate[n - 1] else bare_mass(c, n, -1)
+    bare_m = tuple(0.0 if bs.degenerate[n - 1]
+                   else _bare_mass(c, phases, n, -1)
                    for n in range(1, bs.n_max + 1))
     return MassTable(cfg=cfg, mu0=mu0, plus=tuple(plus), minus=tuple(minus),
-                     bare_mu0=bare_mass(c, 0, +1),
+                     bare_mu0=_bare_mass(c, phases, 0, +1),
                      bare_plus=bare_p, bare_minus=bare_m)
 
 
@@ -306,6 +315,7 @@ def verify_mass_asymptotics(mt: MassTable, bs: BandStructure,
     eps = edge - bare edge - q0."""
     c = bs.cfg.c_abs
     q0 = bs.q.q0
+    phases = _gap_phases(c)
     ns, ep, em, rp, rm = [], [], [], [], []
     for n in n_range:
         if n < 1 or n > bs.n_max:
@@ -315,9 +325,11 @@ def verify_mass_asymptotics(mt: MassTable, bs: BandStructure,
         for sign, edges, mus, out_e, out_r in (
                 (+1, bs.plus, mt.plus, ep, rp),
                 (-1, bs.minus, mt.minus, em, rm)):
-            bare_l = bare_edge(c, n, sign)
+            z = _bare_z(phases, n, sign)
+            bare_l = z * z
             eps = edges[n - 1] - bare_l - q0
-            pred = bare_mass(c, n, sign) + sgn_corr * d2F0(bare_l) * eps / c
+            pred = (_bare_mass(c, phases, n, sign)
+                    + sgn_corr * d2F0(bare_l) * eps / c)
             out_e.append(eps)
             out_r.append(mus[n - 1] - pred)
         ns.append(n)

@@ -5,7 +5,11 @@ arccos call: band n maps onto [pi(n-1), pi n] increasing, gap n onto the
 vertical slit pi n + i [0, h_n], and the ray below the spectrum onto the
 positive imaginary axis.  The branch is the one shared with the Hill
 quasimomentum (_rootfind._comb_k): arccos/arccosh arguments are clamped
-to their domains, and a clamp beyond 1e-12 raises ValueError.
+to their domains, and a clamp beyond 1e-12 raises ValueError.  k_eval
+takes one lambda or a float64 array of them; an array costs one jet call
+(see monodromy) and then the branch point by point, and gives the same
+numbers bit for bit.  The two asymptotics checks below likewise evaluate
+xi at all their points with one array call.
 
 The deep-asymptotics probe fits the constant term of k on the negative
 axis and resolves its closed form among candidate readings numerically
@@ -19,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import spectrum as _spec
 from ._rootfind import _comb_k, _depth_for
 from .masses import _fit_line
@@ -26,15 +32,24 @@ from .potential import PotentialSpec
 from .spectrum import BandStructure, MagneticConfig
 
 
-def k_eval(q: PotentialSpec, cfg: MagneticConfig, lam: float,
-           bs: BandStructure | None = None) -> complex:
+def k_eval(q: PotentialSpec, cfg: MagneticConfig, lam: float | np.ndarray,
+           bs: BandStructure | None = None) -> complex | np.ndarray:
     """Quasimomentum at real lam; complex on gaps and below the spectrum.
 
-    Without bs, a structure deep enough to cover lam is built."""
+    For a float64 array lam, a complex128 array of the values at its
+    entries: one jet call for all of them (the same numbers as one lam at
+    a time, bit for bit, see monodromy), then the comb branch point by
+    point.  Without bs, a structure deep enough to cover every lam is
+    built."""
+    pts = np.atleast_1d(lam).tolist()
     if bs is None:
-        bs = _spec.band_structure(q, cfg, _depth_for(lam, q.q0),
+        bs = _spec.band_structure(q, cfg, _depth_for(max(pts), q.q0),
                                   include_flat=False)
-    return _comb_k(*bs.locate(lam), _spec._xi_eff(q, cfg, lam)[0])
+    where = [bs.locate(x) for x in pts]
+    vals = np.atleast_1d(_spec._xi_eff(q, cfg, lam)[0]).tolist()
+    ks = [_comb_k(*w, v) for w, v in zip(where, vals)]
+    return np.array(ks, dtype=complex) if isinstance(lam, np.ndarray) \
+        else ks[0]
 
 
 @dataclass(frozen=True)
@@ -74,10 +89,9 @@ def verify_deep_asymptotics(q: PotentialSpec, cfg: MagneticConfig,
     lam0 = _spec.band_structure(q, cfg, 1, include_flat=False).lambda0
     qn = q.shifted(-lam0)
     q0n = qn.q0
-    ests = []
-    for y in ys:
-        im_k = _comb_k("below", 0, _spec._xi_eff(qn, cfg, -y * y)[0]).imag
-        ests.append(im_k - 2.0 * y - q0n / y)
+    vals = _spec._xi_eff(qn, cfg, np.array([-y * y for y in ys]))[0]
+    ests = [_comb_k("below", 0, v).imag - 2.0 * y - q0n / y
+            for y, v in zip(ys, vals.tolist())]
     const_fit, _ = _fit_line([1.0 / (y * y) for y in ys], ests)
     base = math.log(9.0 / (8.0 * c))
     candidates = (
@@ -129,8 +143,8 @@ def verify_kprime_squared(q: PotentialSpec, cfg: MagneticConfig,
     if lams[-1] >= 0.0:
         raise ValueError("test lambdas must be negative")
     vals = []
-    for lam in lams:
-        v, d1, _ = _spec._xi_eff(q, cfg, lam)
+    xs, d1s, _ = _spec._xi_eff(q, cfg, np.array(lams))
+    for lam, v, d1 in zip(lams, xs.tolist(), d1s.tolist()):
         kp2 = d1 * d1 / (1.0 - v * v)
         vals.append(lam * lam * (kp2 - 1.0 / lam))
     return KprimeSquaredReport(lambdas=lams, values=tuple(vals),

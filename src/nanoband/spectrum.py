@@ -100,15 +100,26 @@ def gap_phase_odd(c: float) -> float:
     return 0.5 * math.acos(max(-1.0, min(1.0, x)))
 
 
-def bare_edge_z(c: float, n: int, sign: int) -> float:
-    """sqrt of the zero-potential edge lambda_n^{0, sign}, c in (0, 1]."""
+def _gap_phases(c: float) -> tuple[float, float]:
+    """(gap_phase_even(c), gap_phase_odd(c)), for callers that place many
+    edges at one c."""
+    return gap_phase_even(c), gap_phase_odd(c)
+
+
+def _bare_z(phases: tuple[float, float], n: int, sign: int) -> float:
+    """bare_edge_z from the gap phases of its c."""
     if n == 0:
         if sign < 0:
             raise ValueError("the lowest edge only exists with sign +1")
-        return gap_phase_even(c)
+        return phases[0]
     half = 0.5 * math.pi * n
-    phase = gap_phase_even(c) if n % 2 == 0 else gap_phase_odd(c)
+    phase = phases[n % 2]
     return half + (phase if sign > 0 else -phase)
+
+
+def bare_edge_z(c: float, n: int, sign: int) -> float:
+    """sqrt of the zero-potential edge lambda_n^{0, sign}, c in (0, 1]."""
+    return _bare_z(_gap_phases(c), n, sign)
 
 
 def bare_edge(c: float, n: int, sign: int) -> float:
@@ -171,9 +182,11 @@ def _xi_eff(q: PotentialSpec, cfg: MagneticConfig, lam: float | np.ndarray
     return (f + cfg.s_j ** 2) / c, f1 / c, f2 / c
 
 
-def xi(q: PotentialSpec, cfg: MagneticConfig, lam: float) -> tuple[float, float]:
+def xi(q: PotentialSpec, cfg: MagneticConfig, lam: float | np.ndarray
+       ) -> tuple[float, float]:
     """Modified discriminant xi_j(lam) and its lambda-derivative (signed,
-    i.e. with the true c_j).  Raises PurePointRegimeError for |c_j| < cutoff."""
+    i.e. with the true c_j); floats or arrays as lam.  Raises
+    PurePointRegimeError for |c_j| < cutoff."""
     v, d1, _ = _xi_eff(q, cfg, lam)
     sign = math.copysign(1.0, cfg.c_j)
     return sign * v, sign * d1
@@ -213,11 +226,12 @@ def band_structure(q: PotentialSpec, cfg: MagneticConfig, n_max: int,
     if c < PURE_POINT_CUTOFF:
         raise PurePointRegimeError(cfg.c_j)
     q0 = q.q0
+    phases = _gap_phases(c)
 
     def window(n: int) -> tuple[float, float]:
         # straddle gap n: from the middle of band n to the middle of band n+1
-        zl = 0.5 * (bare_edge_z(c, n - 1, +1) + bare_edge_z(c, n, -1))
-        zr = 0.5 * (bare_edge_z(c, n, +1) + bare_edge_z(c, n + 1, -1))
+        zl = 0.5 * (_bare_z(phases, n - 1, +1) + _bare_z(phases, n, -1))
+        zr = 0.5 * (_bare_z(phases, n, +1) + _bare_z(phases, n + 1, -1))
         return zl * zl + q0, zr * zr + q0
 
     roots = comb_roots(lambda lam: _xi_eff(q, cfg, lam), n_max, window,

@@ -237,3 +237,21 @@ def test_dispersion_at_near_pure_point_edge_is_clean(capsys):
     code, out, err = run_cli(["dispersion", "--q", "two-step", "--a", a,
                               "--grid", f"{edge}:{edge}:1"], capsys)
     assert code == 0 or "nanoband: error:" in err
+
+
+def test_parser_serves_many_requests_in_one_process(capsys):
+    # the parser is built once per process and reused by every main()
+    # call; an earlier usage error or failed computation leaves no trace
+    # in the bytes of a later request
+    from nanoband.cli import _build_parser
+    assert _build_parser() is _build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["bands", "--q", "zero"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, _, err = run_cli(["bands", "--q", "zero", "--a", HALF_PI], capsys)
+    assert code == 1 and "pure point" in err
+    code, out, _ = run_cli(README_COMMANDS["dispersion_zero.json"].split(),
+                           capsys)
+    assert code == 0
+    assert out == (GOLDEN / "dispersion_zero.json").read_text(encoding="utf-8")

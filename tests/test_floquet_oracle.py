@@ -120,3 +120,67 @@ def test_negative_sector_phase_agrees_with_signed_xi(two_step):
     for lam in (0.8, 5.0, 17.0):
         z1, _ = dispersion_roots(two_step, cfg, lam)
         assert abs(cos_k_from_root(z1, cfg) - xi(two_step, cfg, lam)[0]) < 1e-9
+
+
+def _pointwise_cross_validation(q, cfg, lams, bs, edge_margin=1e-6):
+    """cross_validate one lambda at a time from dispersion_roots and the
+    scalar xi: the reference for the chunked, stacked evaluation."""
+    edges = (bs.lambda0,) + bs.minus + bs.plus
+    kept, devs, skipped, mismatches, checked = [], [], [], [], 0
+    for lam in lams:
+        try:
+            z1, z2 = dispersion_roots(q, cfg, lam)
+        except FlatBandVicinityError:
+            skipped.append(lam)
+            continue
+        xi_val = xi(q, cfg, lam)[0]
+        kept.append(lam)
+        devs.append(max(abs(cos_k_from_root(z1, cfg) - xi_val),
+                        abs(cos_k_from_root(z2, cfg) - xi_val)))
+        if min(abs(lam - e) for e in edges) > edge_margin:
+            checked += 1
+            if is_ac_multiplier_pair(z1, z2) != (bs.locate(lam)[0] == "band"):
+                mismatches.append(lam)
+    return tuple(kept), tuple(devs), tuple(skipped), checked, \
+        tuple(mismatches)
+
+
+@pytest.mark.parametrize("name", ["zero", "two-step", "projection-64"])
+def test_chunked_cross_validation_equals_pointwise(name, structure_factory):
+    from nanoband._rootfind import _LANES, _depth_for
+    from nanoband.potential import make_potential
+    q = (make_potential(lambda t: 3.0 * math.cos(2.0 * math.pi * t) + t,
+                        mesh=64)
+         if name == "projection-64" else make_potential(name))
+    cfg = MagneticConfig(a=0.9, N=3, j=1)
+    diri = dirichlet_spectrum(q, 2)
+    # longer than one chunk, with a Dirichlet root in each of the two
+    grid = _grid(0.05, diri[1] + 2.0, _LANES + 100)
+    grid[200] = diri[0]
+    grid[_LANES + 50] = diri[1]
+    bs = structure_factory(q, cfg, _depth_for(max(grid), q.q0))
+    rep = cross_validate(q, cfg, grid, bs=bs)
+    kept, devs, skipped, checked, mismatches = \
+        _pointwise_cross_validation(q, cfg, grid, bs)
+    assert skipped == (diri[0], diri[1])
+    assert rep.skipped == skipped
+    assert rep.lams == kept
+    assert rep.deviations == devs
+    assert rep.max_deviation == max(devs)
+    assert rep.membership_checked == checked
+    assert rep.membership_mismatches == mismatches
+
+
+def test_stacked_cell_systems_equal_single_ones(two_step):
+    import numpy as np
+    cfg = MagneticConfig(a=2.0, N=4, j=3)
+    lams = np.linspace(-3.0, 45.0, 37)
+    stack = build_cell_system(two_step, cfg, lams)
+    assert stack.m0.shape == stack.m1.shape == (37, 6, 6)
+    alpha, beta, delta = stack.det_coeffs()
+    for i, lam in enumerate(lams.tolist()):
+        one = build_cell_system(two_step, cfg, lam)
+        assert np.array_equal(stack.m0[i], one.m0)
+        assert np.array_equal(stack.m1[i], one.m1)
+        assert (alpha[i], beta[i], delta[i]) == one.det_coeffs()
+    assert not stack.near_flat.any()

@@ -1,11 +1,13 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
+from nanoband._rootfind import _comb_k
 from nanoband.quasimomentum import (k_eval, verify_deep_asymptotics,
                                     verify_kprime_squared)
-from nanoband.spectrum import MagneticConfig, bare_cosh_heights, xi
+from nanoband.spectrum import MagneticConfig, _xi_eff, bare_cosh_heights, xi
 
 
 def test_k_value_in_first_band(zero_q):
@@ -144,3 +146,40 @@ def test_kprime_squared_rejects_nonnegative_points(zero_q):
     with pytest.raises(ValueError):
         verify_kprime_squared(zero_q, MagneticConfig(a=0.0), [-5.0, 1.0])
 
+
+
+@pytest.mark.parametrize("a", [0.9, 2.0])
+def test_array_k_eval_equals_scalar_bit_for_bit(two_step, structure_factory,
+                                                 a):
+    # a grid below the spectrum, through bands and gaps, plus every exact
+    # edge and critical point; a = 2.0 has c_j < 0
+    cfg = MagneticConfig(a=a)
+    bs = structure_factory(two_step, cfg, 8)
+    grid = np.concatenate((
+        np.linspace(bs.lambda0 - 20.0, bs.minus[6], 157),
+        [bs.lambda0], bs.minus[:7], bs.plus[:7], bs.critical[:7]))
+    ks = k_eval(two_step, cfg, grid, bs=bs)
+    assert ks.dtype == complex and ks.shape == grid.shape
+    ref = [complex(k_eval(two_step, cfg, x, bs=bs)) for x in grid.tolist()]
+    assert [repr(k) for k in ks.tolist()] == [repr(k) for k in ref]
+    # without a structure, one deep enough for the whole array is built
+    assert [repr(k) for k in k_eval(two_step, cfg, grid).tolist()] \
+        == [repr(k) for k in ref]
+
+
+def test_asymptotics_checks_match_pointwise_xi(two_step):
+    # one array xi call gives the values of the per-lambda formulas
+    cfg = MagneticConfig(a=math.pi / 5, N=3, j=1)
+    lams = [-1e4, -3e3, -500.0]
+    rep = verify_kprime_squared(two_step, cfg, lams)
+    ref = []
+    for lam in sorted(lams):
+        v, d1, _ = _xi_eff(two_step, cfg, lam)
+        ref.append(lam * lam * (d1 * d1 / (1.0 - v * v) - 1.0 / lam))
+    assert list(rep.values) == ref
+    ys = [20.0, 50.0, 100.0]
+    deep = verify_deep_asymptotics(two_step, cfg, ys)
+    qn = two_step.shifted(deep.shift)
+    ref = [_comb_k("below", 0, _xi_eff(qn, cfg, -y * y)[0]).imag - 2.0 * y
+           - qn.q0 / y for y in ys]
+    assert list(deep.const_estimates) == ref
