@@ -6,8 +6,14 @@ the median and quartiles of those runs, with the samples:
 
 * `band_structure` of the two-step potential at a = 0.9 with its flat
   bands, at n_max 200, 2000 and 20000 (s);
+* a 20-gap `band_structure` with its flat bands plus `effective_masses`
+  (one sector-sweep job without its checks) for 1, 2, 3 and 64 pieces
+  at a = 0.9 (ms);
+* `dirichlet_spectrum` of the two-step potential at n_max 200 and 2000
+  (s);
 * the monodromy jet `transfer` for 1, 3 and 64 pieces, in microseconds
-  per lambda, one lambda per call and 512 lambdas per array call;
+  per lambda: one lambda per call at orders 2, 1 and 0 (the last two
+  only where `transfer` takes an order), and 512 lambdas per array call;
 * the Floquet oracle `cross_validate` for 1, 3 and 64 pieces over a
   300-point grid, its band structure built beforehand, in microseconds
   per lambda;
@@ -27,6 +33,7 @@ same machine:
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -39,6 +46,9 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 RUNS = 5
 DEPTHS = (200, 2000, 20000)
+DIRICHLET_DEPTHS = (200, 2000)
+SECTOR_N_MAX = 20
+SECTOR_BUILDS = 5  # structures per sample of the 20-gap layer
 JET_BATCH = 512
 JET_CALLS = 2000  # one-lambda calls per sample
 ORACLE_GRID = (0.05, 40.0, 300)  # lo, hi, points
@@ -75,7 +85,7 @@ def main(argv=None) -> int:
     import numpy as np
     import nanoband
     from nanoband.floquet_oracle import cross_validate
-    from nanoband.monodromy import transfer
+    from nanoband.monodromy import dirichlet_spectrum, transfer
 
     two_step = nanoband.make_potential("two-step")
     cfg = nanoband.MagneticConfig(a=0.9)
@@ -91,11 +101,26 @@ def main(argv=None) -> int:
     for n in DEPTHS:
         cases[f"band_structure_s.n_max_{n}"] = ("s", lambda n=n: _timed(
             lambda: nanoband.band_structure(two_step, cfg, n)))
+    sector = {1: jets[1], 2: two_step, 3: jets[3], 64: jets[64]}
+    for m, q in sector.items():
+        cases[f"sector_structure_ms.pieces_{m}"] = (
+            "ms", lambda q=q: 1e3 * _timed(lambda: [
+                nanoband.effective_masses(
+                    nanoband.band_structure(q, cfg, SECTOR_N_MAX))
+                for _ in range(SECTOR_BUILDS)]) / SECTOR_BUILDS)
+    for n in DIRICHLET_DEPTHS:
+        cases[f"dirichlet_spectrum_s.n_max_{n}"] = ("s", lambda n=n: _timed(
+            lambda: dirichlet_spectrum(two_step, n)))
+    xs = scalar_lams[:JET_CALLS]
+    has_order = "order" in inspect.signature(transfer).parameters
     for m, q in jets.items():
         cases[f"jet_us_per_lambda.pieces_{m}.scalar"] = (
             "us", lambda q=q: 1e6 * _timed(
-                lambda: [transfer(q, x) for x in scalar_lams[:JET_CALLS]])
-            / JET_CALLS)
+                lambda: [transfer(q, x) for x in xs]) / JET_CALLS)
+        for order in (1, 0) if has_order else ():
+            cases[f"jet_us_per_lambda.pieces_{m}.scalar_order_{order}"] = (
+                "us", lambda q=q, order=order: 1e6 * _timed(
+                    lambda: [transfer(q, x, order) for x in xs]) / JET_CALLS)
         cases[f"jet_us_per_lambda.pieces_{m}.batch_{JET_BATCH}"] = (
             "us", lambda q=q: 1e6 * _timed(lambda: transfer(q, lams))
             / JET_BATCH)

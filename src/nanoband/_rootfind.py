@@ -25,6 +25,11 @@ It evaluates the same points and takes the same branches as the
 generators, and the evaluators return the scalar numbers bit for bit on
 arrays, so both ways give identical structures and raise the same
 RootBracketError, that of the lowest failing lane.
+
+comb_roots reads f'' only at the critical points.  Its optional edge
+evaluator fdf returns (f, f') alone, the same numbers as the first two
+of f, and serves the lowest edge and the gap edges; the structures ask
+the monodromy jet for order 1 there and skip its second derivative.
 """
 
 from __future__ import annotations
@@ -504,7 +509,7 @@ class CombRoots:
 def comb_roots(f: Callable, n_max: int,
                crit_window: Callable[[int], tuple[float, float]],
                lambda0_seed: float,
-               what: str = "comb") -> CombRoots:
+               what: str = "comb", fdf: Callable | None = None) -> CombRoots:
     """Compute edges/criticals of a comb discriminant.
 
     f(lam) returns (f, f', f''), on a float or a float64 array (see
@@ -513,8 +518,12 @@ def comb_roots(f: Callable, n_max: int,
     crit_window(n) seeds the search for that zero (an interval straddling
     the n-th gap, clear of adjacent criticals).  Every critical point is
     found first, then the lowest edge, then both edges of every open gap
-    together.
+    together.  The edges read only (f, f'): fdf, if given, returns those
+    two (the same numbers as the first two of f) and serves every edge
+    evaluation, so an evaluator can skip f'' there.
     """
+    if fdf is None:
+        fdf = f
     # critical points for gaps 1 .. n_max+1 (one extra as a right anchor),
     # with f there: it sets the heights and the bracket ends of the edges
     ns = np.arange(1, n_max + 2)
@@ -526,10 +535,10 @@ def comb_roots(f: Callable, n_max: int,
     # lowest edge: f - 1 = 0 on (-inf, crit_1); a single scalar solve;
     # its failures name index 0
     def bottom(x: float) -> tuple[float, float]:
-        v, d1, _ = f(x)
-        return v - 1.0, d1
+        v = fdf(x)
+        return v[0] - 1.0, v[1]
 
-    left = expand_left(lambda x: f(x)[0] - 1.0,
+    left = expand_left(lambda x: fdf(x)[0] - 1.0,
                        min(lambda0_seed, float(crit[0])) - 0.25, 0.5,
                        lambda v: v > 0.0, what=f"{what}: lowest edge")
     try:
@@ -547,10 +556,10 @@ def comb_roots(f: Callable, n_max: int,
     # the edges of open gap n: zeros of (-1)^n f - 1 on [crit_{n-1},
     # crit_n] and [crit_n, crit_{n+1}] (crit_0 = lam0), all solved
     # together, the lower edge of a gap first
-    f0 = f(lam0)[0] if g[:1].tolist() == [0] else math.nan
+    f0 = fdf(lam0)[0] if g[:1].tolist() == [0] else math.nan
     below = np.concatenate(([lam0], crit)), np.concatenate(([f0], fcrit))
     roots = _solve_all(
-        f, lambda v, n: (_parity(n) * v[0] - 1.0, _parity(n) * v[1]),
+        fdf, lambda v, n: (_parity(n) * v[0] - 1.0, _parity(n) * v[1]),
         *(np.column_stack(pair).ravel() for pair in (
             (below[0][g], crit[g]), (crit[g], crit[g + 1]),
             (t[g] * below[1][g] - 1.0, d[g]),
@@ -580,14 +589,16 @@ def _parity(n):
     return 1.0 - 2.0 * (n % 2)
 
 
-def _comb_k(where: str, n: int, f: float) -> complex:
+def _comb_k(where: str, n: int, f: float, slack: float = 0.0) -> complex:
     """Quasimomentum on the comb from a discriminant value f at a point
     that CombRoots.locate placed at (where, n).
 
     Band n maps onto [pi(n-1), pi n] increasing, gap n onto the vertical
     slit pi n + i [0, h_n], and the ray below the spectrum onto the
     positive imaginary axis.  The arccos/arccosh argument is clamped to
-    its domain; a clamp larger than _CLAMP_TOL raises ValueError.
+    its domain; a clamp larger than _CLAMP_TOL + slack raises ValueError.
+    A caller that knows f' passes the edge resolution _edge_slack as
+    slack: a positive slack only widens the accepted range.
     """
     x = -f if n % 2 else f
     if where == "band":
@@ -595,13 +606,22 @@ def _comb_k(where: str, n: int, f: float) -> complex:
         lo, hi = -1.0, 1.0
     else:
         lo, hi = 1.0, math.inf
-    if not lo - _CLAMP_TOL <= x <= hi + _CLAMP_TOL:
+    tol = _CLAMP_TOL + slack if slack > 0.0 else _CLAMP_TOL
+    if not lo - tol <= x <= hi + tol:
         raise ValueError(f"discriminant value {f} is off the comb branch "
                          f"({where} {n}) beyond the clamp tolerance")
     x = min(max(x, lo), hi)
     if where == "band":
         return math.pi * (n - 1) + math.acos(x)
     return math.pi * n + 1j * math.acosh(x)
+
+
+def _edge_slack(lam: float, df: float) -> float:
+    """How far f may be off the comb at lam because the edges near lam
+    are resolved only to the solver's step tolerance: |f'(lam)| times
+    SOLVE_XTOL * max(1, |lam|).  Where f ~ 1/c is steep (c -> 0) this
+    exceeds _CLAMP_TOL at the structure's own edges."""
+    return abs(df) * SOLVE_XTOL * max(1.0, abs(lam))
 
 
 def _depth_for(lam: float, q0: float) -> int:

@@ -104,7 +104,7 @@ def build_cell_system(q: PotentialSpec, cfg: MagneticConfig,
     float64 array of lambda gives the stacked systems from one transfer
     call, with such points flagged in near_flat instead.
     """
-    p, p1, _ = monodromy.transfer(q, lam)
+    p, p1 = monodromy.transfer(q, lam, 1)
     th, ph, thp, php = p
     near = np.abs(ph) < FLAT_BAND_VICINITY * np.fmax(1.0, np.abs(p1[1]))
     if np.ndim(lam) == 0 and near:

@@ -95,7 +95,8 @@ def effective_masses(bs: BandStructure) -> MassTable:
     # 2400-gap structure one array for all of them was no faster beyond
     # noise (best of 9: 3.7-5.6 ms against 4.4-4.5 ms) but raised the
     # allocation peak from 0.3 to 1.8 MB (tracemalloc)
-    d1 = _eval(lambda x: _spec.F_with_derivs(q, x), np.array(lams))[1].tolist()
+    d1 = _eval(lambda x: _spec.F_with_derivs(q, x, 1),
+               np.array(lams))[1].tolist()
     mu0 = -d1[0] / c
     plus = [0.0] * bs.n_max
     minus = [0.0] * bs.n_max
@@ -205,7 +206,7 @@ def verify_partial_fraction(q: PotentialSpec, cfg: MagneticConfig,
         if dist < 0.1:
             raise ValueError(f"test lambda {lam} is {dist:.3g} from an edge "
                              "(need >= 0.1)")
-        v, d1, _ = _spec._xi_eff(q, cfg, lam)
+        v, d1 = _spec._xi_eff(q, cfg, lam, 1)
         direct = d1 * d1 / (1.0 - v * v)
         ns = []
         sums = []

@@ -11,15 +11,28 @@ for mu < 0, power series near mu = 0), so evaluation works for any real
 lambda without branch trouble.  First and second lambda-derivatives are
 carried through the product exactly.
 
-`transfer` is the one entry point to that product.  It takes one lambda
-or a float64 array of them; the array-state root engine of `_rootfind`
-(deep structures, see _LOCKSTEP_GAPS there) passes an array once per
-solver step.  An array gives the same numbers as one lambda at a time,
-bit for bit: numpy's elementwise + - * / and sqrt round exactly like Python
-floats, both kinds share `_closed_form` and `_product`, cos/sin/cosh/sinh
-go through `math` one lambda at a time (numpy's versions can differ from
-libm in the last bit), and lanes in the series window |mu| <= _SERIES_CUT
-are computed by `_factor` itself.
+`transfer(q, lam, order)` is the one entry point to that product.  It
+returns the jet (P, P', P'') through `order`: order 0 builds P alone,
+order 1 adds P', order 2 (the default) adds P''.  Callers ask for the
+least they read: critical points need P'', edges, Dirichlet roots and
+masses P', quasimomentum values P.  `_product` is one loop over the
+pieces that keeps the twelve entries of the jet in local variables and
+writes the steps P'' <- (T'' P + T P'') + 2 T' P', P' <- T' P + T P' and
+P <- T P out entry by entry, with the additions and multiplications of
+the 2x2 products in the order a product of tuples makes them
+(tests/oracles.py keeps that product as the reference).  So every order
+gives the entries it returns bit for bit as the full jet: the lower
+derivatives never read the higher ones, which are only skipped.
+
+`transfer` takes one lambda or a float64 array of them; the array-state
+root engine of `_rootfind` (deep structures, see _LOCKSTEP_GAPS there)
+passes an array once per solver step.  An array gives the same numbers
+as one lambda at a time, bit for bit: numpy's elementwise + - * / and
+sqrt round exactly like Python floats, both kinds share `_closed_form`
+and the loop of `_product`, cos/sin/cosh/sinh go through `math` one
+lambda at a time (numpy's versions can differ from libm in the last
+bit), and lanes in the series window |mu| <= _SERIES_CUT are computed by
+`_factor` itself.
 """
 
 from __future__ import annotations
@@ -38,16 +51,22 @@ from .potential import PotentialSpec
 _SERIES_CUT = 1e-6
 
 Mat = tuple[float, float, float, float]  # row-major 2x2
+# C and S of one piece with their mu-derivatives, (C, S, C', S', C'', S''),
+# None beyond the order asked for
+Factor = tuple
 
 
-def _factor(w: float, mu: float) -> tuple[Mat, Mat, Mat]:
-    """Per-piece transfer matrix and its first two mu-derivatives."""
+def _factor(w: float, mu: float, order: int = 2) -> Factor:
+    """C and S of one piece of width w and their mu-derivatives through
+    `order`."""
     if mu > _SERIES_CUT:
         r = math.sqrt(mu)
-        return _closed_form(w, mu, math.cos(w * r), math.sin(w * r) / r)
+        return _closed_form(w, mu, math.cos(w * r), math.sin(w * r) / r,
+                            order)
     if mu < -_SERIES_CUT:
         r = math.sqrt(-mu)
-        return _closed_form(w, mu, math.cosh(w * r), math.sinh(w * r) / r)
+        return _closed_form(w, mu, math.cosh(w * r), math.sinh(w * r) / r,
+                            order)
     w2 = w * w
     w3 = w2 * w
     w4 = w2 * w2
@@ -60,31 +79,24 @@ def _factor(w: float, mu: float) -> tuple[Mat, Mat, Mat]:
     s1 = -w3 / 6.0 + mu * (w5 / 60.0 - mu * w7 / 1680.0)
     c2 = w4 / 12.0 - mu * w6 / 120.0
     s2 = w5 / 60.0 - mu * w7 / 840.0
-    return ((c, s, -mu * s, c), (c1, s1, -s - mu * s1, c1),
-            (c2, s2, -2.0 * s1 - mu * s2, c2))
+    return c, s, c1, s1, c2, s2
 
 
-def _closed_form(w, mu, c, s) -> tuple[Mat, Mat, Mat]:
+def _closed_form(w, mu, c, s, order: int) -> Factor:
     """The factor from C and S off the series window (trigonometric or
     hyperbolic), for floats or float64 arrays alike."""
+    if not order:
+        return c, s, None, None, None, None
     c1 = -0.5 * w * s
     s1 = (w * c - s) / (2.0 * mu)
+    if order == 1:
+        return c, s, c1, s1, None, None
     c2 = -0.5 * w * s1
     s2 = (w * c1 - 3.0 * s1) / (2.0 * mu)
-    return ((c, s, -mu * s, c), (c1, s1, -s - mu * s1, c1),
-            (c2, s2, -2.0 * s1 - mu * s2, c2))
+    return c, s, c1, s1, c2, s2
 
 
-def _mul(a: Mat, b: Mat) -> Mat:
-    return (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
-            a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
-
-
-def _add(a: Mat, b: Mat) -> Mat:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
-
-
-def _factor_batch(w: float, mu: np.ndarray) -> tuple[Mat, Mat, Mat]:
+def _factor_batch(w: float, mu: np.ndarray, order: int = 2) -> Factor:
     """_factor over a float64 array of mu, entry for entry the same numbers."""
     hyp = mu < -_SERIES_CUT
     series = np.flatnonzero(np.abs(mu) <= _SERIES_CUT).tolist()
@@ -102,41 +114,60 @@ def _factor_batch(w: float, mu: np.ndarray) -> tuple[Mat, Mat, Mat]:
     else:
         c = np.fromiter(map(math.cos, wr), float, len(wr))
         sn = np.fromiter(map(math.sin, wr), float, len(wr))
-    out = _closed_form(w, mu, c, sn / r)
+    out = _closed_form(w, mu, c, sn / r, order)
     for i in series:
-        for mats, vals in zip(out, _factor(w, float(exact[i]))):
-            for arr, v in zip(mats, vals):
+        for arr, v in zip(out, _factor(w, float(exact[i]), order)):
+            if arr is not None:
                 arr[i] = v
     return out
 
 
-def _product(q: PotentialSpec, lam) -> tuple[Mat, Mat, Mat]:
-    """The product over the pieces of q, by _factor for one lambda and by
-    _factor_batch for a float64 array."""
+def _product(q: PotentialSpec, lam, order: int):
+    """The jet (P, P', P'') of the product over the pieces of q through
+    `order`, each factor by _factor for one lambda and by _factor_batch
+    for a float64 array.  The steps P'' <- (T'' P + T P'') + 2 (T' P'),
+    P' <- T' P + T P' and P <- T P are written out entry by entry, each
+    2x2 product and sum with its operations in the usual order."""
     factor = _factor_batch if isinstance(lam, np.ndarray) else _factor
-    p: Mat = (1.0, 0.0, 0.0, 1.0)
-    p1: Mat = (0.0, 0.0, 0.0, 0.0)
-    p2: Mat = (0.0, 0.0, 0.0, 0.0)
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0  # P, row-major
+    a1 = b1 = c1 = d1 = a2 = b2 = c2 = d2 = 0.0  # P', P''
     for w, v in q.pieces:
-        t, t1, t2 = factor(w, lam - v)
-        cross = _mul(t1, p1)
-        p2 = _add(_add(_mul(t2, p), _mul(t, p2)),
-                  (2.0 * cross[0], 2.0 * cross[1],
-                   2.0 * cross[2], 2.0 * cross[3]))
-        p1 = _add(_mul(t1, p), _mul(t, p1))
-        p = _mul(t, p)
-    return p, p1, p2
+        mu = lam - v
+        tc, ts, tc1, ts1, tc2, ts2 = factor(w, mu, order)
+        tm = -mu * ts  # T = [[tc, ts], [tm, tc]]
+        if order:
+            tm1 = -ts - mu * ts1
+            if order == 2:
+                tm2 = -2.0 * ts1 - mu * ts2
+                a2, b2, c2, d2 = (
+                    tc2 * a + ts2 * c + (tc * a2 + ts * c2)
+                    + 2.0 * (tc1 * a1 + ts1 * c1),
+                    tc2 * b + ts2 * d + (tc * b2 + ts * d2)
+                    + 2.0 * (tc1 * b1 + ts1 * d1),
+                    tm2 * a + tc2 * c + (tm * a2 + tc * c2)
+                    + 2.0 * (tm1 * a1 + tc1 * c1),
+                    tm2 * b + tc2 * d + (tm * b2 + tc * d2)
+                    + 2.0 * (tm1 * b1 + tc1 * d1))
+            a1, b1, c1, d1 = (
+                tc1 * a + ts1 * c + (tc * a1 + ts * c1),
+                tc1 * b + ts1 * d + (tc * b1 + ts * d1),
+                tm1 * a + tc1 * c + (tm * a1 + tc * c1),
+                tm1 * b + tc1 * d + (tm * b1 + tc * d1))
+        a, b, c, d = (tc * a + ts * c, tc * b + ts * d,
+                      tm * a + tc * c, tm * b + tc * d)
+    return ((a, b, c, d), (a1, b1, c1, d1), (a2, b2, c2, d2))[:order + 1]
 
 
-def transfer(q: PotentialSpec, lam: float | np.ndarray
-             ) -> tuple[Mat, Mat, Mat]:
-    """Monodromy matrix over one period with first/second lambda-derivatives.
+def transfer(q: PotentialSpec, lam: float | np.ndarray, order: int = 2
+             ) -> tuple[Mat, ...]:
+    """Monodromy matrix over one period with its lambda-derivatives.
 
-    Returns (P, dP, d2P), each row-major (theta1, phi1, theta1', phi1').
-    For a float64 array lam each matrix entry is an array of the values
-    at its entries.
+    Returns the jet through `order` (0, 1 or 2): (P,), (P, dP) or
+    (P, dP, d2P), each row-major (theta1, phi1, theta1', phi1').  For a
+    float64 array lam each matrix entry is an array of the values at its
+    entries.
     """
-    return _product(q, lam)
+    return _product(q, lam, order)
 
 
 @dataclass(frozen=True)
@@ -217,17 +248,16 @@ def hill_spectrum(q: PotentialSpec, n_max: int) -> HillSpectrum:
         raise ValueError("n_max must be >= 1")
     q0 = q.q0
 
-    def f(lam):
-        p, p1, p2 = transfer(q, lam)
-        return (0.5 * (p[0] + p[3]), 0.5 * (p1[0] + p1[3]),
-                0.5 * (p2[0] + p2[3]))
+    def f(lam, order=2):
+        return tuple(0.5 * (p[0] + p[3]) for p in transfer(q, lam, order))
 
     def window(n: int) -> tuple[float, float]:
         zl = math.pi * (n - 0.5)
         zr = math.pi * (n + 0.5)
         return zl * zl + q0, zr * zr + q0
 
-    roots = comb_roots(f, n_max, window, q0, what="hill")
+    roots = comb_roots(f, n_max, window, q0, what="hill",
+                       fdf=lambda lam: f(lam, 1))
     return HillSpectrum(q=q, dirichlet=dirichlet_spectrum(q, n_max),
                         **vars(roots))
 
@@ -239,7 +269,7 @@ def dirichlet_spectrum(q: PotentialSpec, n_max: int) -> tuple[float, ...]:
     q0 = q.q0
 
     def f(lam):
-        p, p1, _ = transfer(q, lam)
+        p, p1 = transfer(q, lam, 1)
         return p[1], p1[1]
 
     ns = np.arange(1, n_max + 1)
@@ -261,5 +291,5 @@ def hill_quasimomentum(q: PotentialSpec, lam: float,
     """
     if spectrum is None:
         spectrum = hill_spectrum(q, _rootfind._depth_for(lam, q.q0))
-    p = transfer(q, lam)[0]
+    (p,) = transfer(q, lam, 0)
     return _rootfind._comb_k(*spectrum.locate(lam), 0.5 * (p[0] + p[3]))

@@ -5,11 +5,14 @@ arccos call: band n maps onto [pi(n-1), pi n] increasing, gap n onto the
 vertical slit pi n + i [0, h_n], and the ray below the spectrum onto the
 positive imaginary axis.  The branch is the one shared with the Hill
 quasimomentum (_rootfind._comb_k): arccos/arccosh arguments are clamped
-to their domains, and a clamp beyond 1e-12 raises ValueError.  k_eval
-takes one lambda or a float64 array of them; an array costs one jet call
-(see monodromy) and then the branch point by point, and gives the same
-numbers bit for bit.  The two asymptotics checks below likewise evaluate
-xi at all their points with one array call.
+to their domains, and a clamp beyond 1e-12 plus the edge resolution
+|xi'| * SOLVE_XTOL * max(1, |lambda|) raises ValueError (near pure point
+xi ~ 1/c is steep, and the structure's own edges sit that far off the
+comb).  k_eval takes one lambda or a float64 array of them; an array
+costs one jet call of order 1 (see monodromy) and then the branch point
+by point, and gives the same numbers bit for bit.  The two asymptotics
+checks below likewise evaluate xi at all their points with one array
+call.
 
 The deep-asymptotics probe fits the constant term of k on the negative
 axis and resolves its closed form among candidate readings numerically
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectrum as _spec
-from ._rootfind import _comb_k, _depth_for
+from ._rootfind import _comb_k, _depth_for, _edge_slack
 from .masses import _fit_line
 from .potential import PotentialSpec
 from .spectrum import BandStructure, MagneticConfig
@@ -40,14 +43,17 @@ def k_eval(q: PotentialSpec, cfg: MagneticConfig, lam: float | np.ndarray,
     entries: one jet call for all of them (the same numbers as one lam at
     a time, bit for bit, see monodromy), then the comb branch point by
     point.  Without bs, a structure deep enough to cover every lam is
-    built."""
+    built.  Raises ValueError where xi is off the comb branch by more
+    than the clamp tolerance plus the edge resolution at lam."""
     pts = np.atleast_1d(lam).tolist()
     if bs is None:
         bs = _spec.band_structure(q, cfg, _depth_for(max(pts), q.q0),
                                   include_flat=False)
     where = [bs.locate(x) for x in pts]
-    vals = np.atleast_1d(_spec._xi_eff(q, cfg, lam)[0]).tolist()
-    ks = [_comb_k(*w, v) for w, v in zip(where, vals)]
+    vals, d1s = (np.atleast_1d(v).tolist()
+                 for v in _spec._xi_eff(q, cfg, lam, 1))
+    ks = [_comb_k(*w, v, _edge_slack(x, d))
+          for x, w, v, d in zip(pts, where, vals, d1s)]
     return np.array(ks, dtype=complex) if isinstance(lam, np.ndarray) \
         else ks[0]
 
@@ -89,7 +95,7 @@ def verify_deep_asymptotics(q: PotentialSpec, cfg: MagneticConfig,
     lam0 = _spec.band_structure(q, cfg, 1, include_flat=False).lambda0
     qn = q.shifted(-lam0)
     q0n = qn.q0
-    vals = _spec._xi_eff(qn, cfg, np.array([-y * y for y in ys]))[0]
+    (vals,) = _spec._xi_eff(qn, cfg, np.array([-y * y for y in ys]), 0)
     ests = [_comb_k("below", 0, v).imag - 2.0 * y - q0n / y
             for y, v in zip(ys, vals.tolist())]
     const_fit, _ = _fit_line([1.0 / (y * y) for y in ys], ests)
@@ -143,7 +149,7 @@ def verify_kprime_squared(q: PotentialSpec, cfg: MagneticConfig,
     if lams[-1] >= 0.0:
         raise ValueError("test lambdas must be negative")
     vals = []
-    xs, d1s, _ = _spec._xi_eff(q, cfg, np.array(lams))
+    xs, d1s = _spec._xi_eff(q, cfg, np.array(lams), 1)
     for lam, v, d1 in zip(lams, xs.tolist(), d1s.tolist()):
         kp2 = d1 * d1 / (1.0 - v * v)
         vals.append(lam * lam * (kp2 - 1.0 / lam))

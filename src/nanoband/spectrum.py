@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +47,7 @@ class MagneticConfig:
     The sector operator is analyzed through the phase a_j = a + pi j / N;
     c_j = cos a_j and s_j = sin a_j drive the modified discriminant.  When
     constructed from a field strength B, a = (3 B / 16) cot(pi / 2N).
+    The phase and its cosine and sine are computed once per config.
     """
 
     a: float
@@ -62,19 +64,19 @@ class MagneticConfig:
         a = (3.0 * B / 16.0) / math.tan(math.pi / (2 * N))
         return cls(a=a, N=N, j=j, B=B)
 
-    @property
+    @cached_property
     def a_j(self) -> float:
         return self.a + math.pi * self.j / self.N
 
-    @property
+    @cached_property
     def c_j(self) -> float:
         return math.cos(self.a_j)
 
-    @property
+    @cached_property
     def s_j(self) -> float:
         return math.sin(self.a_j)
 
-    @property
+    @cached_property
     def c_abs(self) -> float:
         """|c_j|; the band analysis is run at this value.  For c_j < 0 the
         computed structure is that of the reflected phase pi - a_j, whose
@@ -142,44 +144,53 @@ def bare_cosh_heights(c: float) -> tuple[float, float]:
 
 def _sin2z_over_z(lam: float) -> float:
     """sin(2 sqrt(lam)) / sqrt(lam), entire (hyperbolic for lam < 0)."""
-    return monodromy._factor(2.0, lam)[0][1]
+    return monodromy._factor(2.0, lam, 0)[1]
 
 
 def d2F0(lam: float) -> float:
     """Second lambda-derivative of F0."""
-    return -(9.0 / 8.0) * monodromy._factor(2.0, lam)[1][1]
+    return -(9.0 / 8.0) * monodromy._factor(2.0, lam, 1)[3]
 
 
 # ----------------------------------------------------------------------
 # the modified discriminant
 # ----------------------------------------------------------------------
 
-def F_with_derivs(q: PotentialSpec, lam: float | np.ndarray
-                  ) -> tuple[float, float, float]:
-    """(F, F', F'') at lam, from the exact monodromy derivatives; for a
-    float64 array lam, arrays of the values at its entries."""
-    p, p1, p2 = monodromy.transfer(q, lam)
+def F_with_derivs(q: PotentialSpec, lam: float | np.ndarray,
+                  order: int = 2) -> tuple[float, ...]:
+    """(F, F', F'') at lam through `order` (0, 1 or 2), from the exact
+    monodromy jet of that order; for a float64 array lam, arrays of the
+    values at its entries."""
+    jet = monodromy.transfer(q, lam, order)
+    p = jet[0]
     d = 0.5 * (p[0] + p[3])
     dm = 0.5 * (p[3] - p[0])
+    f = (9.0 * d * d - dm * dm - 5.0) / 4.0
+    if not order:
+        return (f,)
+    p1 = jet[1]
     d1 = 0.5 * (p1[0] + p1[3])
     dm1 = 0.5 * (p1[3] - p1[0])
+    f1 = (9.0 * d * d1 - dm * dm1) / 2.0
+    if order == 1:
+        return f, f1
+    p2 = jet[2]
     d2 = 0.5 * (p2[0] + p2[3])
     dm2 = 0.5 * (p2[3] - p2[0])
-    f = (9.0 * d * d - dm * dm - 5.0) / 4.0
-    f1 = (9.0 * d * d1 - dm * dm1) / 2.0
     f2 = (9.0 * (d1 * d1 + d * d2) - (dm1 * dm1 + dm * dm2)) / 2.0
     return f, f1, f2
 
 
-def _xi_eff(q: PotentialSpec, cfg: MagneticConfig, lam: float | np.ndarray
-            ) -> tuple[float, float, float]:
-    """(xi, xi', xi'') = ((F + s^2)/c, F'/c, F''/c) at c = |c_j|, the
-    labeling convention used internally; floats or arrays as lam."""
+def _xi_eff(q: PotentialSpec, cfg: MagneticConfig, lam: float | np.ndarray,
+            order: int = 2) -> tuple[float, ...]:
+    """(xi, xi', xi'') = ((F + s^2)/c, F'/c, F''/c) at c = |c_j| through
+    `order`, the labeling convention used internally; floats or arrays as
+    lam."""
     c = cfg.c_abs
     if c < PURE_POINT_CUTOFF:
         raise PurePointRegimeError(cfg.c_j)
-    f, f1, f2 = F_with_derivs(q, lam)
-    return (f + cfg.s_j ** 2) / c, f1 / c, f2 / c
+    f = F_with_derivs(q, lam, order)
+    return ((f[0] + cfg.s_j ** 2) / c, *[x / c for x in f[1:]])
 
 
 def xi(q: PotentialSpec, cfg: MagneticConfig, lam: float | np.ndarray
@@ -187,7 +198,7 @@ def xi(q: PotentialSpec, cfg: MagneticConfig, lam: float | np.ndarray
     """Modified discriminant xi_j(lam) and its lambda-derivative (signed,
     i.e. with the true c_j); floats or arrays as lam.  Raises
     PurePointRegimeError for |c_j| < cutoff."""
-    v, d1, _ = _xi_eff(q, cfg, lam)
+    v, d1 = _xi_eff(q, cfg, lam, 1)
     sign = math.copysign(1.0, cfg.c_j)
     return sign * v, sign * d1
 
@@ -235,7 +246,8 @@ def band_structure(q: PotentialSpec, cfg: MagneticConfig, n_max: int,
         return zl * zl + q0, zr * zr + q0
 
     roots = comb_roots(lambda lam: _xi_eff(q, cfg, lam), n_max, window,
-                       bare_edge(c, 0, +1) + q0, what="band structure")
+                       bare_edge(c, 0, +1) + q0, what="band structure",
+                       fdf=lambda lam: _xi_eff(q, cfg, lam, 1))
     flats = monodromy.dirichlet_spectrum(q, n_max) if include_flat else ()
     return BandStructure(q=q, cfg=cfg, flat_bands=flats,
                          xi_sign=math.copysign(1.0, cfg.c_j), **vars(roots))
@@ -275,6 +287,7 @@ def flat_spectrum(q: PotentialSpec, cfg: MagneticConfig,
 
     q0 = q.q0
     f = lambda lam: F_with_derivs(q, lam)
+    fdf = lambda lam: F_with_derivs(q, lam, 1)
 
     # critical points of F bracket the F = -1 roots (F alternates between
     # values >= 1 and <= -5/4 at consecutive criticals); 2 n_max + 1 of
@@ -287,14 +300,14 @@ def flat_spectrum(q: PotentialSpec, cfg: MagneticConfig,
                        for n in range(1, count + 1)])
     xs, fs = _critical_all(f, zl * zl + q0, zr * zr + q0, prefer,
                            "flat locus critical", ns, count)
-    left = expand_left(lambda x: f(x)[0] + 1.0, float(xs[0]) - 0.25, 0.5,
+    left = expand_left(lambda x: fdf(x)[0] + 1.0, float(xs[0]) - 0.25, 0.5,
                        lambda v: v > 0.0, what="flat locus: leftmost root")
     xs = np.concatenate(([left], xs))
-    g = np.concatenate(([f(left)[0]], fs)) + 1.0
+    g = np.concatenate(([fdf(left)[0]], fs)) + 1.0
 
     # the root of F + 1 between anchors i and i + 1, where they bracket one
     lanes = np.flatnonzero((g[:-1] > 0) != (g[1:] > 0))
-    roots = _solve_all(f, lambda v, i: (v[0] + 1.0, v[1]), xs[lanes],
+    roots = _solve_all(fdf, lambda v, i: (v[0] + 1.0, v[1]), xs[lanes],
                        xs[lanes + 1], g[lanes], g[lanes + 1],
                        "flat locus root", lanes, count)
     ceiling = diri[-1]

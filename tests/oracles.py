@@ -5,6 +5,11 @@ oracle integrates the ODE with an adaptive Runge-Kutta scheme, the
 spectral oracle diagonalizes a finite-difference discretization, the
 Fourier oracle integrates by adaptive quadrature, and the mass oracle
 fits the dispersion curvature through the quasimomentum map alone.
+
+The one exception is `reference_jet`, a bit-level reference rather than
+an independent oracle: the product of 2x2 tuples by `_mul`/`_add` that
+the fused loop of `monodromy._product` replaced, over the package's own
+per-piece factors.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import eigsh
 
+from nanoband.monodromy import _factor, _factor_batch
 from nanoband.potential import PotentialSpec
 from nanoband.quasimomentum import k_eval
 
@@ -96,3 +102,36 @@ def mass_from_curvature(q, cfg, bs, n: int, sign: int,
     ys = np.asarray(ys)
     slope, intercept = np.polyfit(xs, ys, 1)
     return float(intercept)
+
+
+def _mul(a, b):
+    return (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+            a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
+
+
+def _add(a, b):
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
+
+
+def reference_jet(q: PotentialSpec, lam):
+    """(P, P', P'') as a product of row-major 2x2 tuples: per piece the
+    factor T = [[C, S], [-mu S, C]] and its mu-derivatives, then
+    P'' <- (T'' P + T P'') + 2 T' P', P' <- T' P + T P', P <- T P.
+    A float or a float64 array lam, as monodromy.transfer."""
+    factor = _factor_batch if isinstance(lam, np.ndarray) else _factor
+    p = (1.0, 0.0, 0.0, 1.0)
+    p1 = (0.0, 0.0, 0.0, 0.0)
+    p2 = (0.0, 0.0, 0.0, 0.0)
+    for w, v in q.pieces:
+        mu = lam - v
+        c, s, c1, s1, c2, s2 = factor(w, mu)
+        t = (c, s, -mu * s, c)
+        t1 = (c1, s1, -s - mu * s1, c1)
+        t2 = (c2, s2, -2.0 * s1 - mu * s2, c2)
+        cross = _mul(t1, p1)
+        p2 = _add(_add(_mul(t2, p), _mul(t, p2)),
+                  (2.0 * cross[0], 2.0 * cross[1],
+                   2.0 * cross[2], 2.0 * cross[3]))
+        p1 = _add(_mul(t1, p), _mul(t, p1))
+        p = _mul(t, p)
+    return p, p1, p2

@@ -227,16 +227,16 @@ def test_readme_commands_match_golden_bytes(golden, capsys):
 
 
 def test_dispersion_at_near_pure_point_edge_is_clean(capsys):
-    # at c = 1e-4 the edge computed by `bands` may sit a little outside
-    # the comb branch that k_eval clamps to; that must end as a CLI error
-    # (exit 1) or a value, never as an uncaught exception
+    # at c = 1e-4 the edge computed by `bands` sits a little outside the
+    # comb branch (xi ~ 1/c is steep), within the edge resolution that
+    # k_eval allows for: the dispersion there is a value
     a = repr(math.acos(1e-4))
     code, out, _ = run_cli(["bands", "--q", "two-step", "--a", a], capsys)
     assert code == 0
     edge = repr(json.loads(out)["result"]["gaps"][0]["lambda_minus"])
     code, out, err = run_cli(["dispersion", "--q", "two-step", "--a", a,
                               "--grid", f"{edge}:{edge}:1"], capsys)
-    assert code == 0 or "nanoband: error:" in err
+    assert code == 0, err
 
 
 def test_parser_serves_many_requests_in_one_process(capsys):

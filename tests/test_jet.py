@@ -1,0 +1,109 @@
+"""The fused, order-aware monodromy jet against the tuple product it
+replaced (`reference_jet` in tests/oracles.py): `transfer(q, lam, order)`
+is the first order + 1 matrices of the reference bit for bit (`repr`),
+on floats and on arrays.  Structures whose edges are solved with the
+order-1 evaluator `fdf` equal those solved with the full jet."""
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from nanoband import monodromy, spectrum
+from nanoband._rootfind import _LOCKSTEP_GAPS, comb_roots
+from nanoband.monodromy import hill_spectrum, transfer
+from nanoband.potential import make_potential
+from nanoband.spectrum import MagneticConfig, band_structure
+from oracles import reference_jet
+
+
+def _bits(jet):
+    """repr of a jet of floats or of arrays, exact to the last bit and
+    to the sign of zero."""
+    return repr([[np.asarray(e).tolist() for e in mat] for mat in jet])
+
+
+def _lams(q, rng):
+    """Spread points, the series window of every piece (mu = 0 and
+    mu = -+1e-7), the negative axis to -1e4, and a point where the
+    widest piece's cosh is still finite but the product overflows to
+    inf and nan (more than one piece)."""
+    vs = [v for _, v in q.pieces]
+    deep = -(705.0 / max(w for w, _ in q.pieces)) ** 2
+    return ([rng.uniform(-1e4, 3000.0) for _ in range(100)]
+            + vs + [v + 1e-7 for v in vs] + [v - 1e-7 for v in vs]
+            + [-1e4, -1e3, deep])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6, 64])
+def test_transfer_equals_reference_jet(m):
+    rng = random.Random(m)
+    q = make_potential([(rng.uniform(0.1, 1.0), rng.uniform(-30.0, 30.0))
+                        for _ in range(m)])
+    lams = _lams(q, rng)
+    for lam in lams:
+        want = reference_jet(q, lam)
+        for order in (0, 1, 2):
+            got = transfer(q, lam, order)
+            assert _bits(got) == _bits(want[:order + 1]), (m, lam, order)
+    arr = np.array(lams)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = reference_jet(q, arr)
+        if m > 1:  # the overflow case is reached
+            assert not all(np.isfinite(e[-1]) for mat in want for e in mat)
+        for order in (0, 1, 2):
+            got = transfer(q, arr, order)
+            assert len(got) == order + 1
+            assert _bits(got) == _bits(want[:order + 1]), (m, order)
+
+
+def test_transfer_at_signed_zero():
+    # a piece at v = 0 puts mu = +0.0 or -0.0 into the series window
+    for q in (make_potential("zero"), make_potential([(0.5, 0.0),
+                                                      (0.5, 2.0)])):
+        for lam in (0.0, -0.0):
+            want = reference_jet(q, lam)
+            for order in (0, 1, 2):
+                assert _bits(transfer(q, lam, order)) \
+                    == _bits(want[:order + 1])
+        arr = np.array([0.0, -0.0, 2.0])
+        assert _bits(transfer(q, arr)) == _bits(reference_jet(q, arr))
+
+
+def _drop_fdf(*args, fdf=None, **kwargs):
+    return comb_roots(*args, **kwargs)
+
+
+@pytest.mark.parametrize("depth", [20, 100])
+def test_edges_from_order_one_equal_full_jet(depth, monkeypatch):
+    # 20 gaps run one lane at a time, 100 gaps on the array-state engine
+    assert (depth < _LOCKSTEP_GAPS) == (depth == 20)
+    proj = make_potential(lambda t: 3.0 * math.cos(2.0 * math.pi * t)
+                          + math.sin(6.0 * math.pi * t), mesh=64)
+    cases = [(make_potential("two-step"), MagneticConfig(a=0.9)),
+             (make_potential("three-step"), MagneticConfig(a=2.2)),
+             (proj, MagneticConfig(a=0.4, N=4, j=3))]
+    assert cases[1][1].c_j < 0 and cases[2][1].c_j < 0
+    orders = []
+    jet = monodromy.transfer
+
+    def counted(q, lam, order=2):
+        orders.append(order)
+        return jet(q, lam, order)
+
+    def build():
+        orders.clear()
+        return ([repr(band_structure(q, cfg, depth)) for q, cfg in cases]
+                + [repr(hill_spectrum(q, depth)) for q, _ in cases],
+                orders.count(1), orders.count(2))
+
+    monkeypatch.setattr(monodromy, "transfer", counted)
+    with_fdf, order1, order2 = build()
+    monkeypatch.setattr(spectrum, "comb_roots", _drop_fdf)
+    monkeypatch.setattr(monodromy, "comb_roots", _drop_fdf)
+    without, order1_all, order2_all = build()
+    assert with_fdf == without
+    # the edges moved from the full jet to order 1, call for call
+    assert 0 < order2 < order2_all
+    assert order1 - order1_all == order2_all - order2

@@ -1,13 +1,15 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from nanoband._rootfind import _comb_k
+from nanoband._rootfind import SOLVE_XTOL, _comb_k, _edge_slack
 from nanoband.quasimomentum import (k_eval, verify_deep_asymptotics,
                                     verify_kprime_squared)
-from nanoband.spectrum import MagneticConfig, _xi_eff, bare_cosh_heights, xi
+from nanoband.spectrum import (MagneticConfig, _xi_eff, band_structure,
+                               bare_cosh_heights, xi)
 
 
 def test_k_value_in_first_band(zero_q):
@@ -183,3 +185,54 @@ def test_asymptotics_checks_match_pointwise_xi(two_step):
     ref = [_comb_k("below", 0, _xi_eff(qn, cfg, -y * y)[0]).imag - 2.0 * y
            - qn.q0 / y for y in ys]
     assert list(deep.const_estimates) == ref
+
+
+def test_k_eval_at_every_near_pure_point_edge(two_step):
+    # at c = 1e-4, xi ~ 1/c is steep: the structure's own edges sit
+    # up to ~1e-11 off the comb, beyond the 1e-12 clamp tolerance but
+    # within the edge resolution |xi'| SOLVE_XTOL max(1, |lam|)
+    cfg = MagneticConfig(a=math.acos(1e-4))
+    bs = band_structure(two_step, cfg, 5, include_flat=False)
+    assert not any(bs.degenerate)
+    k0 = k_eval(two_step, cfg, bs.lambda0, bs)
+    assert k0.imag == 0.0 and 0.0 <= k0.real < 1e-5
+    offside = 0
+    for n in range(1, 6):
+        for edge in (bs.minus[n - 1], bs.plus[n - 1]):
+            v, d1 = xi(two_step, cfg, edge)
+            offside += abs(abs(v) - 1.0) > 1e-12
+            assert abs(abs(v) - 1.0) <= 1e-12 + _edge_slack(edge, d1)
+            k = k_eval(two_step, cfg, edge, bs)
+            assert k.real == math.pi * n and 0.0 <= k.imag < 1e-5
+    assert offside  # the clamp tolerance alone would refuse some edge
+    edges = np.array([bs.lambda0, *bs.minus, *bs.plus])
+    assert [repr(k) for k in k_eval(two_step, cfg, edges, bs).tolist()] \
+        == [repr(complex(k_eval(two_step, cfg, x, bs)))
+            for x in edges.tolist()]
+
+
+def test_k_eval_refuses_values_beyond_the_edge_resolution(two_step):
+    # points r solver resolutions into gap 1, on a structure whose band 1
+    # is stretched over them: xi is off the band by about r times the
+    # slack; half a resolution is accepted, three are refused
+    cfg = MagneticConfig(a=math.acos(1e-4))
+    bs = band_structure(two_step, cfg, 5, include_flat=False)
+    edge = bs.minus[0]
+    res = SOLVE_XTOL * max(1.0, abs(edge))
+    for r, ok in ((0.5, True), (3.0, False)):
+        lam = edge + r * res
+        moved = dataclasses.replace(bs, minus=(lam + 1e-9, *bs.minus[1:]))
+        assert moved.locate(lam) == ("band", 1)
+        if ok:
+            assert k_eval(two_step, cfg, lam, moved) == math.pi
+        else:
+            with pytest.raises(ValueError, match="off the comb branch"):
+                k_eval(two_step, cfg, lam, moved)
+    # the slack only widens the accepted range
+    assert _comb_k("band", 1, 1.0 + 2e-12, 1e-9) == 0.0
+    with pytest.raises(ValueError):
+        _comb_k("band", 1, 1.0 + 2e-12)
+    with pytest.raises(ValueError):
+        _comb_k("band", 1, 1.0 + 2e-9, 1e-9)
+    for slack in (0.0, -1.0, math.nan):
+        assert _comb_k("gap", 2, 1.0 - 5e-13, slack) == 2.0 * math.pi

@@ -17,6 +17,20 @@ def test_magnetic_config_basics():
         MagneticConfig(a=0.1, N=0)
 
 
+def test_magnetic_config_phase_is_cached_outside_the_fields():
+    cfg = MagneticConfig(a=2.2, N=3, j=1)
+    fresh = MagneticConfig(a=2.2, N=3, j=1)
+    a_j = 2.2 + math.pi * 1 / 3
+    assert (cfg.a_j, cfg.c_j, cfg.s_j, cfg.c_abs) \
+        == (a_j, math.cos(a_j), math.sin(a_j), abs(math.cos(a_j)))
+    assert cfg.c_j is cfg.c_j  # computed once
+    assert cfg == fresh and hash(cfg) == hash(fresh)
+    assert repr(cfg) == repr(fresh) \
+        == "MagneticConfig(a=2.2, N=3, j=1, B=None)"
+    with pytest.raises(AttributeError):
+        cfg.a = 1.0
+
+
 def test_magnetic_config_from_field():
     cfg = MagneticConfig.from_field(B=2.0, N=4, j=1)
     ref = (3.0 * 2.0 / 16.0) / math.tan(math.pi / 8)
