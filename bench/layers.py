@@ -1,8 +1,9 @@
 """Layer timings of nanoband, written to BENCH_<tag>.json.
 
-Each quantity is measured RUNS (5) times, in interleaved rounds so
-that drift of the machine spreads over all of them, and reported as
-the median and quartiles of those runs, with the samples:
+Each quantity is measured RUNS (5) times, in rounds of one fresh
+subprocess each (after one warm-up of every quantity in that process),
+and reported as the median and quartiles of those runs, with the
+samples:
 
 * `band_structure` of the two-step potential at a = 0.9 with its flat
   bands, at n_max 200, 2000 and 20000 (s);
@@ -21,13 +22,24 @@ the median and quartiles of those runs, with the samples:
   `dispersion` and `oracle` commands end to end in a subprocess, output
   discarded (s).
 
+Beside the timings, `counts` holds the comb engine's work per gap for
+the two-step potential at a = 0.9 and n_max 20, 200, 2000 and 20000:
+the lambdas at which the monodromy jet is evaluated, counted by wrapping
+`monodromy.transfer`, split into critical points (the order-2 lambdas of
+`band_structure` without flat bands), edges (its order-1 lambdas: the
+lowest edge and both edges of every open gap) and Dirichlet roots
+(`dirichlet_spectrum`), each over n_max.  Every round counts them again
+and the run stops if they differ.
+
 The file also records the processor count and the Python and numpy
 versions.  Run it from the root of a checkout; --src picks the package
-to measure (default: ./src), so two checkouts can be compared on the
-same machine:
+to measure (default: ./src).  --base TAG SRC measures a second package
+in the same run, its rounds alternating with those of --src (which one
+goes first alternates too), so that drift of the machine falls on both
+alike, and writes BENCH_<TAG>.json for it as well:
 
     python bench/layers.py --tag change
-    python bench/layers.py --tag base --src ../base/src
+    python bench/layers.py --tag change --base parent ../parent/src
 """
 
 from __future__ import annotations
@@ -43,10 +55,11 @@ import subprocess
 import sys
 import time
 
-HERE = os.path.dirname(os.path.abspath(__file__))
+HERE = os.path.abspath(__file__)
 RUNS = 5
 DEPTHS = (200, 2000, 20000)
 DIRICHLET_DEPTHS = (200, 2000)
+COUNT_DEPTHS = (20, 200, 2000, 20000)
 SECTOR_N_MAX = 20
 SECTOR_BUILDS = 5  # structures per sample of the 20-gap layer
 JET_BATCH = 512
@@ -72,16 +85,9 @@ def _timed(fn) -> float:
     return time.perf_counter() - t
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--tag", required=True)
-    ap.add_argument("--src", default=os.path.join(os.path.dirname(HERE),
-                                                   "src"))
-    ap.add_argument("--out", default=HERE,
-                    help="directory for BENCH_<tag>.json (default: bench/)")
-    args = ap.parse_args(argv)
-    src = os.path.abspath(args.src)
-    sys.path.insert(0, src)
+def _cases(src: str) -> dict:
+    """name -> (unit, fn) for the package in src, fn returning one
+    sample."""
     import numpy as np
     import nanoband
     from nanoband.floquet_oracle import cross_validate
@@ -136,32 +142,120 @@ def main(argv=None) -> int:
             lambda: subprocess.run(
                 [sys.executable, "-m", "nanoband.cli", *command.split()],
                 env=env, check=True, stdout=subprocess.DEVNULL)))
+    return cases
 
-    for _, fn in cases.values():  # warm-up
+
+def _counts() -> dict:
+    """Jet lambdas per gap of the comb engine (see the module docstring),
+    counted through a wrapper of monodromy.transfer."""
+    import numpy as np
+    import nanoband
+    from nanoband import monodromy
+
+    two_step = nanoband.make_potential("two-step")
+    cfg = nanoband.MagneticConfig(a=0.9)
+    transfer = monodromy.transfer
+    seen = {}
+
+    def counted(q, lam, order=2):
+        seen[order] = seen.get(order, 0) + np.size(lam)
+        return transfer(q, lam, order)
+
+    out = {}
+    monodromy.transfer = counted
+    try:
+        for n in COUNT_DEPTHS:
+            seen.clear()
+            nanoband.band_structure(two_step, cfg, n, include_flat=False)
+            crit, edges = seen.get(2, 0), seen.get(1, 0)
+            seen.clear()
+            monodromy.dirichlet_spectrum(two_step, n)
+            for part, lams in (("criticals", crit), ("edges", edges),
+                               ("dirichlet", sum(seen.values()))):
+                out[f"evals_per_gap.n_max_{n}.{part}"] = lams / n
+    finally:
+        monodromy.transfer = transfer
+    return out
+
+
+def _round(src: str) -> dict:
+    """One round in this process: every case once to warm up, then one
+    sample of each, then the counts."""
+    sys.path.insert(0, src)
+    cases = _cases(src)
+    for _, fn in cases.values():
         fn()
-    samples = {name: [] for name in cases}
-    for _ in range(RUNS):
-        for name, (_, fn) in cases.items():
-            samples[name].append(fn())
+    return {"units": {name: unit for name, (unit, _) in cases.items()},
+            "samples": {name: fn() for name, (_, fn) in cases.items()},
+            "counts": _counts()}
 
+
+def _record(tag: str, rounds: list[dict], paired: str | None) -> dict:
+    import numpy as np
+
+    counts = rounds[0]["counts"]
+    if any(r["counts"] != counts for r in rounds):
+        raise SystemExit(f"{tag}: the counts differ between rounds")
+    units = rounds[0]["units"]
     record = {
-        "tag": args.tag,
+        "tag": tag,
         "machine": {"nproc": os.cpu_count(),
                     "python": platform.python_version(),
                     "numpy": np.__version__,
                     "platform": platform.platform()},
-        "runs": RUNS,
-        "metrics": {name: _summary(samples[name], unit)
-                    for name, (unit, _) in cases.items()},
+        "runs": len(rounds),
+        "metrics": {name: _summary([r["samples"][name] for r in rounds],
+                                   unit)
+                    for name, unit in units.items()},
+        "counts": counts,
     }
-    path = os.path.join(args.out, f"BENCH_{args.tag}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    for name, m in record["metrics"].items():
-        print(f"{name:45s} {m['median']:12.5g} {m['unit']}  "
-              f"(q1 {m['q1']:.5g}, q3 {m['q3']:.5g})")
-    print(f"wrote {path}")
+    if paired is not None:
+        record["interleaved_with"] = paired
+    return record
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--tag", required=True)
+    ap.add_argument("--src", default=os.path.join(
+        os.path.dirname(os.path.dirname(HERE)), "src"))
+    ap.add_argument("--base", nargs=2, metavar=("TAG", "SRC"),
+                    help="a second package to time in alternating rounds")
+    ap.add_argument("--out", default=os.path.dirname(HERE),
+                    help="directory for BENCH_<tag>.json (default: bench/)")
+    ap.add_argument("--round", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    src = os.path.abspath(args.src)
+    if args.round:
+        json.dump(_round(src), sys.stdout)
+        return 0
+
+    sides = [(args.tag, src)]
+    if args.base:
+        sides.append((args.base[0], os.path.abspath(args.base[1])))
+    rounds = {tag: [] for tag, _ in sides}
+    for r in range(RUNS):
+        for tag, path in sides[r % 2:] + sides[:r % 2]:
+            proc = subprocess.run(
+                [sys.executable, HERE, "--tag", tag, "--src", path,
+                 "--round"], check=True, capture_output=True, text=True)
+            rounds[tag].append(json.loads(proc.stdout))
+
+    records = [_record(tag, rounds[tag],
+                       next((t for t, _ in sides if t != tag), None))
+               for tag, _ in sides]
+    for record in records:
+        path = os.path.join(args.out, f"BENCH_{record['tag']}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(record, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print(f"== {record['tag']}")
+        for name, m in record["metrics"].items():
+            print(f"{name:45s} {m['median']:12.5g} {m['unit']}  "
+                  f"(q1 {m['q1']:.5g}, q3 {m['q3']:.5g})")
+        for name, value in record["counts"].items():
+            print(f"{name:45s} {value:12.5g} lambdas/gap")
+        print(f"wrote {path}")
     return 0
 
 

@@ -12,24 +12,33 @@ branch) and _depth_for says how many gaps cover a given lambda.
 The two control algorithms (solve_bracketed and find_sign_change) each
 exist once as a step generator (_solve_steps, _scan_steps) that yields
 the points it wants evaluated and receives the values: the scalar
-reference.  A structure describes each phase of its search as arrays of
-brackets, one lane per gap or edge, for one evaluator f that maps a float
-to a tuple of floats and a float64 array to a tuple of arrays:
-_critical_all (critical points), _roots_all (the zero nearest a guess)
-and _solve_all (zeros on known brackets).  Below _LOCKSTEP_GAPS gaps the
-lanes run one after another through the step generators on floats.  From
-there on the array-state engine (_scan_array, _solve_array) keeps every
-piece of solver state of up to _LANES live lanes in a float64 array and
-advances all of them with masked numpy steps, one call of f per step.
-It evaluates the same points and takes the same branches as the
-generators, and the evaluators return the scalar numbers bit for bit on
-arrays, so both ways give identical structures and raise the same
-RootBracketError, that of the lowest failing lane.
+reference.  The solve is rtsafe (Numerical Recipes 9.4): Newton steps
+that land in the closed bracket, so a converged iterate, which is itself
+a bracket end, ends the solve instead of being bisected away, and
+bisection otherwise.  It starts from a given point when that lies
+strictly inside the bracket and from the midpoint otherwise.  A
+structure describes each phase of its search as arrays of brackets, one
+lane per gap or edge, for one evaluator f that maps a float to a tuple
+of floats and a float64 array to a tuple of arrays: _critical_all
+(critical points), _roots_all (the zero nearest a guess, solved from the
+guess) and _solve_all (zeros on known brackets, from optional starts).
+Below _LOCKSTEP_GAPS gaps the lanes run one after another through the
+step generators on floats.  From there on the array-state engine
+(_scan_array, _solve_array) keeps every piece of solver state of up to
+_LANES live lanes in a float64 array and advances all of them with
+masked numpy steps, one call of f per step.  It evaluates the same
+points and takes the same branches as the generators, and the
+evaluators return the scalar numbers bit for bit on arrays, so both ways
+give identical structures and raise the same RootBracketError, that of
+the lowest failing lane.
 
 comb_roots reads f'' only at the critical points.  Its optional edge
 evaluator fdf returns (f, f') alone, the same numbers as the first two
 of f, and serves the lowest edge and the gap edges; the structures ask
-the monodromy jet for order 1 there and skip its second derivative.
+the monodromy jet for order 1 there and skip its second derivative.  Its
+optional edge_seed gives each gap-edge solve a start: band_structure
+passes the zero-potential edges shifted by q0, which lie O(1/n) from
+the edges, so a deep edge takes 3-4 evaluations.
 """
 
 from __future__ import annotations
@@ -61,11 +70,12 @@ SCAN_SAMPLES = 9
 _CLAMP_TOL = 1e-12
 
 # The array-state engine (_scan_array, _solve_array) runs from this many
-# gaps on.  A structure with its masses, best of 9: it was 2.9x (1-6
-# pieces) and 2.3x (64 pieces) slower than one lane at a time at 20 gaps,
-# broke even near 65 and 45 gaps, and was 1.2x and 1.8x faster at 70
-# gaps, 1.6x and 3.3x at 100.
-_LOCKSTEP_GAPS = 70
+# gaps on.  A structure with its masses (six potentials of 1-6 pieces, or
+# one of 64), best of 9, three runs on a 2-core machine: against one lane
+# at a time it was 1.3-1.5x (1-6 pieces) and 1.7-2.0x (64 pieces) slower
+# at 20 gaps, broke even near 35 and 40-50 gaps, and was 1.5-2.1x and
+# 1.2-1.3x faster at 60 gaps, 2.3-2.6x and 1.7-2.0x at 100.
+_LOCKSTEP_GAPS = 60
 # Live lanes of the engine, and points per call of the evaluator (_eval,
 # also for the masses).  perfbench deep-tables, 20 s, two runs each on a
 # 2-core machine: 256, 512 and 1024 lanes gave 4.2-5.4, 5.4-6.4 and
@@ -107,20 +117,27 @@ def solve_bracketed(fdf: Callable[[float], tuple[float, float | None]],
     """Safeguarded Newton/bisection solve of f(x)=0 on a sign-change bracket.
 
     fdf(x) returns (f(x), f'(x)); the derivative may be None, in which
-    case the solve is pure bisection.  Newton steps are taken while they
-    stay inside the bracket and make decent progress, with bisection as
-    the fallback; terminates when the step drops below the relative
-    tolerance SOLVE_XTOL, after which POLISH_STEPS unguarded Newton steps
-    push the root to machine accuracy.  The bracket sign invariant is
-    maintained throughout the main loop.
+    case the solve is pure bisection.  It starts at the midpoint (the
+    structures' lanes start at a guess inside the bracket instead, see
+    _solve_steps).  As in rtsafe (Numerical Recipes 9.4), a Newton step
+    is taken when it lands in the closed current bracket [lo, hi] and
+    makes decent progress, with bisection as the fallback.  The iterate
+    itself is a bracket end, so a Newton step that rounds back onto it
+    (a converged root) is accepted, not bisected away.  The main loop
+    ends when the step drops below the relative tolerance SOLVE_XTOL,
+    after which POLISH_STEPS unguarded Newton steps push the root to
+    machine accuracy.  The bracket sign invariant is maintained
+    throughout the main loop.
     """
     return _run(_solve_steps(_same, lo, hi, flo, fhi), fdf)
 
 
 def _solve_steps(pick, lo, hi, flo=None, fhi=None, what="bracketed solve",
-                 index=None):
+                 index=None, start=math.nan):
     """solve_bracketed as a step generator: yields x and reads fdf(x) as
-    pick of the value sent back.  A bracket without a sign change raises
+    pick of the value sent back, starting at `start` if it lies strictly
+    inside (lo, hi) and at the midpoint otherwise (nan: always the
+    midpoint).  A bracket without a sign change raises
     RootBracketError(what, index)."""
     if flo is None:
         flo = pick((yield lo))[0]
@@ -135,7 +152,7 @@ def _solve_steps(pick, lo, hi, flo=None, fhi=None, what="bracketed solve",
                                index)
     lo_pos = flo > 0
 
-    x = 0.5 * (lo + hi)
+    x = start if lo < start < hi else 0.5 * (lo + hi)
     fx, dfx = pick((yield x))
     dx_old = abs(hi - lo)
     dx = dx_old
@@ -147,7 +164,7 @@ def _solve_steps(pick, lo, hi, flo=None, fhi=None, what="bracketed solve",
         else:
             hi = x
         take_bisect = (dfx is None or dfx == 0.0
-                       or not (lo < x - fx / dfx < hi)
+                       or not (lo <= x - fx / dfx <= hi)
                        or abs(2.0 * fx) > abs(dx_old * dfx))
         dx_old = dx
         if take_bisect:
@@ -232,19 +249,22 @@ def _scan_steps(pick, lo, hi, prefer, what="sign change scan", index=None):
 
 
 def _solve_all(f: Callable, pick: Callable, lo, hi, flo, fhi, what: str,
-               index, count: int) -> np.ndarray:
+               index, count: int, start=None) -> np.ndarray:
     """The zero of g_i in each bracket [lo[i], hi[i]] whose ends have the
     values flo[i], fhi[i] (float64 arrays), where pick(f(x), index[i]) is
     (g_i(x), g_i'(x)) for the int array index; solved as solve_bracketed
-    does, one lane at a time below _LOCKSTEP_GAPS (= `count`) gaps and by
-    _solve_array from there on.  A bracket without a sign change raises
-    RootBracketError(what, index[i]) for the lowest such i."""
+    does from start[i] (a float64 array, or None: every lane from its
+    midpoint), one lane at a time below _LOCKSTEP_GAPS (= `count`) gaps
+    and by _solve_array from there on.  A bracket without a sign change
+    raises RootBracketError(what, index[i]) for the lowest such i."""
+    if start is None:
+        start = np.full(lo.shape, math.nan)
     if count < _LOCKSTEP_GAPS:
         return np.array([
-            _run(_solve_steps(lambda v, i=i: pick(v, i), *bracket, what, i),
-                 f)
-            for i, *bracket in zip(*(v.tolist()
-                                     for v in (index, lo, hi, flo, fhi)))])
+            _run(_solve_steps(lambda v, i=i: pick(v, i), *bracket, what, i,
+                              x0), f)
+            for i, *bracket, x0 in zip(*(v.tolist() for v in (
+                index, lo, hi, flo, fhi, start)))])
     bad = np.flatnonzero((flo != 0.0) & (fhi != 0.0)
                          & ((flo > 0) == (fhi > 0)))
     if bad.size:
@@ -252,28 +272,29 @@ def _solve_all(f: Callable, pick: Callable, lo, hi, flo, fhi, what: str,
         raise RootBracketError(f"{what}: no sign change on "
                                f"[{float(lo[i])}, {float(hi[i])}]",
                                int(index[i]))
-    return _solve_array(f, pick, lo, hi, flo, fhi, index)
+    return _solve_array(f, pick, lo, hi, flo, fhi, index, start)
 
 
 def _roots_all(f: Callable, pick: Callable, lo, hi, prefer, what: str,
                index, count: int) -> np.ndarray:
     """The zero of g_i nearest prefer[i] in [lo[i], hi[i]] for each i,
     widened as find_sign_change does (arguments as for _solve_all; from
-    _LOCKSTEP_GAPS gaps on by _scan_array and _solve_array).  If the
-    scans of some lanes fail, the lowest one's RootBracketError is
-    raised."""
+    _LOCKSTEP_GAPS gaps on by _scan_array and _solve_array).  The solve
+    of a lane starts at prefer[i] if that lies inside the bracket its
+    scan found.  If the scans of some lanes fail, the lowest one's
+    RootBracketError is raised."""
     if count < _LOCKSTEP_GAPS:
         out = []
         for i, *scan in zip(*(v.tolist() for v in (index, lo, hi, prefer))):
             g = lambda v, i=i: pick(v, i)
             bracket = _run(_scan_steps(lambda v: g(v)[0], *scan, what, i), f)
-            out.append(_run(_solve_steps(g, *bracket, what, i), f))
+            out.append(_run(_solve_steps(g, *bracket, what, i, scan[2]), f))
         return np.array(out)
     *bracket, failed = _scan_array(f, lambda v, i: pick(v, i)[0], lo, hi,
                                    prefer, index)
     if failed.size:
         raise RootBracketError(what, int(index[failed[0]]))
-    return _solve_array(f, pick, *bracket, index)
+    return _solve_array(f, pick, *bracket, index, prefer)
 
 
 def _critical_all(f: Callable, lo, hi, prefer, what: str, index,
@@ -350,14 +371,17 @@ def _scan_array(f, g, lo, hi, prefer, index):
     return (*out, live)
 
 
-def _solve_array(f, pick, lo, hi, flo, fhi, index):
+def _solve_array(f, pick, lo, hi, flo, fhi, index, start):
     """The array-state engine's _solve_steps: one float64 array per piece
     of solver state, the same points and branches, one call of f per
     step, and numpy's elementwise + - * /, abs and comparisons, which
     round as Python floats do.  Solves every lane of the float64 arrays
     lo, hi, flo, fhi (each bracket has a sign change or a zero end),
-    where pick(f(x), index) is (g, g').  At most _LANES lanes are live: a
-    finished lane's slot takes the next waiting one.  Each live lane's
+    where pick(f(x), index) is (g, g'), from start where that lies
+    strictly inside (lo, hi) and from the midpoint elsewhere (nan for no
+    start); the Newton test is rtsafe's closed one, as in _solve_steps.
+    At most _LANES lanes are live: a finished lane's slot takes the next
+    waiting one, from that lane's own start.  Each live lane's
     step counter k counts Newton/bisection steps up to SOLVE_MAXITER and
     polish steps above it; a converged lane jumps to SOLVE_MAXITER.
     Divisions by g' = 0 are masked where Python would not reach them,
@@ -366,7 +390,7 @@ def _solve_array(f, pick, lo, hi, flo, fhi, index):
     wait = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
     live, wait = wait[:_LANES].copy(), wait[_LANES:]
     a, b, lo_pos = lo[live], hi[live], flo[live] > 0
-    x = 0.5 * (a + b)
+    x = _start(a, b, start[live])
     dx = dx_old = np.abs(b - a)
     k = np.zeros(live.size, dtype=np.intp)
     while live.size:
@@ -381,7 +405,7 @@ def _solve_array(f, pick, lo, hi, flo, fhi, index):
             a = np.where(up, x, a)
             b = np.where(up, b, x)
             newton = x - step
-            halve = (~nz | ~((a < newton) & (newton < b))
+            halve = (~nz | ~((a <= newton) & (newton <= b))
                      | (np.abs(2.0 * fx) > np.abs(dx_old * dfx)))
             dx_old = dx
             dx = np.where(halve, 0.5 * (b - a), step)
@@ -402,7 +426,7 @@ def _solve_array(f, pick, lo, hi, flo, fhi, index):
         new, wait = wait[:slots.size], wait[slots.size:]
         s = slots[:new.size]
         live[s], a[s], b[s], lo_pos[s] = new, lo[new], hi[new], flo[new] > 0
-        x[s] = 0.5 * (a[s] + b[s])
+        x[s] = _start(a[s], b[s], start[new])
         dx[s] = dx_old[s] = np.abs(b[s] - a[s])
         k[s] = 0
         if new.size < slots.size:
@@ -411,6 +435,12 @@ def _solve_array(f, pick, lo, hi, flo, fhi, index):
             live, a, b, lo_pos, x, dx, dx_old, k = (
                 v[keep] for v in (live, a, b, lo_pos, x, dx, dx_old, k))
     return root
+
+
+def _start(lo, hi, start):
+    """Where the solves of the brackets [lo, hi] begin (float64 arrays):
+    start where it lies strictly inside, the midpoint elsewhere."""
+    return np.where((lo < start) & (start < hi), start, 0.5 * (lo + hi))
 
 
 @dataclass(frozen=True)
@@ -509,7 +539,9 @@ class CombRoots:
 def comb_roots(f: Callable, n_max: int,
                crit_window: Callable[[int], tuple[float, float]],
                lambda0_seed: float,
-               what: str = "comb", fdf: Callable | None = None) -> CombRoots:
+               what: str = "comb", fdf: Callable | None = None,
+               edge_seed: Callable[[int], tuple[float, float]] | None = None
+               ) -> CombRoots:
     """Compute edges/criticals of a comb discriminant.
 
     f(lam) returns (f, f', f''), on a float or a float64 array (see
@@ -520,7 +552,11 @@ def comb_roots(f: Callable, n_max: int,
     found first, then the lowest edge, then both edges of every open gap
     together.  The edges read only (f, f'): fdf, if given, returns those
     two (the same numbers as the first two of f) and serves every edge
-    evaluation, so an evaluator can skip f'' there.
+    evaluation, so an evaluator can skip f'' there.  edge_seed(n), if
+    given, is a guess (minus_n, plus_n) at the edges of gap n: each edge
+    solve starts there when the guess lies inside its bracket [crit_{n-1},
+    crit_n] or [crit_n, crit_{n+1}], so it saves steps but cannot change
+    which root is found.
     """
     if fdf is None:
         fdf = f
@@ -558,13 +594,15 @@ def comb_roots(f: Callable, n_max: int,
     # together, the lower edge of a gap first
     f0 = fdf(lam0)[0] if g[:1].tolist() == [0] else math.nan
     below = np.concatenate(([lam0], crit)), np.concatenate(([f0], fcrit))
+    seeds = None if edge_seed is None else np.array(
+        [edge_seed(n) for n in (g + 1).tolist()], dtype=float).ravel()
     roots = _solve_all(
         fdf, lambda v, n: (_parity(n) * v[0] - 1.0, _parity(n) * v[1]),
         *(np.column_stack(pair).ravel() for pair in (
             (below[0][g], crit[g]), (crit[g], crit[g + 1]),
             (t[g] * below[1][g] - 1.0, d[g]),
             (d[g], t[g] * fcrit[g + 1] - 1.0))),
-        f"{what}: gap edge", np.repeat(g + 1, 2), n_max)
+        f"{what}: gap edge", np.repeat(g + 1, 2), n_max, seeds)
     lo, hi = roots[0::2], roots[1::2]
     wide = ~(hi - lo < GAP_WIDTH_TOL * np.fmax(1.0, np.abs(lo)))
     escaped = wide & ~((lo - 1e-9 <= crit[g]) & (crit[g] <= hi + 1e-9))

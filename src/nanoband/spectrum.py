@@ -228,8 +228,9 @@ def band_structure(q: PotentialSpec, cfg: MagneticConfig, n_max: int,
                    include_flat: bool = True) -> BandStructure:
     """All band edges, critical points and heights through gap n_max.
 
-    Brackets are seeded by the zero-potential closed forms shifted by q0;
-    a RootBracketError carries the offending index if expansion fails.
+    Brackets are seeded by the zero-potential closed forms shifted by q0,
+    and so are the starts of the edge solves; a RootBracketError carries
+    the offending index if expansion fails.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -245,9 +246,15 @@ def band_structure(q: PotentialSpec, cfg: MagneticConfig, n_max: int,
         zr = 0.5 * (_bare_z(phases, n, +1) + _bare_z(phases, n + 1, -1))
         return zl * zl + q0, zr * zr + q0
 
+    def edge_seed(n: int) -> tuple[float, float]:
+        # the zero-potential edges of gap n, shifted by q0
+        return (_bare_z(phases, n, -1) ** 2 + q0,
+                _bare_z(phases, n, +1) ** 2 + q0)
+
     roots = comb_roots(lambda lam: _xi_eff(q, cfg, lam), n_max, window,
                        bare_edge(c, 0, +1) + q0, what="band structure",
-                       fdf=lambda lam: _xi_eff(q, cfg, lam, 1))
+                       fdf=lambda lam: _xi_eff(q, cfg, lam, 1),
+                       edge_seed=edge_seed)
     flats = monodromy.dirichlet_spectrum(q, n_max) if include_flat else ()
     return BandStructure(q=q, cfg=cfg, flat_bands=flats,
                          xi_sign=math.copysign(1.0, cfg.c_j), **vars(roots))

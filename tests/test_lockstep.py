@@ -208,6 +208,21 @@ def test_lockstep_keeps_at_most_the_lane_window_live(monkeypatch):
                                        count).tolist()
 
 
+def test_seeded_lanes_agree_on_both_engines(monkeypatch):
+    # more lanes than _LANES, so finished slots are refilled, each from
+    # its own start: near the root, off it, outside the bracket, or none
+    count = _rootfind._LANES + 37
+    idx = np.arange(count)
+    lo, hi = idx - 0.2, idx + 0.9
+    c = idx + 0.3
+    start = c + np.array([1e-9, 0.25, -0.4, 5.0, math.nan])[idx % 5]
+    deep, scalar = _both(monkeypatch, lambda: _solve_all(
+        _cube, _cube_root_at, lo, hi, lo ** 3 - c ** 3, hi ** 3 - c ** 3,
+        "cube", idx, count, start).tolist())
+    assert deep == scalar
+    assert np.allclose(deep, c, rtol=1e-12, atol=0.0)
+
+
 def test_scans_take_the_sign_change_nearest_the_guess(monkeypatch):
     # sin over four periods from 0.5 has the same sign at both ends: the
     # zero nearest each guess wins; the last lanes' windows hold no zero

@@ -1,0 +1,81 @@
+"""The safeguarded Newton solver: a Newton step that rounds back onto the
+iterate ends the solve instead of bisecting the rest of the bracket, a
+start point inside the bracket is where the solve begins (the midpoint
+otherwise), and deep gap edges started at their seeds take few steps.
+tests/test_lockstep.py checks that seeded lanes agree on both engines."""
+
+import math
+
+import numpy as np
+import pytest
+
+from nanoband import monodromy
+from nanoband._rootfind import _LOCKSTEP_GAPS, _solve_all, solve_bracketed
+from nanoband.potential import make_potential
+from nanoband.spectrum import MagneticConfig, band_structure
+
+
+class _Counted:
+    """f = cos with f' = -sin, through math one point at a time (so an
+    array gives the numbers of its entries bit for bit), recording every
+    point it is asked for."""
+
+    def __init__(self):
+        self.points = []
+
+    def __call__(self, x):
+        if isinstance(x, np.ndarray):
+            return tuple(np.array(col) for col in zip(*map(self, x.tolist())))
+        self.points.append(x)
+        return math.cos(x), -math.sin(x)
+
+
+def _solve_cos(count, start=None):
+    """The zero of cos on [1, 2] through _solve_all: one lane, on the array
+    engine when count reaches _LOCKSTEP_GAPS, with the points evaluated."""
+    f = _Counted()
+    lo, hi = np.array([1.0]), np.array([2.0])
+    root = _solve_all(f, lambda v, i: v, lo, hi, np.cos(lo), np.cos(hi),
+                      "cos", np.array([1]), count, start)
+    return root.tolist(), f.points
+
+
+def test_converged_newton_step_ends_the_solve():
+    # Newton reaches pi/2 at the sixth point; the next step rounds back
+    # onto it, and an open bracket test would bisect the rest of [1, 2]
+    # down to the step tolerance instead (37 points in all)
+    f = _Counted()
+    assert solve_bracketed(f, 1.0, 2.0) == math.pi / 2
+    assert len(f.points) <= 10
+    for count in (1, _LOCKSTEP_GAPS):
+        root, points = _solve_cos(count)
+        assert root == [math.pi / 2]
+        assert len(points) <= 10
+
+
+@pytest.mark.parametrize("count", [1, _LOCKSTEP_GAPS])
+def test_start_inside_the_bracket_is_the_first_point(count):
+    for start, first in ((1.55, 1.55), (0.5, 1.5), (2.0, 1.5), (1.0, 1.5),
+                         (math.nan, 1.5)):
+        root, points = _solve_cos(count, np.array([start]))
+        assert root == [math.pi / 2]
+        assert points[0] == first, start
+
+
+def test_deep_gap_edges_take_few_evaluations(monkeypatch):
+    # the edges ask the jet for order 1 and the critical points for order
+    # 2, so the order-1 lambdas of a build are its edge evaluations
+    edge_lams = []
+    transfer = monodromy.transfer
+
+    def counted(q, lam, order=2):
+        if order == 1:
+            edge_lams.append(np.size(lam))
+        return transfer(q, lam, order)
+
+    monkeypatch.setattr(monodromy, "transfer", counted)
+    bs = band_structure(make_potential("two-step"), MagneticConfig(a=0.9),
+                        2000, include_flat=False)
+    edges = 2 * len(bs.open_gaps())
+    assert edges > 3000
+    assert sum(edge_lams) / edges <= 6.0
