@@ -9,9 +9,9 @@ is subclassed by monodromy.HillSpectrum and spectrum.BandStructure;
 _comb_k maps a discriminant value onto the comb (the quasimomentum
 branch) and _depth_for says how many gaps cover a given lambda.
 
-The two control algorithms (solve_bracketed and find_sign_change) each
-exist once as a step generator (_solve_steps, _scan_steps) that yields
-the points it wants evaluated and receives the values: the scalar
+The two control algorithms (solve_bracketed and the sign-change scan)
+exist once each as step generators (_solve_steps, _scan_steps) that
+yield the points they want evaluated and receive the values: the scalar
 reference.  The solve is rtsafe (Numerical Recipes 9.4): Newton steps
 that land in the closed bracket, so a converged iterate, which is itself
 a bracket end, ends the solve instead of being bisected away, and
@@ -32,12 +32,13 @@ evaluators return the scalar numbers bit for bit on arrays, so both ways
 give identical structures and raise the same RootBracketError, that of
 the lowest failing lane.
 
-comb_roots reads f'' only at the critical points.  Its optional edge
-evaluator fdf returns (f, f') alone, the same numbers as the first two
-of f, and serves the lowest edge and the gap edges; the structures ask
-the monodromy jet for order 1 there and skip its second derivative.  Its
-optional edge_seed gives each gap-edge solve a start: band_structure
-passes the zero-potential edges shifted by q0, which lie O(1/n) from
+comb_roots takes its inputs as arrays: the critical windows of every
+gap and, optionally, a start for every gap-edge solve.  It reads f''
+only at the critical points; its edge evaluator fdf returns (f, f')
+alone, the same numbers as the first two of f, and serves the lowest
+edge and the gap edges, so the structures ask the monodromy jet for
+order 1 there and skip its second derivative.  band_structure passes
+the zero-potential edges shifted by q0 as starts, which lie O(1/n) from
 the edges, so a deep edge takes 3-4 evaluations.
 """
 
@@ -63,7 +64,7 @@ MAX_DOUBLINGS = 8
 SOLVE_XTOL = 1e-13
 SOLVE_MAXITER = 100
 POLISH_STEPS = 2
-# find_sign_change: samples across the interval per attempt
+# _scan_steps: samples across the interval per attempt
 SCAN_SAMPLES = 9
 
 # Domain slack allowed when clamping arccos/arccosh arguments onto the comb.
@@ -105,11 +106,6 @@ def _run(steps, f: Callable):
         return stop.value
 
 
-def _same(v):
-    """The pick of callables that already return what the algorithm reads."""
-    return v
-
-
 def solve_bracketed(fdf: Callable[[float], tuple[float, float | None]],
                     lo: float, hi: float,
                     flo: float | None = None,
@@ -129,7 +125,7 @@ def solve_bracketed(fdf: Callable[[float], tuple[float, float | None]],
     machine accuracy.  The bracket sign invariant is maintained
     throughout the main loop.
     """
-    return _run(_solve_steps(_same, lo, hi, flo, fhi), fdf)
+    return _run(_solve_steps(lambda v: v, lo, hi, flo, fhi), fdf)
 
 
 def _solve_steps(pick, lo, hi, flo=None, fhi=None, what="bracketed solve",
@@ -205,22 +201,16 @@ def expand_left(f: Callable[[float], float], start: float, step: float,
     raise RootBracketError(what, 0)
 
 
-def find_sign_change(f: Callable[[float], float], lo: float, hi: float,
-                     prefer: float, what: str = "sign change scan",
-                     index: int | None = None) -> tuple[float, float, float, float]:
-    """Locate a sign-change subinterval of f on [lo, hi].
+def _scan_steps(pick, lo, hi, prefer, what="sign change scan", index=None):
+    """Locate a sign-change subinterval of f on [lo, hi], as a step
+    generator: yields x and reads f(x) as pick of the value sent back.
 
     Endpoints are tried first; on failure SCAN_SAMPLES points across the
     interval are tried and, if still single-signed, the interval is
     geometrically widened around `prefer` (up to MAX_DOUBLINGS).  Among
-    several sign changes the one closest to `prefer` wins.
+    several sign changes the one closest to `prefer` wins.  Returns
+    (lo, hi, f(lo), f(hi)) of that subinterval.
     """
-    return _run(_scan_steps(_same, lo, hi, prefer, what, index), f)
-
-
-def _scan_steps(pick, lo, hi, prefer, what="sign change scan", index=None):
-    """find_sign_change as a step generator: yields x and reads f(x) as
-    pick of the value sent back."""
     span = hi - lo
     for attempt in range(MAX_DOUBLINGS + 1):
         flo = pick((yield lo))
@@ -278,7 +268,7 @@ def _solve_all(f: Callable, pick: Callable, lo, hi, flo, fhi, what: str,
 def _roots_all(f: Callable, pick: Callable, lo, hi, prefer, what: str,
                index, count: int) -> np.ndarray:
     """The zero of g_i nearest prefer[i] in [lo[i], hi[i]] for each i,
-    widened as find_sign_change does (arguments as for _solve_all; from
+    widened as _scan_steps does (arguments as for _solve_all; from
     _LOCKSTEP_GAPS gaps on by _scan_array and _solve_array).  The solve
     of a lane starts at prefer[i] if that lies inside the bracket its
     scan found.  If the scans of some lanes fail, the lowest one's
@@ -304,8 +294,6 @@ def _critical_all(f: Callable, lo, hi, prefer, what: str, index,
     (f, f', f'')."""
     xs = _roots_all(f, lambda v, i: (v[1], v[2]), lo, hi, prefer, what,
                     index, count)
-    if count < _LOCKSTEP_GAPS:
-        return xs, np.array([f(x)[0] for x in xs.tolist()])
     return xs, _eval(f, xs)[0]
 
 
@@ -536,35 +524,31 @@ class CombRoots:
         return ("gap", (i + 1) // 2)
 
 
-def comb_roots(f: Callable, n_max: int,
-               crit_window: Callable[[int], tuple[float, float]],
-               lambda0_seed: float,
-               what: str = "comb", fdf: Callable | None = None,
-               edge_seed: Callable[[int], tuple[float, float]] | None = None
-               ) -> CombRoots:
+def comb_roots(f: Callable, fdf: Callable, lo: np.ndarray, hi: np.ndarray,
+               lambda0_seed: float, edge_seeds: np.ndarray | None = None,
+               what: str = "comb") -> CombRoots:
     """Compute edges/criticals of a comb discriminant.
 
     f(lam) returns (f, f', f''), on a float or a float64 array (see
     _solve_all).  Edges with index n satisfy f = (-1)^n; the critical
-    point of gap n is the unique zero of f' in [minus_n, plus_n].
-    crit_window(n) seeds the search for that zero (an interval straddling
-    the n-th gap, clear of adjacent criticals).  Every critical point is
-    found first, then the lowest edge, then both edges of every open gap
-    together.  The edges read only (f, f'): fdf, if given, returns those
-    two (the same numbers as the first two of f) and serves every edge
-    evaluation, so an evaluator can skip f'' there.  edge_seed(n), if
-    given, is a guess (minus_n, plus_n) at the edges of gap n: each edge
-    solve starts there when the guess lies inside its bracket [crit_{n-1},
-    crit_n] or [crit_n, crit_{n+1}], so it saves steps but cannot change
-    which root is found.
+    point of gap n is the unique zero of f' in [minus_n, plus_n].  The
+    float64 arrays lo and hi hold the windows [lo[n-1], hi[n-1]] that
+    seed the search for that zero, each straddling gap n, clear of the
+    adjacent criticals, for gaps n = 1 .. n_max + 1 (n_max = lo.size - 1;
+    the extra gap is a right anchor).  Every critical point is found
+    first, then the lowest edge, then both edges of every open gap
+    together.  The edges read only (f, f'): fdf returns those two (the
+    same numbers as the first two of f) and serves every edge
+    evaluation, so an evaluator can skip f'' there.  edge_seeds, if
+    given, is an (n_max, 2) array of guesses (minus_n, plus_n) at the
+    edges of gap n in row n - 1: each edge solve starts there when the
+    guess lies inside its bracket [crit_{n-1}, crit_n] or [crit_n,
+    crit_{n+1}], so it saves steps but cannot change which root is found.
     """
-    if fdf is None:
-        fdf = f
-    # critical points for gaps 1 .. n_max+1 (one extra as a right anchor),
-    # with f there: it sets the heights and the bracket ends of the edges
+    n_max = lo.size - 1
+    # critical points for gaps 1 .. n_max+1, with f there: it sets the
+    # heights and the bracket ends of the edges
     ns = np.arange(1, n_max + 2)
-    lo, hi = np.array([crit_window(n) for n in range(1, n_max + 2)],
-                      dtype=float).T
     crit, fcrit = _critical_all(f, lo, hi, 0.5 * (lo + hi),
                                 f"{what}: critical point", ns, n_max)
 
@@ -594,8 +578,7 @@ def comb_roots(f: Callable, n_max: int,
     # together, the lower edge of a gap first
     f0 = fdf(lam0)[0] if g[:1].tolist() == [0] else math.nan
     below = np.concatenate(([lam0], crit)), np.concatenate(([f0], fcrit))
-    seeds = None if edge_seed is None else np.array(
-        [edge_seed(n) for n in (g + 1).tolist()], dtype=float).ravel()
+    seeds = None if edge_seeds is None else edge_seeds[g].ravel()
     roots = _solve_all(
         fdf, lambda v, n: (_parity(n) * v[0] - 1.0, _parity(n) * v[1]),
         *(np.column_stack(pair).ravel() for pair in (

@@ -11,7 +11,8 @@ operations check, numerically and with explicit tail handling:
   * the trace identity  mu_0 + sum_n (mu_n^+ + mu_n^-) = 2;
   * the partial-fraction expansion of k'(lambda)^2 over all edges;
   * the per-edge series  mu = 2 sum 1/(opposite-parity edges - edge);
-  * the large-n asymptotics of mu against the zero-potential values.
+  * the large-n asymptotics of mu against the zero-potential values
+    (bare_mass, which takes one gap index or an int array of them).
 
 Series are summed with the paired regrouping (pair the two edges of each
 gap first); raw term-by-term summation of the partial-fraction series is
@@ -26,33 +27,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectrum as _spec
-from ._rootfind import _eval
+from ._rootfind import _eval, _parity
 from .potential import PotentialSpec
-from .spectrum import (BandStructure, MagneticConfig, _bare_z, d2F0,
-                       _gap_phases, _sin2z_over_z)
+from .spectrum import (BandStructure, MagneticConfig, bare_edge,
+                       bare_edge_z, d2F0, _sin2z_over_z)
 
 
-def bare_mass(c: float, n: int, sign: int) -> float:
+def bare_mass(c: float, n: int | np.ndarray, sign: int
+              ) -> float | np.ndarray:
     """Zero-potential effective mass at edge (n, sign), c in (0, 1].
 
     mu_n = (9 (-1)^n / 8c) * sin(2 z_n) / z_n at the bare edge z_n;
     degenerate gaps give exactly 0.  n = 0 admits only sign +1 and is
     positive (a sinc limit handles the c -> 1 edge where the phase -> 0).
+    n is an int or an array of gap indices n >= 1; an int gives a float,
+    an array a float64 array, with libm's sin taken one z at a time as
+    in monodromy._factor_batch.
     """
-    return _bare_mass(c, _gap_phases(c), n, sign)
-
-
-def _bare_mass(c: float, phases: tuple[float, float], n: int,
-               sign: int) -> float:
-    """bare_mass with the gap phases of c given."""
+    z = bare_edge_z(c, n, sign)
+    scale = 9.0 * _parity(n) / (8.0 * c)
+    if isinstance(n, np.ndarray):
+        sin = np.fromiter(map(math.sin, (2.0 * z).tolist()), float, z.size)
+        return scale * sin / z
     if n == 0:
-        if sign < 0:
-            raise ValueError("the lowest edge only exists with sign +1")
-        ph = phases[0]
-        return (9.0 / (8.0 * c)) * _sin2z_over_z(ph * ph)
-    z = _bare_z(phases, n, sign)
-    return (9.0 * (1.0 if n % 2 == 0 else -1.0) / (8.0 * c)) \
-        * math.sin(2.0 * z) / z
+        return scale * _sin2z_over_z(z * z)
+    return scale * math.sin(2.0 * z) / z
 
 
 @dataclass(frozen=True)
@@ -87,33 +86,25 @@ def effective_masses(bs: BandStructure) -> MassTable:
     edge of bs; zeros at degenerate gaps."""
     q, cfg = bs.q, bs.cfg
     c = cfg.c_abs
-    open_gaps = bs.open_gaps()
-    lams = [bs.lambda0]
-    for n in open_gaps:
-        lams += (bs.plus[n - 1], bs.minus[n - 1])
+    closed = np.array(bs.degenerate)
+    g = np.flatnonzero(~closed)  # open gaps, as n - 1
+    edges = np.column_stack((np.array(bs.plus)[g], np.array(bs.minus)[g]))
     # F' at _rootfind._LANES (512) edges per call.  At the 4801 edges of a
     # 2400-gap structure one array for all of them was no faster beyond
     # noise (best of 9: 3.7-5.6 ms against 4.4-4.5 ms) but raised the
     # allocation peak from 0.3 to 1.8 MB (tracemalloc)
     d1 = _eval(lambda x: _spec.F_with_derivs(q, x, 1),
-               np.array(lams))[1].tolist()
-    mu0 = -d1[0] / c
-    plus = [0.0] * bs.n_max
-    minus = [0.0] * bs.n_max
-    for i, n in enumerate(open_gaps):
-        t = -1.0 if n % 2 else 1.0
-        plus[n - 1] = -t * d1[2 * i + 1] / c
-        minus[n - 1] = -t * d1[2 * i + 2] / c
-    phases = _gap_phases(c)
-    bare_p = tuple(0.0 if bs.degenerate[n - 1]
-                   else _bare_mass(c, phases, n, +1)
-                   for n in range(1, bs.n_max + 1))
-    bare_m = tuple(0.0 if bs.degenerate[n - 1]
-                   else _bare_mass(c, phases, n, -1)
-                   for n in range(1, bs.n_max + 1))
-    return MassTable(cfg=cfg, mu0=mu0, plus=tuple(plus), minus=tuple(minus),
-                     bare_mu0=_bare_mass(c, phases, 0, +1),
-                     bare_plus=bare_p, bare_minus=bare_m)
+               np.concatenate(([bs.lambda0], edges.ravel())))[1]
+    mu = np.zeros((bs.n_max, 2))  # columns plus, minus
+    mu[g] = -_parity(g + 1)[:, None] * d1[1:].reshape(-1, 2) / c
+    ns = np.arange(1, bs.n_max + 1)
+    bare_p, bare_m = (np.where(closed, 0.0, bare_mass(c, ns, sign)).tolist()
+                      for sign in (+1, -1))
+    return MassTable(cfg=cfg, mu0=float(-d1[0] / c),
+                     plus=tuple(mu[:, 0].tolist()),
+                     minus=tuple(mu[:, 1].tolist()),
+                     bare_mu0=bare_mass(c, 0, +1), bare_plus=tuple(bare_p),
+                     bare_minus=tuple(bare_m))
 
 
 # ----------------------------------------------------------------------
@@ -315,30 +306,22 @@ def verify_mass_asymptotics(mt: MassTable, bs: BandStructure,
     curvature correction (d2F0 at the bare edge) * eps / c, where
     eps = edge - bare edge - q0."""
     c = bs.cfg.c_abs
-    q0 = bs.q.q0
-    phases = _gap_phases(c)
-    ns, ep, em, rp, rm = [], [], [], [], []
-    for n in n_range:
-        if n < 1 or n > bs.n_max:
-            raise ValueError(f"n={n} outside the computed range")
-        sgn_corr = 1.0 if n % 2 else -1.0  # (-1)^(n+1)
-        row = []
-        for sign, edges, mus, out_e, out_r in (
-                (+1, bs.plus, mt.plus, ep, rp),
-                (-1, bs.minus, mt.minus, em, rm)):
-            z = _bare_z(phases, n, sign)
-            bare_l = z * z
-            eps = edges[n - 1] - bare_l - q0
-            pred = (_bare_mass(c, phases, n, sign)
-                    + sgn_corr * d2F0(bare_l) * eps / c)
-            out_e.append(eps)
-            out_r.append(mus[n - 1] - pred)
-        ns.append(n)
-    n3p = tuple(n ** 3 * r for n, r in zip(ns, rp))
-    n3m = tuple(n ** 3 * r for n, r in zip(ns, rm))
+    ns = np.array(list(n_range), dtype=int)
+    outside = ns[(ns < 1) | (ns > bs.n_max)]
+    if outside.size:
+        raise ValueError(f"n={outside[0]} outside the computed range")
+    sgn_corr = -_parity(ns)  # (-1)^(n+1)
+    eps, r = [], []
+    for sign, edges, mus in ((+1, bs.plus, mt.plus), (-1, bs.minus, mt.minus)):
+        bare_l = bare_edge(c, ns, sign)
+        eps.append(np.array(edges)[ns - 1] - bare_l - bs.q.q0)
+        pred = bare_mass(c, ns, sign) + sgn_corr * d2F0(bare_l) * eps[-1] / c
+        r.append(np.array(mus)[ns - 1] - pred)
+    ep, em, rp, rm = (tuple(v.tolist()) for v in eps + r)
+    n3p, n3m = (tuple((ns ** 3 * v).tolist()) for v in r)
     nonzero = [abs(x) for x in n3p + n3m if x != 0.0]
     ratio = (max(nonzero) / min(nonzero)) if nonzero else 1.0
     return MassAsymptoticsReport(
-        ns=tuple(ns), eps_plus=tuple(ep), eps_minus=tuple(em),
-        r_plus=tuple(rp), r_minus=tuple(rm), n3r_plus=n3p, n3r_minus=n3m,
+        ns=tuple(ns.tolist()), eps_plus=ep, eps_minus=em, r_plus=rp,
+        r_minus=rm, n3r_plus=n3p, n3r_minus=n3m,
         bounded_ratio=ratio, weak_even_correction=abs(c - 1.0) < 1e-12)

@@ -15,7 +15,7 @@ carried through the product exactly.
 returns the jet (P, P', P'') through `order`: order 0 builds P alone,
 order 1 adds P', order 2 (the default) adds P''.  Callers ask for the
 least they read: critical points need P'', edges, Dirichlet roots and
-masses P', quasimomentum values P.  `_product` is one loop over the
+masses P', quasimomentum values P.  Its body is one loop over the
 pieces that keeps the twelve entries of the jet in local variables and
 writes the steps P'' <- (T'' P + T P'') + 2 T' P', P' <- T' P + T P' and
 P <- T P out entry by entry, with the additions and multiplications of
@@ -29,7 +29,7 @@ root engine of `_rootfind` (deep structures, see _LOCKSTEP_GAPS there)
 passes an array once per solver step.  An array gives the same numbers
 as one lambda at a time, bit for bit: numpy's elementwise + - * / and
 sqrt round exactly like Python floats, both kinds share `_closed_form`
-and the loop of `_product`, cos/sin/cosh/sinh go through `math` one
+and the loop of `transfer`, cos/sin/cosh/sinh go through `math` one
 lambda at a time (numpy's versions can differ from libm in the last
 bit), and lanes in the series window |mu| <= _SERIES_CUT are computed by
 `_factor` itself.
@@ -122,12 +122,16 @@ def _factor_batch(w: float, mu: np.ndarray, order: int = 2) -> Factor:
     return out
 
 
-def _product(q: PotentialSpec, lam, order: int):
-    """The jet (P, P', P'') of the product over the pieces of q through
-    `order`, each factor by _factor for one lambda and by _factor_batch
-    for a float64 array.  The steps P'' <- (T'' P + T P'') + 2 (T' P'),
-    P' <- T' P + T P' and P <- T P are written out entry by entry, each
-    2x2 product and sum with its operations in the usual order."""
+def transfer(q: PotentialSpec, lam: float | np.ndarray, order: int = 2
+             ) -> tuple[Mat, ...]:
+    """Monodromy matrix over one period with its lambda-derivatives.
+
+    Returns the jet through `order` (0, 1 or 2): (P,), (P, dP) or
+    (P, dP, d2P), each row-major (theta1, phi1, theta1', phi1').  For a
+    float64 array lam each matrix entry is an array of the values at its
+    entries.  Each factor comes from _factor for one lambda and from
+    _factor_batch for an array.
+    """
     factor = _factor_batch if isinstance(lam, np.ndarray) else _factor
     a, b, c, d = 1.0, 0.0, 0.0, 1.0  # P, row-major
     a1 = b1 = c1 = d1 = a2 = b2 = c2 = d2 = 0.0  # P', P''
@@ -156,18 +160,6 @@ def _product(q: PotentialSpec, lam, order: int):
         a, b, c, d = (tc * a + ts * c, tc * b + ts * d,
                       tm * a + tc * c, tm * b + tc * d)
     return ((a, b, c, d), (a1, b1, c1, d1), (a2, b2, c2, d2))[:order + 1]
-
-
-def transfer(q: PotentialSpec, lam: float | np.ndarray, order: int = 2
-             ) -> tuple[Mat, ...]:
-    """Monodromy matrix over one period with its lambda-derivatives.
-
-    Returns the jet through `order` (0, 1 or 2): (P,), (P, dP) or
-    (P, dP, d2P), each row-major (theta1, phi1, theta1', phi1').  For a
-    float64 array lam each matrix entry is an array of the values at its
-    entries.
-    """
-    return _product(q, lam, order)
 
 
 @dataclass(frozen=True)
@@ -251,13 +243,8 @@ def hill_spectrum(q: PotentialSpec, n_max: int) -> HillSpectrum:
     def f(lam, order=2):
         return tuple(0.5 * (p[0] + p[3]) for p in transfer(q, lam, order))
 
-    def window(n: int) -> tuple[float, float]:
-        zl = math.pi * (n - 0.5)
-        zr = math.pi * (n + 0.5)
-        return zl * zl + q0, zr * zr + q0
-
-    roots = comb_roots(f, n_max, window, q0, what="hill",
-                       fdf=lambda lam: f(lam, 1))
+    roots = comb_roots(f, lambda lam: f(lam, 1), *_windows(q0, n_max + 1),
+                       q0, what="hill")
     return HillSpectrum(q=q, dirichlet=dirichlet_spectrum(q, n_max),
                         **vars(roots))
 
@@ -272,13 +259,19 @@ def dirichlet_spectrum(q: PotentialSpec, n_max: int) -> tuple[float, ...]:
         p, p1 = transfer(q, lam, 1)
         return p[1], p1[1]
 
-    ns = np.arange(1, n_max + 1)
-    zl = math.pi * (ns - 0.5)
-    zr = math.pi * (ns + 0.5)
     prefer = np.array([(math.pi * n) ** 2 + q0 for n in range(1, n_max + 1)])
     return tuple(_rootfind._roots_all(
-        f, lambda v, n: v, zl * zl + q0, zr * zr + q0, prefer,
-        "dirichlet root", ns, n_max).tolist())
+        f, lambda v, n: v, *_windows(q0, n_max), prefer, "dirichlet root",
+        np.arange(1, n_max + 1), n_max).tolist())
+
+
+def _windows(q0: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The windows ((pi (n - 1/2))^2 + q0, (pi (n + 1/2))^2 + q0) around
+    (pi n)^2 + q0 for n = 1 .. count, as two float64 arrays: Hill gap n
+    and Dirichlet root n lie in window n."""
+    z = math.pi * (np.arange(1, count + 2) - 0.5)
+    w = z * z + q0
+    return w[:-1], w[1:]
 
 
 def hill_quasimomentum(q: PotentialSpec, lam: float,

@@ -11,6 +11,10 @@ of F' there (F' and xi' share zeros, and F' is c-independent).
 
 When c = 0 the ac spectrum collapses: the spectrum is pure point, the
 Dirichlet set plus the locus {F = -1} (see flat_spectrum).
+
+The zero-potential ("bare") closed forms bare_edge_z and bare_edge take
+one gap index or an int array of them; band_structure places its
+critical windows and edge starts with one array call of each sign.
 """
 
 from __future__ import annotations
@@ -102,30 +106,22 @@ def gap_phase_odd(c: float) -> float:
     return 0.5 * math.acos(max(-1.0, min(1.0, x)))
 
 
-def _gap_phases(c: float) -> tuple[float, float]:
-    """(gap_phase_even(c), gap_phase_odd(c)), for callers that place many
-    edges at one c."""
-    return gap_phase_even(c), gap_phase_odd(c)
+def bare_edge_z(c: float, n: int | np.ndarray, sign: int
+                ) -> float | np.ndarray:
+    """sqrt of the zero-potential edge lambda_n^{0, sign}, c in (0, 1]:
+    pi n / 2 +- the gap phase of n's parity.  n is an int or an int
+    array (the gap phases are computed once per call); an int gives a
+    float, an array a float64 array."""
+    if sign < 0 and np.any(n == 0):
+        raise ValueError("the lowest edge only exists with sign +1")
+    phase = np.where(n % 2, gap_phase_odd(c), gap_phase_even(c))
+    z = 0.5 * math.pi * n + (phase if sign > 0 else -phase)
+    return z if isinstance(n, np.ndarray) else float(z)
 
 
-def _bare_z(phases: tuple[float, float], n: int, sign: int) -> float:
-    """bare_edge_z from the gap phases of its c."""
-    if n == 0:
-        if sign < 0:
-            raise ValueError("the lowest edge only exists with sign +1")
-        return phases[0]
-    half = 0.5 * math.pi * n
-    phase = phases[n % 2]
-    return half + (phase if sign > 0 else -phase)
-
-
-def bare_edge_z(c: float, n: int, sign: int) -> float:
-    """sqrt of the zero-potential edge lambda_n^{0, sign}, c in (0, 1]."""
-    return _bare_z(_gap_phases(c), n, sign)
-
-
-def bare_edge(c: float, n: int, sign: int) -> float:
-    """Zero-potential edge lambda_n^{0, sign}."""
+def bare_edge(c: float, n: int | np.ndarray, sign: int
+              ) -> float | np.ndarray:
+    """Zero-potential edge lambda_n^{0, sign}; n as for bare_edge_z."""
     z = bare_edge_z(c, n, sign)
     return z * z
 
@@ -147,9 +143,11 @@ def _sin2z_over_z(lam: float) -> float:
     return monodromy._factor(2.0, lam, 0)[1]
 
 
-def d2F0(lam: float) -> float:
-    """Second lambda-derivative of F0."""
-    return -(9.0 / 8.0) * monodromy._factor(2.0, lam, 1)[3]
+def d2F0(lam: float | np.ndarray) -> float | np.ndarray:
+    """Second lambda-derivative of F0; floats or arrays as lam."""
+    factor = (monodromy._factor_batch if isinstance(lam, np.ndarray)
+              else monodromy._factor)
+    return -(9.0 / 8.0) * factor(2.0, lam, 1)[3]
 
 
 # ----------------------------------------------------------------------
@@ -238,23 +236,18 @@ def band_structure(q: PotentialSpec, cfg: MagneticConfig, n_max: int,
     if c < PURE_POINT_CUTOFF:
         raise PurePointRegimeError(cfg.c_j)
     q0 = q.q0
-    phases = _gap_phases(c)
-
-    def window(n: int) -> tuple[float, float]:
-        # straddle gap n: from the middle of band n to the middle of band n+1
-        zl = 0.5 * (_bare_z(phases, n - 1, +1) + _bare_z(phases, n, -1))
-        zr = 0.5 * (_bare_z(phases, n, +1) + _bare_z(phases, n + 1, -1))
-        return zl * zl + q0, zr * zr + q0
-
-    def edge_seed(n: int) -> tuple[float, float]:
-        # the zero-potential edges of gap n, shifted by q0
-        return (_bare_z(phases, n, -1) ** 2 + q0,
-                _bare_z(phases, n, +1) ** 2 + q0)
-
-    roots = comb_roots(lambda lam: _xi_eff(q, cfg, lam), n_max, window,
-                       bare_edge(c, 0, +1) + q0, what="band structure",
-                       fdf=lambda lam: _xi_eff(q, cfg, lam, 1),
-                       edge_seed=edge_seed)
+    ns = np.arange(n_max + 2)
+    zp = bare_edge_z(c, ns, +1)  # n = 0 .. n_max + 1
+    zm = bare_edge_z(c, ns + 1, -1)  # n = 1 .. n_max + 2
+    # the window of gap n runs from the middle of band n to that of band
+    # n + 1; the edge solves start at the bare edges of their gap
+    mid = 0.5 * (zp + zm)
+    windows = mid * mid + q0
+    edges = np.column_stack((zm[:n_max], zp[1:-1]))
+    roots = comb_roots(lambda lam: _xi_eff(q, cfg, lam),
+                       lambda lam: _xi_eff(q, cfg, lam, 1),
+                       windows[:-1], windows[1:], float(zp[0] * zp[0] + q0),
+                       edges * edges + q0, what="band structure")
     flats = monodromy.dirichlet_spectrum(q, n_max) if include_flat else ()
     return BandStructure(q=q, cfg=cfg, flat_bands=flats,
                          xi_sign=math.copysign(1.0, cfg.c_j), **vars(roots))

@@ -8,7 +8,7 @@ fits the dispersion curvature through the quasimomentum map alone.
 
 The one exception is `reference_jet`, a bit-level reference rather than
 an independent oracle: the product of 2x2 tuples by `_mul`/`_add` that
-the fused loop of `monodromy._product` replaced, over the package's own
+the fused loop of `monodromy.transfer` replaced, over the package's own
 per-piece factors.
 """
 

@@ -71,8 +71,8 @@ def test_transfer_at_signed_zero():
         assert _bits(transfer(q, arr)) == _bits(reference_jet(q, arr))
 
 
-def _drop_fdf(*args, fdf=None, **kwargs):
-    return comb_roots(*args, **kwargs)
+def _f_as_fdf(f, fdf, *args, **kwargs):
+    return comb_roots(f, f, *args, **kwargs)
 
 
 @pytest.mark.parametrize("depth", [20, 100])
@@ -100,8 +100,8 @@ def test_edges_from_order_one_equal_full_jet(depth, monkeypatch):
 
     monkeypatch.setattr(monodromy, "transfer", counted)
     with_fdf, order1, order2 = build()
-    monkeypatch.setattr(spectrum, "comb_roots", _drop_fdf)
-    monkeypatch.setattr(monodromy, "comb_roots", _drop_fdf)
+    monkeypatch.setattr(spectrum, "comb_roots", _f_as_fdf)
+    monkeypatch.setattr(monodromy, "comb_roots", _f_as_fdf)
     without, order1_all, order2_all = build()
     assert with_fdf == without
     # the edges moved from the full jet to order 1, call for call

@@ -81,29 +81,36 @@ def _cosine_comb(x):
             -1.5 * np.pi ** 2 * np.cos(np.pi * x))
 
 
-def _windows(bad=(), shift=None):
-    """Critical windows (n - 1/2, n + 1/2); those of gaps `bad` are too
-    narrow to ever contain a zero of f', and gap `shift`'s window holds
-    the critical point of gap shift + 1, which has the other parity."""
-    def window(n):
-        if n in bad:
-            return n + 0.25 - 1e-6, n + 0.25 + 1e-6
-        if n == shift:
-            return n + 0.5, n + 1.5
-        return n - 0.5, n + 0.5
-    return window
+def _windows(depth, bad=(), shift=None):
+    """Critical windows (n - 1/2, n + 1/2) of gaps 1 .. depth + 1, as the
+    arrays (lo, hi); those of gaps `bad` are too narrow to ever contain a
+    zero of f', and gap `shift`'s window holds the critical point of gap
+    shift + 1, which has the other parity."""
+    n = np.arange(1, depth + 2)
+    lo, hi = n - 0.5, n + 0.5
+    narrow = np.isin(n, bad)
+    lo[narrow], hi[narrow] = n[narrow] + 0.25 - 1e-6, n[narrow] + 0.25 + 1e-6
+    if shift is not None:
+        lo[shift - 1], hi[shift - 1] = shift + 0.5, shift + 1.5
+    return lo, hi
 
 
-def _index_raised(window, depth):
+def _comb(f, windows):
+    """comb_roots of f, with f as its edge evaluator too, on the
+    windows (lo, hi)."""
+    return comb_roots(f, f, *windows, 0.0)
+
+
+def _index_raised(windows):
     with pytest.raises(RootBracketError) as err:
-        comb_roots(_cosine_comb, depth, window, 0.0)
+        _comb(_cosine_comb, windows)
     return err.value
 
 
 def test_unbracketable_windows_raise_the_lower_index_in_both_paths():
     bad = (7, 12, _LOCKSTEP_GAPS + 5)
     for depth in (SHALLOW, DEEP):
-        assert _index_raised(_windows(bad), depth).index == bad[0]
+        assert _index_raised(_windows(depth, bad)).index == bad[0]
 
 
 def test_lowest_edge_failures_name_index_0():
@@ -114,11 +121,11 @@ def test_lowest_edge_failures_name_index_0():
         return tuple(v / 3.0 for v in _cosine_comb(x))
 
     for depth in (SHALLOW, DEEP):
-        err = _index_raised(_windows(shift=1), depth)
+        err = _index_raised(_windows(depth, shift=1))
         assert err.index == 0 and "lowest edge" in str(err)
         assert "no sign change" in str(err)
         with pytest.raises(RootBracketError) as exp:
-            comb_roots(low, depth, _windows(), 0.0)
+            _comb(low, _windows(depth))
         assert exp.value.index == 0 and "lowest edge" in str(exp.value)
 
 
@@ -127,7 +134,7 @@ def test_mislabelled_critical_fails_the_gap_below_it():
     # so the upper edge of gap k has no bracket
     k = 7
     for depth in (SHALLOW, DEEP):
-        err = _index_raised(_windows(shift=k + 1), depth)
+        err = _index_raised(_windows(depth, shift=k + 1))
         assert err.index == k and "gap edge" in str(err)
 
 
@@ -334,12 +341,12 @@ def test_array_engine_raises_the_scalar_errors(monkeypatch):
     def low(x):
         return tuple(v / 3.0 for v in _exact_comb(x))
 
-    cases = [(_exact_comb, _windows((7, 12, _LOCKSTEP_GAPS + 5))),
-             (_exact_comb, _windows(shift=1)), (low, _windows()),
-             (_exact_comb, _windows(shift=8))]
-    for f, window in cases:
+    cases = [(_exact_comb, _windows(DEEP, (7, 12, _LOCKSTEP_GAPS + 5))),
+             (_exact_comb, _windows(DEEP, shift=1)), (low, _windows(DEEP)),
+             (_exact_comb, _windows(DEEP, shift=8))]
+    for f, windows in cases:
         deep, scalar = _both(monkeypatch, lambda: _raised(
-            lambda: comb_roots(f, DEEP, window, 0.0)))
+            lambda: _comb(f, windows)))
         assert deep == scalar
 
 

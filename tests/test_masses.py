@@ -1,14 +1,15 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from nanoband.masses import (bare_mass, fit_tail,
                              verify_mass_asymptotics, verify_mass_series,
                              verify_partial_fraction, verify_trace_identity)
 from nanoband.potential import make_potential
-from nanoband.spectrum import (MagneticConfig, bare_edge, d2F0,
-                               gap_phase_even)
+from nanoband.spectrum import (MagneticConfig, bare_edge, bare_edge_z, d2F0,
+                               gap_phase_even, gap_phase_odd)
 from oracles import mass_from_curvature
 
 
@@ -37,6 +38,30 @@ def test_bare_mass_sinc_limit_at_full_c():
 def test_bare_mass_rejects_missing_edge():
     with pytest.raises(ValueError):
         bare_mass(0.5, 0, -1)
+
+
+def _scalar_bare_z(c, n, sign):
+    """The zero-potential edge z one gap at a time (n >= 1): the reference
+    for the array form."""
+    phase = (gap_phase_even(c), gap_phase_odd(c))[n % 2]
+    return 0.5 * math.pi * n + (phase if sign > 0 else -phase)
+
+
+def _scalar_bare_mass(c, n, sign):
+    z = _scalar_bare_z(c, n, sign)
+    return (9.0 * (1.0 if n % 2 == 0 else -1.0) / (8.0 * c)) \
+        * math.sin(2.0 * z) / z
+
+
+@pytest.mark.parametrize("c", [1.0, 0.9, 0.5, 1e-4])
+def test_array_bare_forms_equal_scalar_formulas(c):
+    ns = range(1, 3001)
+    for sign in (+1, -1):
+        for array_form, scalar_form in ((bare_edge_z, _scalar_bare_z),
+                                        (bare_mass, _scalar_bare_mass)):
+            want = repr([scalar_form(c, n, sign) for n in ns])
+            assert repr(array_form(c, np.array(ns), sign).tolist()) == want
+            assert repr([array_form(c, n, sign) for n in ns]) == want
 
 
 def test_computed_masses_match_bare_for_zero_potential(zero_q, mass_factory):
