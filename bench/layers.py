@@ -12,6 +12,10 @@ samples:
   at a = 0.9 (ms);
 * `dirichlet_spectrum` of the two-step potential at n_max 200 and 2000
   (s);
+* the identity checks on the two-step potential at a = 0.9, n_max 200
+  and 2000, the structure and masses built beforehand: the trace
+  identity, the four mass series of a deep-tables job and the partial
+  fraction at the `verify` command's three test lambdas (ms);
 * the monodromy jet `transfer` for 1, 3 and 64 pieces, in microseconds
   per lambda: one lambda per call at orders 2, 1 and 0 (the last two
   only where `transfer` takes an order), and 512 lambdas per array call;
@@ -59,6 +63,7 @@ HERE = os.path.abspath(__file__)
 RUNS = 5
 DEPTHS = (200, 2000, 20000)
 DIRICHLET_DEPTHS = (200, 2000)
+IDENTITY_DEPTHS = (200, 2000)
 COUNT_DEPTHS = (20, 200, 2000, 20000)
 SECTOR_N_MAX = 20
 SECTOR_BUILDS = 5  # structures per sample of the 20-gap layer
@@ -117,6 +122,12 @@ def _cases(src: str) -> dict:
     for n in DIRICHLET_DEPTHS:
         cases[f"dirichlet_spectrum_s.n_max_{n}"] = ("s", lambda n=n: _timed(
             lambda: dirichlet_spectrum(two_step, n)))
+    for n in IDENTITY_DEPTHS:
+        bs = nanoband.band_structure(two_step, cfg, n, include_flat=False)
+        mt = nanoband.effective_masses(bs)
+        cases[f"identity_checks_ms.n_max_{n}"] = (
+            "ms", lambda bs=bs, mt=mt: 1e3 * _timed(
+                lambda: _identity_checks(nanoband, bs, mt)))
     xs = scalar_lams[:JET_CALLS]
     has_order = "order" in inspect.signature(transfer).parameters
     for m, q in jets.items():
@@ -143,6 +154,18 @@ def _cases(src: str) -> dict:
                 [sys.executable, "-m", "nanoband.cli", *command.split()],
                 env=env, check=True, stdout=subprocess.DEVNULL)))
     return cases
+
+
+def _identity_checks(nanoband, bs, mt) -> None:
+    """The trace identity, the mass series of a deep-tables job (the
+    bottom edge and three open-gap edges) and the partial fraction at
+    the `verify` command's test lambdas, for the structure bs."""
+    nanoband.verify_trace_identity(mt)
+    for n, sign in [(0, +1), *zip(bs.open_gaps(), (+1, -1, +1))]:
+        nanoband.verify_mass_series(mt, bs, n, sign)
+    nanoband.verify_partial_fraction(
+        bs.q, bs.cfg, [bs.lambda0 - d for d in (5.0, 20.0, 100.0)],
+        bs.n_max, bs=bs, mt=mt)
 
 
 def _counts() -> dict:

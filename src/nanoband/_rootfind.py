@@ -9,28 +9,33 @@ is subclassed by monodromy.HillSpectrum and spectrum.BandStructure;
 _comb_k maps a discriminant value onto the comb (the quasimomentum
 branch) and _depth_for says how many gaps cover a given lambda.
 
-The two control algorithms (solve_bracketed and the sign-change scan)
-exist once each as step generators (_solve_steps, _scan_steps) that
-yield the points they want evaluated and receive the values: the scalar
-reference.  The solve is rtsafe (Numerical Recipes 9.4): Newton steps
-that land in the closed bracket, so a converged iterate, which is itself
-a bracket end, ends the solve instead of being bisected away, and
-bisection otherwise.  It starts from a given point when that lies
+The two control algorithms exist once each as plain functions of
+floats: _solve_one, the solve of solve_bracketed, and _scan_one, the
+sign-change scan.  The solve is rtsafe (Numerical Recipes 9.4): Newton
+steps that land in the closed bracket, so a converged iterate, which is
+itself a bracket end, ends the solve instead of being bisected away,
+and bisection otherwise.  It starts from a given point when that lies
 strictly inside the bracket and from the midpoint otherwise.  A
 structure describes each phase of its search as arrays of brackets, one
 lane per gap or edge, for one evaluator f that maps a float to a tuple
 of floats and a float64 array to a tuple of arrays: _critical_all
 (critical points), _roots_all (the zero nearest a guess, solved from the
 guess) and _solve_all (zeros on known brackets, from optional starts).
-Below _LOCKSTEP_GAPS gaps the lanes run one after another through the
-step generators on floats.  From there on the array-state engine
-(_scan_array, _solve_array) keeps every piece of solver state of up to
-_LANES live lanes in a float64 array and advances all of them with
-masked numpy steps, one call of f per step.  It evaluates the same
-points and takes the same branches as the generators, and the
-evaluators return the scalar numbers bit for bit on arrays, so both ways
-give identical structures and raise the same RootBracketError, that of
-the lowest failing lane.
+
+One rule picks floats or arrays, from the number of points in hand
+against _LOCKSTEP_GAPS.  A phase of fewer lanes runs them one after
+another through _scan_one and _solve_one, which call f on floats; a
+larger one runs the array-state engine (_scan_array, _solve_array):
+it keeps every piece of solver state of up to _LANES live lanes in a
+float64 array and advances all of them with masked numpy steps, one
+call of _eval per step.  _eval, which every evaluation of several points
+goes through, calls f on floats below _LOCKSTEP_GAPS points and on
+arrays of at most _LANES points from there on; so the last few live
+lanes of a deep solve, and every shallow structure, never build a small
+array jet.  The engine evaluates the same points and takes the same
+branches as the float functions, and the evaluators return the float
+numbers bit for bit on arrays, so both ways give identical structures
+and raise the same RootBracketError, that of the lowest failing lane.
 
 comb_roots takes its inputs as arrays: the critical windows of every
 gap and, optionally, a start for every gap-edge solve.  It reads f''
@@ -64,18 +69,24 @@ MAX_DOUBLINGS = 8
 SOLVE_XTOL = 1e-13
 SOLVE_MAXITER = 100
 POLISH_STEPS = 2
-# _scan_steps: samples across the interval per attempt
+# _scan_one: samples across the interval per attempt
 SCAN_SAMPLES = 9
 
 # Domain slack allowed when clamping arccos/arccosh arguments onto the comb.
 _CLAMP_TOL = 1e-12
 
-# The array-state engine (_scan_array, _solve_array) runs from this many
-# gaps on.  A structure with its masses (six potentials of 1-6 pieces, or
-# one of 64), best of 9, three runs on a 2-core machine: against one lane
-# at a time it was 1.3-1.5x (1-6 pieces) and 1.7-2.0x (64 pieces) slower
-# at 20 gaps, broke even near 35 and 40-50 gaps, and was 1.5-2.1x and
-# 1.2-1.3x faster at 60 gaps, 2.3-2.6x and 1.7-2.0x at 100.
+# A search phase of this many lanes or more runs on the array-state
+# engine (_scan_array, _solve_array), and _eval calls f on arrays from
+# this many points on.  Measured per phase (critical points, gap edges,
+# Dirichlet roots) of structures 10-100 gaps deep at a = 0.9, process
+# time, best of 5, 2-core machine, the array engine (its last lanes on
+# floats) against the float lanes: for six potentials of 1-6 pieces,
+# medians 1.6-1.9x slower at 20-21 lanes, 0.95-1.08x at 40-41, 0.67-0.80x
+# at 60-61 and 0.48-0.63x at 100-101; for one 64-piece projection (one
+# run each) 1.1-2.5x at 20-21 lanes, 0.8-1.3x at 40-60, 0.4-0.75x at
+# 80-101.  So it breaks even near 40 lanes (1-6 pieces) and 50-60 lanes
+# (64 pieces); 60 puts every phase on the cheaper engine but those of
+# 40-59 lanes at 1-6 pieces, whose float lanes cost up to 1.35x.
 _LOCKSTEP_GAPS = 60
 # Live lanes of the engine, and points per call of the evaluator (_eval,
 # also for the masses).  perfbench deep-tables, 20 s, two runs each on a
@@ -95,17 +106,6 @@ class RootBracketError(RuntimeError):
         super().__init__(msg)
 
 
-def _run(steps, f: Callable):
-    """Run a step generator to its return value, answering every point x
-    it yields with f(x)."""
-    try:
-        x = next(steps)
-        while True:
-            x = steps.send(f(x))
-    except StopIteration as stop:
-        return stop.value
-
-
 def solve_bracketed(fdf: Callable[[float], tuple[float, float | None]],
                     lo: float, hi: float,
                     flo: float | None = None,
@@ -115,7 +115,7 @@ def solve_bracketed(fdf: Callable[[float], tuple[float, float | None]],
     fdf(x) returns (f(x), f'(x)); the derivative may be None, in which
     case the solve is pure bisection.  It starts at the midpoint (the
     structures' lanes start at a guess inside the bracket instead, see
-    _solve_steps).  As in rtsafe (Numerical Recipes 9.4), a Newton step
+    _solve_one).  As in rtsafe (Numerical Recipes 9.4), a Newton step
     is taken when it lands in the closed current bracket [lo, hi] and
     makes decent progress, with bisection as the fallback.  The iterate
     itself is a bracket end, so a Newton step that rounds back onto it
@@ -125,20 +125,18 @@ def solve_bracketed(fdf: Callable[[float], tuple[float, float | None]],
     machine accuracy.  The bracket sign invariant is maintained
     throughout the main loop.
     """
-    return _run(_solve_steps(lambda v: v, lo, hi, flo, fhi), fdf)
+    return _solve_one(fdf, lo, hi, flo, fhi, "bracketed solve", None, math.nan)
 
 
-def _solve_steps(pick, lo, hi, flo=None, fhi=None, what="bracketed solve",
-                 index=None, start=math.nan):
-    """solve_bracketed as a step generator: yields x and reads fdf(x) as
-    pick of the value sent back, starting at `start` if it lies strictly
-    inside (lo, hi) and at the midpoint otherwise (nan: always the
-    midpoint).  A bracket without a sign change raises
-    RootBracketError(what, index)."""
+def _solve_one(g, lo, hi, flo, fhi, what, index, start):
+    """solve_bracketed of g, where g(x) is (g(x), g'(x)) for a float x,
+    starting at `start` if it lies strictly inside (lo, hi) and at the
+    midpoint otherwise (nan: always the midpoint).  A bracket without a
+    sign change raises RootBracketError(what, index)."""
     if flo is None:
-        flo = pick((yield lo))[0]
+        flo = g(lo)[0]
     if fhi is None:
-        fhi = pick((yield hi))[0]
+        fhi = g(hi)[0]
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -149,7 +147,7 @@ def _solve_steps(pick, lo, hi, flo=None, fhi=None, what="bracketed solve",
     lo_pos = flo > 0
 
     x = start if lo < start < hi else 0.5 * (lo + hi)
-    fx, dfx = pick((yield x))
+    fx, dfx = g(x)
     dx_old = abs(hi - lo)
     dx = dx_old
     for _ in range(SOLVE_MAXITER):
@@ -174,9 +172,9 @@ def _solve_steps(pick, lo, hi, flo=None, fhi=None, what="bracketed solve",
             x = x_new
             break
         x = x_new
-        fx, dfx = pick((yield x))
+        fx, dfx = g(x)
     for _ in range(POLISH_STEPS):
-        fx, dfx = pick((yield x))
+        fx, dfx = g(x)
         if not dfx:
             break
         step = fx / dfx
@@ -201,28 +199,24 @@ def expand_left(f: Callable[[float], float], start: float, step: float,
     raise RootBracketError(what, 0)
 
 
-def _scan_steps(pick, lo, hi, prefer, what="sign change scan", index=None):
-    """Locate a sign-change subinterval of f on [lo, hi], as a step
-    generator: yields x and reads f(x) as pick of the value sent back.
+def _scan_one(g, lo, hi, prefer, what, index):
+    """Locate a sign-change subinterval of g (a float function) on
+    [lo, hi].
 
     Endpoints are tried first; on failure SCAN_SAMPLES points across the
     interval are tried and, if still single-signed, the interval is
     geometrically widened around `prefer` (up to MAX_DOUBLINGS).  Among
     several sign changes the one closest to `prefer` wins.  Returns
-    (lo, hi, f(lo), f(hi)) of that subinterval.
+    (lo, hi, g(lo), g(hi)) of that subinterval; a scan that finds none
+    raises RootBracketError(what, index).
     """
     span = hi - lo
     for attempt in range(MAX_DOUBLINGS + 1):
-        flo = pick((yield lo))
-        fhi = pick((yield hi))
-        if (flo > 0) != (fhi > 0):
-            if attempt == 0:
-                return lo, hi, flo, fhi
+        flo, fhi = g(lo), g(hi)
+        if attempt == 0 and (flo > 0) != (fhi > 0):
+            return lo, hi, flo, fhi
         xs = [lo + span * i / (SCAN_SAMPLES - 1) for i in range(SCAN_SAMPLES)]
-        fs = [flo]
-        for x in xs[1:-1]:
-            fs.append(pick((yield x)))
-        fs.append(fhi)
+        fs = [flo, *map(g, xs[1:-1]), fhi]
         best = None
         for i in range(SCAN_SAMPLES - 1):
             if (fs[i] > 0) != (fs[i + 1] > 0):
@@ -231,7 +225,7 @@ def _scan_steps(pick, lo, hi, prefer, what="sign change scan", index=None):
                 if best is None or d < best[0]:
                     best = (d, xs[i], xs[i + 1], fs[i], fs[i + 1])
         if best is not None:
-            return best[1], best[2], best[3], best[4]
+            return best[1:]
         lo = prefer - span
         hi = prefer + span
         span *= 2.0
@@ -239,21 +233,21 @@ def _scan_steps(pick, lo, hi, prefer, what="sign change scan", index=None):
 
 
 def _solve_all(f: Callable, pick: Callable, lo, hi, flo, fhi, what: str,
-               index, count: int, start=None) -> np.ndarray:
+               index, start=None) -> np.ndarray:
     """The zero of g_i in each bracket [lo[i], hi[i]] whose ends have the
     values flo[i], fhi[i] (float64 arrays), where pick(f(x), index[i]) is
     (g_i(x), g_i'(x)) for the int array index; solved as solve_bracketed
     does from start[i] (a float64 array, or None: every lane from its
-    midpoint), one lane at a time below _LOCKSTEP_GAPS (= `count`) gaps
-    and by _solve_array from there on.  A bracket without a sign change
-    raises RootBracketError(what, index[i]) for the lowest such i."""
+    midpoint), one lane at a time by _solve_one below _LOCKSTEP_GAPS
+    lanes and by _solve_array from there on.  A bracket without a sign
+    change raises RootBracketError(what, index[i]) for the lowest such
+    i."""
     if start is None:
         start = np.full(lo.shape, math.nan)
-    if count < _LOCKSTEP_GAPS:
+    if lo.size < _LOCKSTEP_GAPS:
         return np.array([
-            _run(_solve_steps(lambda v, i=i: pick(v, i), *bracket, what, i,
-                              x0), f)
-            for i, *bracket, x0 in zip(*(v.tolist() for v in (
+            _solve_one(lambda x, i=i: pick(f(x), i), a, b, fa, fb, what, i, x0)
+            for i, a, b, fa, fb, x0 in zip(*(v.tolist() for v in (
                 index, lo, hi, flo, fhi, start)))])
     bad = np.flatnonzero((flo != 0.0) & (fhi != 0.0)
                          & ((flo > 0) == (fhi > 0)))
@@ -266,19 +260,19 @@ def _solve_all(f: Callable, pick: Callable, lo, hi, flo, fhi, what: str,
 
 
 def _roots_all(f: Callable, pick: Callable, lo, hi, prefer, what: str,
-               index, count: int) -> np.ndarray:
+               index) -> np.ndarray:
     """The zero of g_i nearest prefer[i] in [lo[i], hi[i]] for each i,
-    widened as _scan_steps does (arguments as for _solve_all; from
-    _LOCKSTEP_GAPS gaps on by _scan_array and _solve_array).  The solve
+    widened as _scan_one does (arguments as for _solve_all; from
+    _LOCKSTEP_GAPS lanes on by _scan_array and _solve_array).  The solve
     of a lane starts at prefer[i] if that lies inside the bracket its
     scan found.  If the scans of some lanes fail, the lowest one's
     RootBracketError is raised."""
-    if count < _LOCKSTEP_GAPS:
+    if lo.size < _LOCKSTEP_GAPS:
         out = []
-        for i, *scan in zip(*(v.tolist() for v in (index, lo, hi, prefer))):
-            g = lambda v, i=i: pick(v, i)
-            bracket = _run(_scan_steps(lambda v: g(v)[0], *scan, what, i), f)
-            out.append(_run(_solve_steps(g, *bracket, what, i, scan[2]), f))
+        for i, a, b, p in zip(*(v.tolist() for v in (index, lo, hi, prefer))):
+            g = lambda x, i=i: pick(f(x), i)
+            bracket = _scan_one(lambda x: g(x)[0], a, b, p, what, i)
+            out.append(_solve_one(g, *bracket, what, i, p))
         return np.array(out)
     *bracket, failed = _scan_array(f, lambda v, i: pick(v, i)[0], lo, hi,
                                    prefer, index)
@@ -287,21 +281,25 @@ def _roots_all(f: Callable, pick: Callable, lo, hi, prefer, what: str,
     return _solve_array(f, pick, *bracket, index, prefer)
 
 
-def _critical_all(f: Callable, lo, hi, prefer, what: str, index,
-                  count: int) -> tuple[np.ndarray, np.ndarray]:
+def _critical_all(f: Callable, lo, hi, prefer, what: str,
+                  index) -> tuple[np.ndarray, np.ndarray]:
     """x and f(x) at the zero x of f' nearest prefer[i] in [lo[i], hi[i]]
     for each i (as _roots_all), for an evaluator f returning
     (f, f', f'')."""
     xs = _roots_all(f, lambda v, i: (v[1], v[2]), lo, hi, prefer, what,
-                    index, count)
+                    index)
     return xs, _eval(f, xs)[0]
 
 
 def _eval(f, x):
-    """f on the float64 array x, _LANES points per call."""
+    """f at the points of the float64 array x, as a tuple of arrays: one
+    float at a time below _LOCKSTEP_GAPS points, on arrays of at most
+    _LANES points from there on (a short last chunk on floats too)."""
+    if x.size < _LOCKSTEP_GAPS:
+        return tuple(map(np.array, zip(*map(f, x.tolist()))))
     if x.size <= _LANES:
         return f(x)
-    parts = [f(x[i:i + _LANES]) for i in range(0, x.size, _LANES)]
+    parts = [_eval(f, x[i:i + _LANES]) for i in range(0, x.size, _LANES)]
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
@@ -311,7 +309,7 @@ _SAMPLE_STEPS = np.arange(SCAN_SAMPLES, dtype=float)
 
 
 def _scan_array(f, g, lo, hi, prefer, index):
-    """The array-state engine's _scan_steps: every lane of the float64
+    """The array-state engine's _scan_one: every lane of the float64
     arrays lo, hi, prefer at once, where g(f(x), index) is the scanned
     function, with the same points and branches.  Returns the bracket
     arrays (lo, hi, g(lo), g(hi)) and the sorted positions of the lanes
@@ -360,14 +358,14 @@ def _scan_array(f, g, lo, hi, prefer, index):
 
 
 def _solve_array(f, pick, lo, hi, flo, fhi, index, start):
-    """The array-state engine's _solve_steps: one float64 array per piece
+    """The array-state engine's _solve_one: one float64 array per piece
     of solver state, the same points and branches, one call of f per
     step, and numpy's elementwise + - * /, abs and comparisons, which
     round as Python floats do.  Solves every lane of the float64 arrays
     lo, hi, flo, fhi (each bracket has a sign change or a zero end),
     where pick(f(x), index) is (g, g'), from start where that lies
     strictly inside (lo, hi) and from the midpoint elsewhere (nan for no
-    start); the Newton test is rtsafe's closed one, as in _solve_steps.
+    start); the Newton test is rtsafe's closed one, as in _solve_one.
     At most _LANES lanes are live: a finished lane's slot takes the next
     waiting one, from that lane's own start.  Each live lane's
     step counter k counts Newton/bisection steps up to SOLVE_MAXITER and
@@ -550,7 +548,7 @@ def comb_roots(f: Callable, fdf: Callable, lo: np.ndarray, hi: np.ndarray,
     # heights and the bracket ends of the edges
     ns = np.arange(1, n_max + 2)
     crit, fcrit = _critical_all(f, lo, hi, 0.5 * (lo + hi),
-                                f"{what}: critical point", ns, n_max)
+                                f"{what}: critical point", ns)
 
     # lowest edge: f - 1 = 0 on (-inf, crit_1); a single scalar solve;
     # its failures name index 0
@@ -585,7 +583,7 @@ def comb_roots(f: Callable, fdf: Callable, lo: np.ndarray, hi: np.ndarray,
             (below[0][g], crit[g]), (crit[g], crit[g + 1]),
             (t[g] * below[1][g] - 1.0, d[g]),
             (d[g], t[g] * fcrit[g + 1] - 1.0))),
-        f"{what}: gap edge", np.repeat(g + 1, 2), n_max, seeds)
+        f"{what}: gap edge", np.repeat(g + 1, 2), seeds)
     lo, hi = roots[0::2], roots[1::2]
     wide = ~(hi - lo < GAP_WIDTH_TOL * np.fmax(1.0, np.abs(lo)))
     escaped = wide & ~((lo - 1e-9 <= crit[g]) & (crit[g] <= hi + 1e-9))

@@ -137,6 +137,13 @@ def fit_tail(ns, sums) -> float:
     return _fit_line(xs, ys)[0]
 
 
+def _partial_sums(first: float, terms: np.ndarray,
+                  scale: float = 1.0) -> list[float]:
+    """scale * (first + terms[0] + ... + terms[m - 1]) for m = 1 ..
+    terms.size, accumulated left to right as a loop would."""
+    return (scale * np.cumsum(np.concatenate(([first], terms)))[1:]).tolist()
+
+
 # ----------------------------------------------------------------------
 # identity checks
 # ----------------------------------------------------------------------
@@ -156,14 +163,8 @@ def verify_trace_identity(mt: MassTable, n_max: int | None = None) -> TraceRepor
         n_max = mt.n_max
     if n_max > mt.n_max:
         raise ValueError(f"mass table only reaches n={mt.n_max}")
-    ns = []
-    sums = []
-    acc = mt.mu0
-    for n in range(1, n_max + 1):
-        acc += mt.plus[n - 1] + mt.minus[n - 1]
-        ns.append(n)
-        sums.append(acc)
-    extrap = fit_tail(ns, sums)
+    sums = _partial_sums(mt.mu0, np.add(mt.plus[:n_max], mt.minus[:n_max]))
+    extrap = fit_tail(range(1, n_max + 1), sums)
     return TraceReport(n_max=n_max, partial_sum=sums[-1],
                        extrapolated=extrap, residual=abs(extrap - 2.0))
 
@@ -191,6 +192,7 @@ def verify_partial_fraction(q: PotentialSpec, cfg: MagneticConfig,
     if mt is None:
         mt = effective_masses(bs)
     edges = (bs.lambda0,) + bs.minus + bs.plus
+    sp, sm, lp, lm = map(np.array, (mt.plus, mt.minus, bs.plus, bs.minus))
     out = []
     for lam in test_lambdas:
         dist = min(abs(lam - e) for e in edges)
@@ -199,20 +201,10 @@ def verify_partial_fraction(q: PotentialSpec, cfg: MagneticConfig,
                              "(need >= 0.1)")
         v, d1 = _spec._xi_eff(q, cfg, lam, 1)
         direct = d1 * d1 / (1.0 - v * v)
-        ns = []
-        sums = []
-        acc = mt.mu0 / (lam - bs.lambda0)
-        for n in range(1, bs.n_max + 1):
-            sp = mt.plus[n - 1]
-            sm = mt.minus[n - 1]
-            lp = bs.plus[n - 1]
-            lm = bs.minus[n - 1]
-            a_n = 0.5 * (sp + sm) * (1.0 / (lam - lp) + 1.0 / (lam - lm))
-            b_n = 0.5 * (sp - sm) * (1.0 / (lam - lp) - 1.0 / (lam - lm))
-            acc += a_n + b_n
-            ns.append(n)
-            sums.append(0.5 * acc)
-        series = fit_tail(ns, sums)
+        rp, rm = 1.0 / (lam - lp), 1.0 / (lam - lm)
+        terms = 0.5 * (sp + sm) * (rp + rm) + 0.5 * (sp - sm) * (rp - rm)
+        sums = _partial_sums(mt.mu0 / (lam - bs.lambda0), terms, 0.5)
+        series = fit_tail(range(1, bs.n_max + 1), sums)
         out.append(PartialFractionCheck(
             lam=lam, direct=direct, series=series,
             residual_rel=abs(series - direct) / abs(direct)))
@@ -252,29 +244,16 @@ def verify_mass_series(mt: MassTable, bs: BandStructure, n: int, sign: int,
         target = bs.plus[n - 1] if sign > 0 else bs.minus[n - 1]
         mass = (mt.plus if sign > 0 else mt.minus)[n - 1]
 
-    ns = []
-    sums = []
-    if n % 2 == 0:
-        limit = (bs.n_max + 1) // 2
-        m_stop = min(m_max, limit) if m_max else limit
-        acc = 0.0
-        for m in range(1, m_stop + 1):
-            idx = 2 * m - 2  # gap index 2m-1
-            if 2 * m - 1 == n:
-                raise ValueError("series index collides with target edge")
-            acc += 1.0 / (bs.minus[idx] - target) + 1.0 / (bs.plus[idx] - target)
-            ns.append(m)
-            sums.append(2.0 * acc)
-    else:
-        limit = bs.n_max // 2
-        m_stop = min(m_max, limit) if m_max else limit
-        acc = 1.0 / (bs.lambda0 - target)
-        for m in range(1, m_stop + 1):
-            idx = 2 * m - 1  # gap index 2m
-            acc += 1.0 / (bs.minus[idx] - target) + 1.0 / (bs.plus[idx] - target)
-            ns.append(m)
-            sums.append(2.0 * acc)
-    series = fit_tail(ns, sums)
+    # the gaps 2m - 1 (n even) or 2m (n odd) for m = 1 .. m_stop
+    odd = n % 2
+    limit = (bs.n_max + 1 - odd) // 2
+    m_stop = min(m_max, limit) if m_max else limit
+    gaps = slice(odd, 2 * m_stop, 2)
+    terms = (1.0 / (np.array(bs.minus[gaps]) - target)
+             + 1.0 / (np.array(bs.plus[gaps]) - target))
+    first = 1.0 / (bs.lambda0 - target) if odd else 0.0
+    sums = _partial_sums(first, terms, 2.0)
+    series = fit_tail(range(1, m_stop + 1), sums)
     return MassSeriesCheck(n=n, sign=sign, mass=mass, series=series,
                            residual=abs(mass - series), m_terms=m_stop)
 

@@ -25,14 +25,14 @@ gives the entries it returns bit for bit as the full jet: the lower
 derivatives never read the higher ones, which are only skipped.
 
 `transfer` takes one lambda or a float64 array of them; the array-state
-root engine of `_rootfind` (deep structures, see _LOCKSTEP_GAPS there)
-passes an array once per solver step.  An array gives the same numbers
-as one lambda at a time, bit for bit: numpy's elementwise + - * / and
-sqrt round exactly like Python floats, both kinds share `_closed_form`
-and the loop of `transfer`, cos/sin/cosh/sinh go through `math` one
-lambda at a time (numpy's versions can differ from libm in the last
-bit), and lanes in the series window |mu| <= _SERIES_CUT are computed by
-`_factor` itself.
+root engine of `_rootfind` passes an array of at least _LOCKSTEP_GAPS
+lambdas once per solver step (fewer go one lambda at a time).  An array
+gives the same numbers as one lambda at a time, bit for bit: numpy's
+elementwise + - * / and sqrt round exactly like Python floats, both
+kinds share `_closed_form` and the loop of `transfer`, cos/sin/cosh/sinh
+go through `math` one lambda at a time (numpy's versions can differ
+from libm in the last bit), and lanes in the series window
+|mu| <= _SERIES_CUT are computed by `_factor` itself.
 """
 
 from __future__ import annotations
@@ -54,6 +54,16 @@ Mat = tuple[float, float, float, float]  # row-major 2x2
 # C and S of one piece with their mu-derivatives, (C, S, C', S', C'', S''),
 # None beyond the order asked for
 Factor = tuple
+
+
+class _JetOverflowError(ValueError):
+    """cosh or sinh of a piece overflows a float at lambda: lambda lies
+    too far below the potential for its monodromy to be represented."""
+
+    def __init__(self, lam: float):
+        self.lam = lam
+        super().__init__(f"lambda={lam} lies too far below the potential: "
+                         "its monodromy overflows a float")
 
 
 def _factor(w: float, mu: float, order: int = 2) -> Factor:
@@ -130,14 +140,19 @@ def transfer(q: PotentialSpec, lam: float | np.ndarray, order: int = 2
     (P, dP, d2P), each row-major (theta1, phi1, theta1', phi1').  For a
     float64 array lam each matrix entry is an array of the values at its
     entries.  Each factor comes from _factor for one lambda and from
-    _factor_batch for an array.
+    _factor_batch for an array.  Where cosh of a piece overflows, both
+    raise _JetOverflowError naming the lambda (for an array the lowest,
+    which overflows first).
     """
     factor = _factor_batch if isinstance(lam, np.ndarray) else _factor
     a, b, c, d = 1.0, 0.0, 0.0, 1.0  # P, row-major
     a1 = b1 = c1 = d1 = a2 = b2 = c2 = d2 = 0.0  # P', P''
     for w, v in q.pieces:
         mu = lam - v
-        tc, ts, tc1, ts1, tc2, ts2 = factor(w, mu, order)
+        try:
+            tc, ts, tc1, ts1, tc2, ts2 = factor(w, mu, order)
+        except OverflowError:
+            raise _JetOverflowError(float(np.nanmin(lam))) from None
         tm = -mu * ts  # T = [[tc, ts], [tm, tc]]
         if order:
             tm1 = -ts - mu * ts1
@@ -262,7 +277,7 @@ def dirichlet_spectrum(q: PotentialSpec, n_max: int) -> tuple[float, ...]:
     prefer = np.array([(math.pi * n) ** 2 + q0 for n in range(1, n_max + 1)])
     return tuple(_rootfind._roots_all(
         f, lambda v, n: v, *_windows(q0, n_max), prefer, "dirichlet root",
-        np.arange(1, n_max + 1), n_max).tolist())
+        np.arange(1, n_max + 1)).tolist())
 
 
 def _windows(q0: float, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -299,7 +299,7 @@ def flat_spectrum(q: PotentialSpec, cfg: MagneticConfig,
     prefer = np.array([(0.5 * math.pi * n) ** 2 + q0
                        for n in range(1, count + 1)])
     xs, fs = _critical_all(f, zl * zl + q0, zr * zr + q0, prefer,
-                           "flat locus critical", ns, count)
+                           "flat locus critical", ns)
     left = expand_left(lambda x: fdf(x)[0] + 1.0, float(xs[0]) - 0.25, 0.5,
                        lambda v: v > 0.0, what="flat locus: leftmost root")
     xs = np.concatenate(([left], xs))
@@ -309,7 +309,7 @@ def flat_spectrum(q: PotentialSpec, cfg: MagneticConfig,
     lanes = np.flatnonzero((g[:-1] > 0) != (g[1:] > 0))
     roots = _solve_all(fdf, lambda v, i: (v[0] + 1.0, v[1]), xs[lanes],
                        xs[lanes + 1], g[lanes], g[lanes + 1],
-                       "flat locus root", lanes, count)
+                       "flat locus root", lanes)
     ceiling = diri[-1]
     return FlatSpectrum(dirichlet=diri,
                         f_locus=tuple(r for r in roots.tolist()

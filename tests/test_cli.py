@@ -75,6 +75,13 @@ def test_computation_error_exit_code(capsys):
     assert "pure point" in err
 
 
+def test_overflow_far_below_the_potential_exit_code(capsys):
+    code, out, err = run_cli(["dispersion", "--q", "zero", "--a", "0.9",
+                              "--grid=-7e5:0:3"], capsys)
+    assert code == 1 and not out
+    assert err.startswith("nanoband: error: lambda=-700000.0 ")
+
+
 def test_byte_identical_reruns(capsys):
     args = ["verify", "--q", "two-step", "--a", "0.9", "--n-max", "12"]
     _, out1, _ = run_cli(args, capsys)

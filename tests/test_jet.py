@@ -107,3 +107,16 @@ def test_edges_from_order_one_equal_full_jet(depth, monkeypatch):
     # the edges moved from the full jet to order 1, call for call
     assert 0 < order2 < order2_all
     assert order1 - order1_all == order2_all - order2
+
+
+def test_overflow_below_the_potential_names_lambda_on_both_paths():
+    # w sqrt(-mu) > 710 overflows cosh: one ValueError naming the lambda,
+    # the lowest one for an array
+    q, cfg = make_potential("zero"), MagneticConfig(a=0.9)
+    for lam, named in ((-7e5, -7e5), (np.array([0.0, -7e5, -8e5]), -8e5)):
+        with pytest.raises(monodromy._JetOverflowError) as err:
+            spectrum.xi(q, cfg, lam)
+        assert isinstance(err.value, ValueError)
+        assert err.value.lam == named and f"lambda={named}" in str(err.value)
+    with pytest.raises(monodromy._JetOverflowError):
+        transfer(make_potential("two-step"), np.array([-1e7]), 0)

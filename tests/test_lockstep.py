@@ -1,9 +1,10 @@
-"""The array-state engine against the one-lane-at-a-time path it
-replaces for deep structures: `transfer` on an array equals `transfer`
-at each entry exactly, and structures, flat bands, Dirichlet roots, Hill
-combs, flat spectra and masses built on arrays equal a shallow scalar
-build gap for gap, and a scalar build of the same depth entry for entry
-(`==`, not a tolerance), with the same errors."""
+"""The array-state engine against the float lanes it replaces from
+_LOCKSTEP_GAPS lanes on: `transfer` on an array equals `transfer` at
+each entry exactly, and structures, flat bands, Dirichlet roots, Hill
+combs, flat spectra and masses built on arrays equal a shallow float
+build gap for gap, and a float build of the same depth entry for entry
+(`==`, not a tolerance), with the same errors.  Shallow structures and
+short evaluations never reach the array jet."""
 
 import math
 import random
@@ -27,6 +28,11 @@ DEEP = _LOCKSTEP_GAPS + 30
 def _random_potential(rng, m, vmax=8.0):
     return make_potential([(rng.uniform(0.1, 1.0), rng.uniform(-vmax, vmax))
                            for _ in range(m)])
+
+
+def _projection():
+    return make_potential(
+        lambda t: 5.0 * math.cos(2.0 * math.pi * t) + 2.0 * t, mesh=64)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 6, 64])
@@ -139,8 +145,14 @@ def test_mislabelled_critical_fails_the_gap_below_it():
 
 
 def _scalar(monkeypatch):
-    """Make every search below this depth run one lane at a time."""
+    """Make every search run one lane at a time, on floats."""
     monkeypatch.setattr(_rootfind, "_LOCKSTEP_GAPS", 10 ** 9)
+
+
+def _arrays(monkeypatch):
+    """Make every search of one lane or more run on the array-state
+    engine, and every evaluation on arrays."""
+    monkeypatch.setattr(_rootfind, "_LOCKSTEP_GAPS", 1)
 
 
 def _line(x):
@@ -161,13 +173,12 @@ def _raised(call):
 
 def test_lockstep_raises_the_lowest_failing_lane_not_the_first_to_fail(
         monkeypatch):
-    deep = _LOCKSTEP_GAPS
     # scans: lanes 1 and 2 (naming indices 5 and 1) have no zero within
     # reach of their windows; lane 1 is raised
     lo = np.array([0.0, 1000.0, 2000.0, 3.0])
     idx = np.array([0, 5, 1, 3])
     assert _both(monkeypatch, lambda: _raised(lambda: _roots_all(
-        _line, _shifted, lo, lo + 1.0, lo + 0.5, "scan", idx, deep))) \
+        _line, _shifted, lo, lo + 1.0, lo + 0.5, "scan", idx))) \
         == ((RootBracketError, "scan (index 5)", 5),) * 2
     # solves: both edges of gap 7 fail (and an edge of gap 3 after them);
     # the lower edge of gap 7 is raised
@@ -176,13 +187,13 @@ def test_lockstep_raises_the_lowest_failing_lane_not_the_first_to_fail(
     idx = np.array([0, 7, 7, 3])
     assert _both(monkeypatch, lambda: _raised(lambda: _solve_all(
         _line, _shifted, lo, hi, lo - (idx + 0.3), hi - (idx + 0.3), "edge",
-        idx, deep))) == ((RootBracketError,
-                          "edge: no sign change on [7.5, 7.6] (index 7)",
-                          7),) * 2
+        idx))) == ((RootBracketError,
+                    "edge: no sign change on [7.5, 7.6] (index 7)", 7),) * 2
     lo = np.array([2.0, 0.0])
     idx = np.array([2, 0])
-    assert _roots_all(_line, _shifted, lo, lo + 1.0, lo + 0.5, "scan", idx,
-                      deep).tolist() == [2.3, 0.3]
+    _arrays(monkeypatch)
+    assert _roots_all(_line, _shifted, lo, lo + 1.0, lo + 0.5, "scan",
+                      idx).tolist() == [2.3, 0.3]
 
 
 def _cube(x):
@@ -199,7 +210,7 @@ def test_lockstep_keeps_at_most_the_lane_window_live(monkeypatch):
     sizes = []
 
     def fbatch(x):
-        sizes.append(len(x))
+        sizes.append(x.size if isinstance(x, np.ndarray) else None)
         return _cube(x)
 
     # every fifth window starts right of its zero and is widened
@@ -207,12 +218,14 @@ def test_lockstep_keeps_at_most_the_lane_window_live(monkeypatch):
     lo = np.arange(count, dtype=float) + 0.1 * (np.arange(count) % 5)
     idx = np.arange(count)
     deep = _roots_all(fbatch, _cube_root_at, lo, lo + 1.0, lo + 0.5, "scan",
-                      idx, count)
-    assert max(sizes) == _rootfind._LANES
+                      idx)
+    arrays = [n for n in sizes if n is not None]
+    assert max(arrays) == _rootfind._LANES
+    # the last live lanes are evaluated on floats, never on small arrays
+    assert min(arrays) >= _LOCKSTEP_GAPS and None in sizes
     _scalar(monkeypatch)
     assert deep.tolist() == _roots_all(_cube, _cube_root_at, lo, lo + 1.0,
-                                       lo + 0.5, "scan", idx,
-                                       count).tolist()
+                                       lo + 0.5, "scan", idx).tolist()
 
 
 def test_seeded_lanes_agree_on_both_engines(monkeypatch):
@@ -225,7 +238,7 @@ def test_seeded_lanes_agree_on_both_engines(monkeypatch):
     start = c + np.array([1e-9, 0.25, -0.4, 5.0, math.nan])[idx % 5]
     deep, scalar = _both(monkeypatch, lambda: _solve_all(
         _cube, _cube_root_at, lo, hi, lo ** 3 - c ** 3, hi ** 3 - c ** 3,
-        "cube", idx, count, start).tolist())
+        "cube", idx, start).tolist())
     assert deep == scalar
     assert np.allclose(deep, c, rtol=1e-12, atol=0.0)
 
@@ -246,8 +259,8 @@ def test_scans_take_the_sign_change_nearest_the_guess(monkeypatch):
     prefer = 0.5 + np.arange(DEEP) % 13
     prefer[-5:] = 1.5
     deep, scalar = _both(monkeypatch, lambda: _roots_all(
-        sine, lambda v, n: v, lo, hi, prefer, "sine", np.arange(DEEP),
-        DEEP).tolist())
+        sine, lambda v, n: v, lo, hi, prefer, "sine",
+        np.arange(DEEP)).tolist())
     assert deep == scalar
     assert len({round(x / math.pi) for x in deep}) >= 4
 
@@ -305,10 +318,12 @@ def _exact_comb(x):
 
 def _both(monkeypatch, build):
     """build() on the array engine and one lane at a time."""
-    deep = build()
-    with monkeypatch.context() as m:
-        _scalar(m)
-        return deep, build()
+    out = []
+    for force in (_arrays, _scalar):
+        with monkeypatch.context() as m:
+            force(m)
+            out.append(build())
+    return tuple(out)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -316,8 +331,7 @@ def test_array_engine_equals_scalar_lanes_at_equal_depth(monkeypatch, seed):
     rng = random.Random(seed)
     potentials = [_random_potential(rng, m) for m in range(1, 7)]
     if seed == 1:
-        potentials.append(make_potential(
-            lambda t: 5.0 * math.cos(2.0 * math.pi * t) + 2.0 * t, mesh=64))
+        potentials.append(_projection())
     sectors = list(_sectors(rng))
     for k, q in enumerate(potentials):
         cfg = sectors[k % len(sectors)]  # sectors[0] has c_j < 0
@@ -363,7 +377,7 @@ def test_masked_branches_stay_silent_and_exact(monkeypatch):
     lo = -np.ones(2 * DEEP)
     idx = np.arange(2 * DEEP)
     deep, scalar = _both(monkeypatch, lambda: _solve_all(
-        cube, pick, lo, -lo, lo + 0.5, -lo + 0.5, "cube", idx, DEEP).tolist())
+        cube, pick, lo, -lo, lo + 0.5, -lo + 0.5, "cube", idx).tolist())
     assert deep == scalar
     assert abs(deep[0] + 0.5 ** (1 / 3)) < 1e-12
 
@@ -381,3 +395,48 @@ def test_masked_branches_stay_silent_and_exact(monkeypatch):
         make_potential("zero"), MagneticConfig(a=0.0), DEEP))
     assert repr(deep) == repr(scalar)
     assert any(deep.degenerate) and not all(deep.degenerate)
+
+
+@pytest.mark.parametrize("q", [make_potential([(1.0, 3.0)]), _projection()],
+                         ids=["1-piece", "64-piece"])
+def test_shallow_structures_never_build_an_array_jet(q, monkeypatch):
+    # every phase of a 20-gap structure and its masses has fewer lanes
+    # and points than _LOCKSTEP_GAPS, so the jet only ever sees floats
+    kinds = set()
+    jet = monodromy.transfer
+
+    def recorded(q, lam, order=2):
+        kinds.add(type(lam))
+        return jet(q, lam, order)
+
+    monkeypatch.setattr(monodromy, "transfer", recorded)
+    for cfg in (MagneticConfig(a=0.9), MagneticConfig(a=2.2)):
+        effective_masses(band_structure(q, cfg, SHALLOW))
+    flat_spectrum(q, MagneticConfig(a=math.pi / 2), SHALLOW)
+    assert kinds == {float}
+
+
+@pytest.mark.parametrize("size", [1, _LOCKSTEP_GAPS - 1, _LOCKSTEP_GAPS,
+                                  _rootfind._LANES + 1])
+def test_eval_on_floats_below_the_threshold_equals_one_array_call(size):
+    q = make_potential("two-step")
+    rng = np.random.default_rng(size)
+    x = np.concatenate(([v for _, v in q.pieces], rng.uniform(
+        -200.0, 4000.0, size)))[:size]
+    calls = []
+
+    def f(lam):
+        calls.append(lam.size if isinstance(lam, np.ndarray) else None)
+        return F_with_derivs(q, lam)
+
+    got = _rootfind._eval(f, x)
+    want = F_with_derivs(q, x)
+    assert [[repr(v) for v in col.tolist()] for col in got] \
+        == [[repr(v) for v in col.tolist()] for col in want]
+    assert all(col.dtype == np.float64 for col in got)
+    if size < _LOCKSTEP_GAPS:
+        assert calls == [None] * size
+    elif size <= _rootfind._LANES:
+        assert calls == [size]
+    else:
+        assert calls == [_rootfind._LANES, None]

@@ -261,3 +261,64 @@ def test_fit_tail_recovers_limit():
     ns = list(range(1, 201))
     sums = [5.0 - 3.0 / n for n in ns]
     assert abs(fit_tail(ns, sums) - 5.0) < 1e-12
+
+
+def _loop_sums(first, terms, scale=1.0):
+    ns, sums, acc = [], [], first
+    for n, t in enumerate(terms, 1):
+        acc += t
+        ns.append(n)
+        sums.append(scale * acc)
+    return ns, sums
+
+
+def _loop_checks(bs, mt, lams, edges):
+    """The three series checks summed term by term in Python floats."""
+    out = []
+    ns, sums = _loop_sums(mt.mu0, [mt.plus[n] + mt.minus[n]
+                                   for n in range(bs.n_max)])
+    ext = fit_tail(ns, sums)
+    out.append((sums[-1], ext, abs(ext - 2.0)))
+    for lam in lams:
+        terms = []
+        for sp, sm, lp, lm in zip(mt.plus, mt.minus, bs.plus, bs.minus):
+            a_n = 0.5 * (sp + sm) * (1.0 / (lam - lp) + 1.0 / (lam - lm))
+            b_n = 0.5 * (sp - sm) * (1.0 / (lam - lp) - 1.0 / (lam - lm))
+            terms.append(a_n + b_n)
+        out.append(fit_tail(*_loop_sums(mt.mu0 / (lam - bs.lambda0), terms,
+                                        0.5)))
+    for n, sign, m_max in edges:
+        target = bs.lambda0 if n == 0 else (bs.plus if sign > 0
+                                            else bs.minus)[n - 1]
+        odd = n % 2
+        limit = bs.n_max // 2 if odd else (bs.n_max + 1) // 2
+        m_stop = min(m_max, limit) if m_max else limit
+        first = 1.0 / (bs.lambda0 - target) if odd else 0.0
+        terms = [1.0 / (bs.minus[2 * m - 2 + odd] - target)
+                 + 1.0 / (bs.plus[2 * m - 2 + odd] - target)
+                 for m in range(1, m_stop + 1)]
+        out.append((fit_tail(*_loop_sums(first, terms, 2.0)), m_stop))
+    return out
+
+
+@pytest.mark.parametrize("name, a", [("zero", 0.0), ("two-step", 0.9)])
+def test_series_checks_equal_term_by_term_loops(name, a, structure_factory,
+                                                mass_factory):
+    # at c = 1 the even gaps of the zero potential are closed and enter
+    # the odd-edge series as coinciding pairs
+    q, cfg = make_potential(name), MagneticConfig(a=a)
+    bs, mt = structure_factory(q, cfg, 41), mass_factory(q, cfg, 41)
+    lams = (3.3, 47.5, 250.3)
+    edges = [(0, +1, None), (1, -1, None), (3, +1, 7), (5, -1, 100)]
+    if name == "zero":
+        assert all(bs.degenerate[1::2])
+    else:
+        edges += [(2, +1, None), (4, -1, 3), (40, +1, None)]
+    tr = verify_trace_identity(mt)
+    got = [(tr.partial_sum, tr.extrapolated, tr.residual)]
+    got += [c.series for c in verify_partial_fraction(q, cfg, lams, 41,
+                                                       bs=bs, mt=mt)]
+    got += [(c.series, c.m_terms) for c in (
+        verify_mass_series(mt, bs, n, sign, m_max)
+        for n, sign, m_max in edges)]
+    assert repr(got) == repr(_loop_checks(bs, mt, lams, edges))

@@ -9,8 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from nanoband import monodromy
-from nanoband._rootfind import _LOCKSTEP_GAPS, _solve_all, solve_bracketed
+from nanoband import _rootfind, monodromy
+from nanoband._rootfind import _solve_all, solve_bracketed
 from nanoband.potential import make_potential
 from nanoband.spectrum import MagneticConfig, band_structure
 
@@ -30,34 +30,41 @@ class _Counted:
         return math.cos(x), -math.sin(x)
 
 
-def _solve_cos(count, start=None):
-    """The zero of cos on [1, 2] through _solve_all: one lane, on the array
-    engine when count reaches _LOCKSTEP_GAPS, with the points evaluated."""
+# _LOCKSTEP_GAPS for one lane on floats (the default) and on the
+# array-state engine
+ENGINES = [_rootfind._LOCKSTEP_GAPS, 1]
+
+
+def _solve_cos(monkeypatch, gaps, start=None):
+    """The zero of cos on [1, 2] through _solve_all: one lane, on the
+    array engine when _LOCKSTEP_GAPS is `gaps` = 1, with the points
+    evaluated."""
+    monkeypatch.setattr(_rootfind, "_LOCKSTEP_GAPS", gaps)
     f = _Counted()
     lo, hi = np.array([1.0]), np.array([2.0])
     root = _solve_all(f, lambda v, i: v, lo, hi, np.cos(lo), np.cos(hi),
-                      "cos", np.array([1]), count, start)
+                      "cos", np.array([1]), start)
     return root.tolist(), f.points
 
 
-def test_converged_newton_step_ends_the_solve():
+def test_converged_newton_step_ends_the_solve(monkeypatch):
     # Newton reaches pi/2 at the sixth point; the next step rounds back
     # onto it, and an open bracket test would bisect the rest of [1, 2]
     # down to the step tolerance instead (37 points in all)
     f = _Counted()
     assert solve_bracketed(f, 1.0, 2.0) == math.pi / 2
     assert len(f.points) <= 10
-    for count in (1, _LOCKSTEP_GAPS):
-        root, points = _solve_cos(count)
+    for gaps in ENGINES:
+        root, points = _solve_cos(monkeypatch, gaps)
         assert root == [math.pi / 2]
         assert len(points) <= 10
 
 
-@pytest.mark.parametrize("count", [1, _LOCKSTEP_GAPS])
-def test_start_inside_the_bracket_is_the_first_point(count):
+@pytest.mark.parametrize("gaps", ENGINES)
+def test_start_inside_the_bracket_is_the_first_point(gaps, monkeypatch):
     for start, first in ((1.55, 1.55), (0.5, 1.5), (2.0, 1.5), (1.0, 1.5),
                          (math.nan, 1.5)):
-        root, points = _solve_cos(count, np.array([start]))
+        root, points = _solve_cos(monkeypatch, gaps, np.array([start]))
         assert root == [math.pi / 2]
         assert points[0] == first, start
 
