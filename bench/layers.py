@@ -23,17 +23,21 @@ samples:
   300-point grid, its band structure built beforehand, in microseconds
   per lambda;
 * `nanoband bands --q two-step --a 0.9 --n-max 2000` and the README's
-  `dispersion` and `oracle` commands end to end in a subprocess, output
-  discarded (s).
+  `masses`, `dispersion`, `verify`, `oracle` and `flatbands` commands
+  end to end in a subprocess, output discarded (s);
+* `import nanoband` in a fresh interpreter, timed inside it (s);
+* the tracemalloc peak of a 2400-gap `band_structure` with its flat
+  bands plus `effective_masses` for one piece at a = 0.9 (kB): the
+  memory of a deep build with every solver lane live.
 
 Beside the timings, `counts` holds the comb engine's work per gap for
 the two-step potential at a = 0.9 and n_max 20, 200, 2000 and 20000:
 the lambdas at which the monodromy jet is evaluated, counted by wrapping
 `monodromy.transfer`, split into critical points (the order-2 lambdas of
-`band_structure` without flat bands), edges (its order-1 lambdas: the
-lowest edge and both edges of every open gap) and Dirichlet roots
-(`dirichlet_spectrum`), each over n_max.  Every round counts them again
-and the run stops if they differ.
+`band_structure` without flat bands), edges (its order-1 lambdas: f at
+the critical points, the lowest edge and both edges of every open gap)
+and Dirichlet roots (`dirichlet_spectrum`), each over n_max.  Every
+round counts them again and the run stops if they differ.
 
 The file also records the processor count and the Python and numpy
 versions.  Run it from the root of a checkout; --src picks the package
@@ -58,6 +62,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 HERE = os.path.abspath(__file__)
 RUNS = 5
@@ -70,12 +75,19 @@ SECTOR_BUILDS = 5  # structures per sample of the 20-gap layer
 JET_BATCH = 512
 JET_CALLS = 2000  # one-lambda calls per sample
 ORACLE_GRID = (0.05, 40.0, 300)  # lo, hi, points
+DEEP_ALLOC_N_MAX = 2400
 CLI_RUNS = {
     "cli_bands_n_max_2000_s": "bands --q two-step --a 0.9 --n-max 2000",
+    "cli_masses_s": "masses --q two-step --a 0.9 --n-max 10",
     "cli_dispersion_s": "dispersion --q zero --a 0 --grid 0:40:400",
+    "cli_verify_s": "verify --q two-step --a 0.9 --n-max 20",
     "cli_oracle_s": "oracle --q two-step --a 0.6283185307179586 "
                     "--grid 0.05:40:200",
+    "cli_flatbands_s": "flatbands --q zero --a 1.5707963267948966 "
+                       "--n-max 5",
 }
+IMPORT_TIMER = ("import time; t = time.perf_counter(); import nanoband; "
+                "print(time.perf_counter() - t)")
 
 
 def _summary(samples: list[float], unit: str) -> dict:
@@ -88,6 +100,17 @@ def _timed(fn) -> float:
     t = time.perf_counter()
     fn()
     return time.perf_counter() - t
+
+
+def _alloc_peak_kb(fn) -> float:
+    """The tracemalloc peak of fn(): the most memory its allocations
+    held at once, in kB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1024.0
+    finally:
+        tracemalloc.stop()
 
 
 def _cases(src: str) -> dict:
@@ -148,11 +171,17 @@ def _cases(src: str) -> dict:
         cases[f"oracle_us_per_lambda.pieces_{m}"] = (
             "us", lambda q=q, bs=bs: 1e6 * _timed(
                 lambda: cross_validate(q, cfg, grid, bs=bs)) / points)
+    cases["deep_alloc_peak_kb"] = ("kB", lambda: _alloc_peak_kb(
+        lambda: nanoband.effective_masses(
+            nanoband.band_structure(jets[1], cfg, DEEP_ALLOC_N_MAX))))
     for name, command in CLI_RUNS.items():
         cases[name] = ("s", lambda command=command: _timed(
             lambda: subprocess.run(
                 [sys.executable, "-m", "nanoband.cli", *command.split()],
                 env=env, check=True, stdout=subprocess.DEVNULL)))
+    cases["import_s"] = ("s", lambda: float(subprocess.run(
+        [sys.executable, "-c", IMPORT_TIMER], env=env, check=True,
+        capture_output=True, text=True).stdout))
     return cases
 
 

@@ -9,42 +9,48 @@ is subclassed by monodromy.HillSpectrum and spectrum.BandStructure;
 _comb_k maps a discriminant value onto the comb (the quasimomentum
 branch) and _depth_for says how many gaps cover a given lambda.
 
-The two control algorithms exist once each as plain functions of
-floats: _solve_one, the solve of solve_bracketed, and _scan_one, the
-sign-change scan.  The solve is rtsafe (Numerical Recipes 9.4): Newton
-steps that land in the closed bracket, so a converged iterate, which is
-itself a bracket end, ends the solve instead of being bisected away,
-and bisection otherwise.  It starts from a given point when that lies
-strictly inside the bracket and from the midpoint otherwise.  A
-structure describes each phase of its search as arrays of brackets, one
-lane per gap or edge, for one evaluator f that maps a float to a tuple
-of floats and a float64 array to a tuple of arrays: _critical_all
-(critical points), _roots_all (the zero nearest a guess, solved from the
-guess) and _solve_all (zeros on known brackets, from optional starts).
+The two control algorithms exist once each.  The solve is rtsafe
+(Numerical Recipes 9.4): Newton steps that land in the closed bracket,
+so a converged iterate, which is itself a bracket end, ends the solve
+instead of being bisected away, and bisection otherwise.  It starts
+from a given point when that lies strictly inside the bracket and from
+the midpoint otherwise; _solve_one runs it on floats (solve_bracketed
+is a call of it).  The scan looks for a sign change at the ends of a
+window, then at samples across it, then in windows widened around a
+preferred point.  A structure describes each phase of its search as
+arrays of brackets, one lane per gap or edge, for one evaluator f that
+maps a float to a tuple of floats and a float64 array to a tuple of
+arrays: _critical_all (critical points), _roots_all (the zero nearest a
+guess, solved from the guess) and _solve_all (zeros on known brackets,
+from optional starts).
 
-One rule picks floats or arrays, from the number of points in hand
-against _LOCKSTEP_GAPS.  A phase of fewer lanes runs them one after
-another through _scan_one and _solve_one, which call f on floats; a
-larger one runs the array-state engine (_scan_array, _solve_array):
-it keeps every piece of solver state of up to _LANES live lanes in a
-float64 array and advances all of them with masked numpy steps, one
-call of _eval per step.  _eval, which every evaluation of several points
-goes through, calls f on floats below _LOCKSTEP_GAPS points and on
-arrays of at most _LANES points from there on; so the last few live
-lanes of a deep solve, and every shallow structure, never build a small
-array jet.  The engine evaluates the same points and takes the same
-branches as the float functions, and the evaluators return the float
-numbers bit for bit on arrays, so both ways give identical structures
-and raise the same RootBracketError, that of the lowest failing lane.
+Every scan runs all lanes of its phase at once on arrays (_scan_array).
+One rule picks floats or arrays for the rest, from the number of points
+in hand against _LOCKSTEP_GAPS.  _solve_all runs a phase of fewer lanes
+one after another through _solve_one, which calls f on floats, and a
+larger one on _solve_array, which keeps every piece of solver state of
+every lane of the phase in a float64 array, advances all live lanes
+with masked numpy steps, one call of _eval per step, and drops lanes
+as they finish.  _eval, which every evaluation of several points goes
+through, calls f on floats below _LOCKSTEP_GAPS points and on arrays of
+at most _LANES points from there on; so the last few live lanes of a
+deep solve, and the ends of a shallow scan, never build a small array
+jet.  _solve_array evaluates the same points and takes the same
+branches as _solve_one, and the evaluators return the float numbers
+bit for bit on arrays, so both ways give identical structures and
+raise the same RootBracketError, that of the lowest failing lane.
 
 comb_roots takes its inputs as arrays: the critical windows of every
 gap and, optionally, a start for every gap-edge solve.  It reads f''
-only at the critical points; its edge evaluator fdf returns (f, f')
-alone, the same numbers as the first two of f, and serves the lowest
-edge and the gap edges, so the structures ask the monodromy jet for
-order 1 there and skip its second derivative.  band_structure passes
-the zero-potential edges shifted by q0 as starts, which lie O(1/n) from
-the edges, so a deep edge takes 3-4 evaluations.
+only in the solve for the critical points; its edge evaluator fdf
+returns (f, f') alone, the same numbers as the first two of f, and
+serves f at the critical points, the lowest edge and the gap edges, so
+the structures ask the monodromy jet for order 1 there and skip its
+second derivative.  The point where the leftward expansion for the
+lowest edge stops is evaluated once: its value is a bracket end of the
+solve.  band_structure passes the zero-potential edges shifted by q0 as
+starts, which lie O(1/n) from the edges, so a deep edge takes 3-4
+evaluations.
 """
 
 from __future__ import annotations
@@ -69,18 +75,18 @@ MAX_DOUBLINGS = 8
 SOLVE_XTOL = 1e-13
 SOLVE_MAXITER = 100
 POLISH_STEPS = 2
-# _scan_one: samples across the interval per attempt
+# _scan_array: samples across the interval per attempt
 SCAN_SAMPLES = 9
 
 # Domain slack allowed when clamping arccos/arccosh arguments onto the comb.
 _CLAMP_TOL = 1e-12
 
-# A search phase of this many lanes or more runs on the array-state
-# engine (_scan_array, _solve_array), and _eval calls f on arrays from
-# this many points on.  Measured per phase (critical points, gap edges,
-# Dirichlet roots) of structures 10-100 gaps deep at a = 0.9, process
-# time, best of 5, 2-core machine, the array engine (its last lanes on
-# floats) against the float lanes: for six potentials of 1-6 pieces,
+# A solve phase of this many lanes or more runs on _solve_array, and
+# _eval calls f on arrays from this many points on.  Measured per phase
+# (critical points, gap edges, Dirichlet roots) of structures 10-100
+# gaps deep at a = 0.9, process time, best of 5, 2-core machine, when
+# the threshold picked the scan too, the array engine (its last lanes
+# on floats) against the float lanes: for six potentials of 1-6 pieces,
 # medians 1.6-1.9x slower at 20-21 lanes, 0.95-1.08x at 40-41, 0.67-0.80x
 # at 60-61 and 0.48-0.63x at 100-101; for one 64-piece projection (one
 # run each) 1.1-2.5x at 20-21 lanes, 0.8-1.3x at 40-60, 0.4-0.75x at
@@ -88,11 +94,11 @@ _CLAMP_TOL = 1e-12
 # (64 pieces); 60 puts every phase on the cheaper engine but those of
 # 40-59 lanes at 1-6 pieces, whose float lanes cost up to 1.35x.
 _LOCKSTEP_GAPS = 60
-# Live lanes of the engine, and points per call of the evaluator (_eval,
-# also for the masses).  perfbench deep-tables, 20 s, two runs each on a
-# 2-core machine: 256, 512 and 1024 lanes gave 4.2-5.4, 5.4-6.4 and
-# 6.5-6.8 jobs/s at 33.8-33.9, 34.3 and 35.2-35.3 MB peak RSS; every
-# lane live took 36.05 MB.
+# Points per call of the evaluator (_eval, also for the masses and the
+# Floquet oracle's chunks); every lane of a phase is live.  perfbench
+# deep-tables, seed 1, 20 s, two runs each on a 2-core machine: 512
+# points gave 20.7-20.8 jobs/s at 34.5-34.6 MB peak RSS (256 points:
+# 18.1-18.2 jobs/s, 34.5-34.6 MB; 1024: 26.3-26.9 jobs/s, 34.5 MB).
 _LANES = 512
 
 
@@ -185,51 +191,18 @@ def _solve_one(g, lo, hi, flo, fhi, what, index, start):
 
 
 def expand_left(f: Callable[[float], float], start: float, step: float,
-                predicate: Callable[[float], bool],
-                what: str = "leftward expansion") -> float:
+                what: str = "leftward expansion") -> tuple[float, float]:
     """Walk left from `start` in geometrically growing steps until
-    predicate(f(x)) holds; return that x.  The walk looks for the bottom
-    of a comb, so its RootBracketError names index 0."""
+    f(x) > 0; return x and f(x).  The walk looks for the bottom of a
+    comb, so its RootBracketError names index 0."""
     s = step
     for _ in range(MAX_DOUBLINGS + 1):
         x = start - s
-        if predicate(f(x)):
-            return x
+        v = f(x)
+        if v > 0.0:
+            return x, v
         s *= 2.0
     raise RootBracketError(what, 0)
-
-
-def _scan_one(g, lo, hi, prefer, what, index):
-    """Locate a sign-change subinterval of g (a float function) on
-    [lo, hi].
-
-    Endpoints are tried first; on failure SCAN_SAMPLES points across the
-    interval are tried and, if still single-signed, the interval is
-    geometrically widened around `prefer` (up to MAX_DOUBLINGS).  Among
-    several sign changes the one closest to `prefer` wins.  Returns
-    (lo, hi, g(lo), g(hi)) of that subinterval; a scan that finds none
-    raises RootBracketError(what, index).
-    """
-    span = hi - lo
-    for attempt in range(MAX_DOUBLINGS + 1):
-        flo, fhi = g(lo), g(hi)
-        if attempt == 0 and (flo > 0) != (fhi > 0):
-            return lo, hi, flo, fhi
-        xs = [lo + span * i / (SCAN_SAMPLES - 1) for i in range(SCAN_SAMPLES)]
-        fs = [flo, *map(g, xs[1:-1]), fhi]
-        best = None
-        for i in range(SCAN_SAMPLES - 1):
-            if (fs[i] > 0) != (fs[i + 1] > 0):
-                mid = 0.5 * (xs[i] + xs[i + 1])
-                d = abs(mid - prefer)
-                if best is None or d < best[0]:
-                    best = (d, xs[i], xs[i + 1], fs[i], fs[i + 1])
-        if best is not None:
-            return best[1:]
-        lo = prefer - span
-        hi = prefer + span
-        span *= 2.0
-    raise RootBracketError(what, index)
 
 
 def _solve_all(f: Callable, pick: Callable, lo, hi, flo, fhi, what: str,
@@ -261,34 +234,26 @@ def _solve_all(f: Callable, pick: Callable, lo, hi, flo, fhi, what: str,
 
 def _roots_all(f: Callable, pick: Callable, lo, hi, prefer, what: str,
                index) -> np.ndarray:
-    """The zero of g_i nearest prefer[i] in [lo[i], hi[i]] for each i,
-    widened as _scan_one does (arguments as for _solve_all; from
-    _LOCKSTEP_GAPS lanes on by _scan_array and _solve_array).  The solve
-    of a lane starts at prefer[i] if that lies inside the bracket its
-    scan found.  If the scans of some lanes fail, the lowest one's
+    """The zero of g_i nearest prefer[i] in [lo[i], hi[i]] for each i
+    (arguments as for _solve_all): _scan_array finds the brackets and
+    _solve_all solves them, each lane from prefer[i] if that lies inside
+    its bracket.  If the scans of some lanes fail, the lowest one's
     RootBracketError is raised."""
-    if lo.size < _LOCKSTEP_GAPS:
-        out = []
-        for i, a, b, p in zip(*(v.tolist() for v in (index, lo, hi, prefer))):
-            g = lambda x, i=i: pick(f(x), i)
-            bracket = _scan_one(lambda x: g(x)[0], a, b, p, what, i)
-            out.append(_solve_one(g, *bracket, what, i, p))
-        return np.array(out)
     *bracket, failed = _scan_array(f, lambda v, i: pick(v, i)[0], lo, hi,
                                    prefer, index)
     if failed.size:
         raise RootBracketError(what, int(index[failed[0]]))
-    return _solve_array(f, pick, *bracket, index, prefer)
+    return _solve_all(f, pick, *bracket, what, index, prefer)
 
 
-def _critical_all(f: Callable, lo, hi, prefer, what: str,
+def _critical_all(f: Callable, fdf: Callable, lo, hi, prefer, what: str,
                   index) -> tuple[np.ndarray, np.ndarray]:
     """x and f(x) at the zero x of f' nearest prefer[i] in [lo[i], hi[i]]
     for each i (as _roots_all), for an evaluator f returning
-    (f, f', f'')."""
+    (f, f', f''); f(x) is read from fdf, which returns (f, f') alone."""
     xs = _roots_all(f, lambda v, i: (v[1], v[2]), lo, hi, prefer, what,
                     index)
-    return xs, _eval(f, xs)[0]
+    return xs, _eval(fdf, xs)[0]
 
 
 def _eval(f, x):
@@ -309,20 +274,25 @@ _SAMPLE_STEPS = np.arange(SCAN_SAMPLES, dtype=float)
 
 
 def _scan_array(f, g, lo, hi, prefer, index):
-    """The array-state engine's _scan_one: every lane of the float64
-    arrays lo, hi, prefer at once, where g(f(x), index) is the scanned
-    function, with the same points and branches.  Returns the bracket
-    arrays (lo, hi, g(lo), g(hi)) and the sorted positions of the lanes
-    that found no sign change.  The first attempt evaluates the ends of
-    all lanes in one call and the interior samples of those without a
-    sign change in another; later attempts take one call of all nine
-    samples."""
-    n = lo.size
-    v = g(_eval(f, np.concatenate((lo, hi))), np.concatenate((index, index)))
-    out = [lo.copy(), hi.copy(), v[:n], v[n:]]
-    live = np.flatnonzero((v[:n] > 0) == (v[n:] > 0))
-    a, b, p, ends = lo[live], hi[live], prefer[live], (v[:n][live],
-                                                       v[n:][live])
+    """A sign-change subinterval of g_i on [lo[i], hi[i]] for every lane
+    i of the float64 arrays lo, hi, prefer at once, where g(f(x), index)
+    is the scanned function.
+
+    The ends are tried first; a lane without a sign change there tries
+    SCAN_SAMPLES points across its interval and, if still single-signed,
+    is widened geometrically around prefer[i] (up to MAX_DOUBLINGS).
+    Among several sign changes the one closest to prefer[i] wins.
+    Returns the bracket arrays (lo, hi, g(lo), g(hi)) and the sorted
+    positions of the lanes that found none.  The first attempt evaluates
+    the lower ends in one _eval call, the upper ends in another and the
+    interior samples of the lanes without a sign change in a third, so
+    that a phase of fewer than _LOCKSTEP_GAPS lanes whose ends bracket
+    runs on floats; later attempts take one call of all nine samples.
+    """
+    flo, fhi = g(_eval(f, lo), index), g(_eval(f, hi), index)
+    out = [lo.copy(), hi.copy(), flo, fhi]
+    live = np.flatnonzero((flo > 0) == (fhi > 0))
+    a, b, p, ends = lo[live], hi[live], prefer[live], (flo[live], fhi[live])
     span = b - a
     inner = SCAN_SAMPLES - 2
     for attempt in range(MAX_DOUBLINGS + 1):
@@ -358,23 +328,21 @@ def _scan_array(f, g, lo, hi, prefer, index):
 
 
 def _solve_array(f, pick, lo, hi, flo, fhi, index, start):
-    """The array-state engine's _solve_one: one float64 array per piece
-    of solver state, the same points and branches, one call of f per
-    step, and numpy's elementwise + - * /, abs and comparisons, which
-    round as Python floats do.  Solves every lane of the float64 arrays
-    lo, hi, flo, fhi (each bracket has a sign change or a zero end),
-    where pick(f(x), index) is (g, g'), from start where that lies
-    strictly inside (lo, hi) and from the midpoint elsewhere (nan for no
-    start); the Newton test is rtsafe's closed one, as in _solve_one.
-    At most _LANES lanes are live: a finished lane's slot takes the next
-    waiting one, from that lane's own start.  Each live lane's
-    step counter k counts Newton/bisection steps up to SOLVE_MAXITER and
-    polish steps above it; a converged lane jumps to SOLVE_MAXITER.
-    Divisions by g' = 0 are masked where Python would not reach them,
-    and overflow to inf or nan stays silent as with floats."""
+    """_solve_one for every lane of the float64 arrays lo, hi, flo, fhi
+    at once (each bracket has a sign change or a zero end), where
+    pick(f(x), index) is (g, g'): one float64 array per piece of solver
+    state, the same points and branches, one call of _eval per step for
+    every live lane, and numpy's elementwise + - * /, abs and
+    comparisons, which round as Python floats do.  A lane starts from
+    start where that lies strictly inside (lo, hi) and from the midpoint
+    elsewhere (nan for no start), and leaves the arrays when it
+    finishes.  Each lane's step counter k counts Newton/bisection steps
+    up to SOLVE_MAXITER and polish steps above it; a converged lane
+    jumps to SOLVE_MAXITER.  Divisions by g' = 0 are masked where Python
+    would not reach them, and overflow to inf or nan stays silent as
+    with floats."""
     root = np.where(flo == 0.0, lo, hi)
-    wait = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
-    live, wait = wait[:_LANES].copy(), wait[_LANES:]
+    live = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
     a, b, lo_pos = lo[live], hi[live], flo[live] > 0
     x = _start(a, b, start[live])
     dx = dx_old = np.abs(b - a)
@@ -405,19 +373,9 @@ def _solve_array(f, pick, lo, hi, flo, fhi, index, start):
                      np.where(stop, x, newton))
         k = np.where(main & conv, SOLVE_MAXITER, k + 1)
         done = zero | (~main & (stop | (k == SOLVE_MAXITER + POLISH_STEPS)))
-        if not done.any():
-            continue
-        slots = np.flatnonzero(done)
-        root[live[slots]] = x[slots]
-        new, wait = wait[:slots.size], wait[slots.size:]
-        s = slots[:new.size]
-        live[s], a[s], b[s], lo_pos[s] = new, lo[new], hi[new], flo[new] > 0
-        x[s] = _start(a[s], b[s], start[new])
-        dx[s] = dx_old[s] = np.abs(b[s] - a[s])
-        k[s] = 0
-        if new.size < slots.size:
-            keep = np.ones(live.size, dtype=bool)
-            keep[slots[new.size:]] = False
+        if done.any():
+            root[live[done]] = x[done]
+            keep = ~done
             live, a, b, lo_pos, x, dx, dx_old, k = (
                 v[keep] for v in (live, a, b, lo_pos, x, dx, dx_old, k))
     return root
@@ -547,20 +505,21 @@ def comb_roots(f: Callable, fdf: Callable, lo: np.ndarray, hi: np.ndarray,
     # critical points for gaps 1 .. n_max+1, with f there: it sets the
     # heights and the bracket ends of the edges
     ns = np.arange(1, n_max + 2)
-    crit, fcrit = _critical_all(f, lo, hi, 0.5 * (lo + hi),
+    crit, fcrit = _critical_all(f, fdf, lo, hi, 0.5 * (lo + hi),
                                 f"{what}: critical point", ns)
 
-    # lowest edge: f - 1 = 0 on (-inf, crit_1); a single scalar solve;
-    # its failures name index 0
+    # lowest edge: f - 1 = 0 on (-inf, crit_1); a single scalar solve
+    # from the point the expansion found and its value; its failures
+    # name index 0
     def bottom(x: float) -> tuple[float, float]:
         v = fdf(x)
         return v[0] - 1.0, v[1]
 
-    left = expand_left(lambda x: fdf(x)[0] - 1.0,
-                       min(lambda0_seed, float(crit[0])) - 0.25, 0.5,
-                       lambda v: v > 0.0, what=f"{what}: lowest edge")
+    left, fleft = expand_left(lambda x: bottom(x)[0],
+                              min(lambda0_seed, float(crit[0])) - 0.25, 0.5,
+                              what=f"{what}: lowest edge")
     try:
-        lam0 = solve_bracketed(bottom, left, float(crit[0]), None,
+        lam0 = solve_bracketed(bottom, left, float(crit[0]), fleft,
                                float(fcrit[0]) - 1.0)
     except RootBracketError as exc:
         raise RootBracketError(f"{what}: lowest edge: {exc.what}", 0) from None

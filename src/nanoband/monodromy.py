@@ -24,15 +24,15 @@ the 2x2 products in the order a product of tuples makes them
 gives the entries it returns bit for bit as the full jet: the lower
 derivatives never read the higher ones, which are only skipped.
 
-`transfer` takes one lambda or a float64 array of them; the array-state
-root engine of `_rootfind` passes an array of at least _LOCKSTEP_GAPS
-lambdas once per solver step (fewer go one lambda at a time).  An array
-gives the same numbers as one lambda at a time, bit for bit: numpy's
-elementwise + - * / and sqrt round exactly like Python floats, both
-kinds share `_closed_form` and the loop of `transfer`, cos/sin/cosh/sinh
-go through `math` one lambda at a time (numpy's versions can differ
-from libm in the last bit), and lanes in the series window
-|mu| <= _SERIES_CUT are computed by `_factor` itself.
+`transfer` takes one lambda or a float64 array of them; the root engine
+of `_rootfind` passes arrays of _LOCKSTEP_GAPS to _LANES lambdas, once
+per step of a scan or of a deep solve (fewer go one lambda at a time).
+An array gives the same numbers as one lambda at a time, bit for bit:
+numpy's elementwise + - * / and sqrt round exactly like Python floats,
+both kinds share `_closed_form` and the loop of `transfer`,
+cos/sin/cosh/sinh go through `math` one lambda at a time (numpy's
+versions can differ from libm in the last bit), and lanes in the series
+window |mu| <= _SERIES_CUT are computed by `_factor` itself.
 """
 
 from __future__ import annotations

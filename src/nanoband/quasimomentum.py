@@ -44,14 +44,16 @@ def k_eval(q: PotentialSpec, cfg: MagneticConfig, lam: float | np.ndarray,
     a time, bit for bit, see monodromy), then the comb branch point by
     point.  Without bs, a structure deep enough to cover every lam is
     built.  Raises ValueError where xi is off the comb branch by more
-    than the clamp tolerance plus the edge resolution at lam."""
+    than the clamp tolerance plus the edge resolution at lam, and
+    monodromy._JetOverflowError (a ValueError) naming the lowest lam
+    where xi or xi' is not a finite float."""
     pts = np.atleast_1d(lam).tolist()
     if bs is None:
         bs = _spec.band_structure(q, cfg, _depth_for(max(pts), q.q0),
                                   include_flat=False)
     where = [bs.locate(x) for x in pts]
     vals, d1s = (np.atleast_1d(v).tolist()
-                 for v in _spec._xi_eff(q, cfg, lam, 1))
+                 for v in _spec._xi_finite(q, cfg, lam, 1))
     ks = [_comb_k(*w, v, _edge_slack(x, d))
           for x, w, v, d in zip(pts, where, vals, d1s)]
     return np.array(ks, dtype=complex) if isinstance(lam, np.ndarray) \
@@ -95,7 +97,7 @@ def verify_deep_asymptotics(q: PotentialSpec, cfg: MagneticConfig,
     lam0 = _spec.band_structure(q, cfg, 1, include_flat=False).lambda0
     qn = q.shifted(-lam0)
     q0n = qn.q0
-    (vals,) = _spec._xi_eff(qn, cfg, np.array([-y * y for y in ys]), 0)
+    (vals,) = _spec._xi_finite(qn, cfg, np.array([-y * y for y in ys]), 0)
     ests = [_comb_k("below", 0, v).imag - 2.0 * y - q0n / y
             for y, v in zip(ys, vals.tolist())]
     const_fit, _ = _fit_line([1.0 / (y * y) for y in ys], ests)
@@ -149,7 +151,7 @@ def verify_kprime_squared(q: PotentialSpec, cfg: MagneticConfig,
     if lams[-1] >= 0.0:
         raise ValueError("test lambdas must be negative")
     vals = []
-    xs, d1s = _spec._xi_eff(q, cfg, np.array(lams), 1)
+    xs, d1s = _spec._xi_finite(q, cfg, np.array(lams), 1)
     for lam, v, d1 in zip(lams, xs.tolist(), d1s.tolist()):
         kp2 = d1 * d1 / (1.0 - v * v)
         vals.append(lam * lam * (kp2 - 1.0 / lam))

@@ -191,12 +191,30 @@ def _xi_eff(q: PotentialSpec, cfg: MagneticConfig, lam: float | np.ndarray,
     return ((f[0] + cfg.s_j ** 2) / c, *[x / c for x in f[1:]])
 
 
+def _xi_finite(q: PotentialSpec, cfg: MagneticConfig,
+               lam: float | np.ndarray, order: int) -> tuple[float, ...]:
+    """_xi_eff for the readers of xi values (xi, k_eval and the
+    asymptotics checks; the structure solves tolerate inf and skip
+    this): far below the potential the jet overflows to inf or nan, and
+    then monodromy._JetOverflowError names the lowest lam where a value
+    is not finite, on floats and arrays alike and without a numpy
+    warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _xi_eff(q, cfg, lam, order)
+    bad = ~np.isfinite(np.vstack(vals)).all(axis=0)
+    if bad.any():
+        raise monodromy._JetOverflowError(
+            float(np.atleast_1d(lam)[bad].min()))
+    return vals
+
+
 def xi(q: PotentialSpec, cfg: MagneticConfig, lam: float | np.ndarray
        ) -> tuple[float, float]:
     """Modified discriminant xi_j(lam) and its lambda-derivative (signed,
     i.e. with the true c_j); floats or arrays as lam.  Raises
-    PurePointRegimeError for |c_j| < cutoff."""
-    v, d1 = _xi_eff(q, cfg, lam, 1)
+    PurePointRegimeError for |c_j| < cutoff, and _JetOverflowError where
+    lam lies too far below the potential for xi to be a float."""
+    v, d1 = _xi_finite(q, cfg, lam, 1)
     sign = math.copysign(1.0, cfg.c_j)
     return sign * v, sign * d1
 
@@ -298,12 +316,12 @@ def flat_spectrum(q: PotentialSpec, cfg: MagneticConfig,
     zr = 0.25 * math.pi * (2 * ns + 1)
     prefer = np.array([(0.5 * math.pi * n) ** 2 + q0
                        for n in range(1, count + 1)])
-    xs, fs = _critical_all(f, zl * zl + q0, zr * zr + q0, prefer,
+    xs, fs = _critical_all(f, fdf, zl * zl + q0, zr * zr + q0, prefer,
                            "flat locus critical", ns)
-    left = expand_left(lambda x: fdf(x)[0] + 1.0, float(xs[0]) - 0.25, 0.5,
-                       lambda v: v > 0.0, what="flat locus: leftmost root")
+    left, fleft = expand_left(lambda x: fdf(x)[0] + 1.0, float(xs[0]) - 0.25,
+                              0.5, what="flat locus: leftmost root")
     xs = np.concatenate(([left], xs))
-    g = np.concatenate(([fdf(left)[0]], fs)) + 1.0
+    g = np.concatenate(([fleft], fs + 1.0))
 
     # the root of F + 1 between anchors i and i + 1, where they bracket one
     lanes = np.flatnonzero((g[:-1] > 0) != (g[1:] > 0))

@@ -6,10 +6,12 @@ spectral oracle diagonalizes a finite-difference discretization, the
 Fourier oracle integrates by adaptive quadrature, and the mass oracle
 fits the dispersion curvature through the quasimomentum map alone.
 
-The one exception is `reference_jet`, a bit-level reference rather than
-an independent oracle: the product of 2x2 tuples by `_mul`/`_add` that
-the fused loop of `monodromy.transfer` replaced, over the package's own
-per-piece factors.
+The two exceptions are bit-level references rather than independent
+oracles: `reference_jet`, the product of 2x2 tuples by `_mul`/`_add`
+that the fused loop of `monodromy.transfer` replaced, over the
+package's own per-piece factors; and `reference_scan`, the sign-change
+scan of one bracket on floats that `_rootfind._scan_array` runs for
+every lane of a search phase at once.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import eigsh
 
+from nanoband._rootfind import MAX_DOUBLINGS, SCAN_SAMPLES, RootBracketError
 from nanoband.monodromy import _factor, _factor_batch
 from nanoband.potential import PotentialSpec
 from nanoband.quasimomentum import k_eval
@@ -135,3 +138,37 @@ def reference_jet(q: PotentialSpec, lam):
         p1 = _add(_mul(t1, p), _mul(t, p1))
         p = _mul(t, p)
     return p, p1, p2
+
+
+def reference_scan(g, lo: float, hi: float, prefer: float, what: str, index):
+    """The sign-change scan of a float function g on [lo, hi], one lane
+    of `_rootfind._scan_array` written for one float at a time (a
+    reference, not an independent oracle).
+
+    Endpoints are tried first; on failure SCAN_SAMPLES points across the
+    interval are tried and, if still single-signed, the interval is
+    geometrically widened around `prefer` (up to MAX_DOUBLINGS).  Among
+    several sign changes the one closest to `prefer` wins.  Returns
+    (lo, hi, g(lo), g(hi)) of that subinterval; a scan that finds none
+    raises RootBracketError(what, index).
+    """
+    span = hi - lo
+    for attempt in range(MAX_DOUBLINGS + 1):
+        flo, fhi = g(lo), g(hi)
+        if attempt == 0 and (flo > 0) != (fhi > 0):
+            return lo, hi, flo, fhi
+        xs = [lo + span * i / (SCAN_SAMPLES - 1) for i in range(SCAN_SAMPLES)]
+        fs = [flo, *map(g, xs[1:-1]), fhi]
+        best = None
+        for i in range(SCAN_SAMPLES - 1):
+            if (fs[i] > 0) != (fs[i + 1] > 0):
+                mid = 0.5 * (xs[i] + xs[i + 1])
+                d = abs(mid - prefer)
+                if best is None or d < best[0]:
+                    best = (d, xs[i], xs[i + 1], fs[i], fs[i + 1])
+        if best is not None:
+            return best[1:]
+        lo = prefer - span
+        hi = prefer + span
+        span *= 2.0
+    raise RootBracketError(what, index)

@@ -82,6 +82,14 @@ def test_overflow_far_below_the_potential_exit_code(capsys):
     assert err.startswith("nanoband: error: lambda=-700000.0 ")
 
 
+def test_silent_overflow_below_the_potential_exit_code(capsys):
+    # xi at -4e5 is inf although cosh of the piece is finite
+    code, out, err = run_cli(["dispersion", "--q", "zero", "--a", "0.9",
+                              "--grid=-4e5:0:2"], capsys)
+    assert code == 1 and not out
+    assert err.startswith("nanoband: error: lambda=-400000.0 ")
+
+
 def test_byte_identical_reruns(capsys):
     args = ["verify", "--q", "two-step", "--a", "0.9", "--n-max", "12"]
     _, out1, _ = run_cli(args, capsys)

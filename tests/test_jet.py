@@ -2,18 +2,23 @@
 replaced (`reference_jet` in tests/oracles.py): `transfer(q, lam, order)`
 is the first order + 1 matrices of the reference bit for bit (`repr`),
 on floats and on arrays.  Structures whose edges are solved with the
-order-1 evaluator `fdf` equal those solved with the full jet."""
+order-1 evaluator `fdf` equal those solved with the full jet; f at the
+critical points comes from `fdf` too, and the point where the leftward
+expansion stops reaches the jet once."""
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from nanoband import monodromy, spectrum
+from nanoband import _rootfind, monodromy, spectrum
 from nanoband._rootfind import _LOCKSTEP_GAPS, comb_roots
 from nanoband.monodromy import hill_spectrum, transfer
 from nanoband.potential import make_potential
+from nanoband.quasimomentum import (k_eval, verify_deep_asymptotics,
+                                    verify_kprime_squared)
 from nanoband.spectrum import MagneticConfig, band_structure
 from oracles import reference_jet
 
@@ -107,6 +112,72 @@ def test_edges_from_order_one_equal_full_jet(depth, monkeypatch):
     # the edges moved from the full jet to order 1, call for call
     assert 0 < order2 < order2_all
     assert order1 - order1_all == order2_all - order2
+
+
+def _recorded(monkeypatch):
+    """A Counter of (lambda, order) over every lambda the jet is asked
+    for, floats and array entries alike."""
+    seen = Counter()
+    jet = monodromy.transfer
+
+    def recorded(q, lam, order=2):
+        seen.update((x, order) for x in np.atleast_1d(lam).tolist())
+        return jet(q, lam, order)
+
+    monkeypatch.setattr(monodromy, "transfer", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("depth", [20, 100])
+def test_f_at_the_critical_points_is_read_at_order_one(depth, monkeypatch):
+    seen = _recorded(monkeypatch)
+    for q, cfg in ((make_potential("two-step"), MagneticConfig(a=0.9)),
+                   (make_potential("three-step"), MagneticConfig(a=2.2))):
+        seen.clear()
+        bs = band_structure(q, cfg, depth, include_flat=False)
+        assert [seen[x, 1] for x in bs.critical] == [1] * depth
+
+
+@pytest.mark.parametrize("kind", ["band structure", "flat spectrum"])
+def test_the_lowest_anchor_reaches_the_jet_once(kind, monkeypatch):
+    # the value found by expand_left serves the lowest-edge solve (or the
+    # first flat-locus bracket) instead of a second evaluation
+    found = []
+    expand = _rootfind.expand_left
+
+    def expand_left(*args, **kwargs):
+        out = expand(*args, **kwargs)
+        found.append(out[0])
+        return out
+
+    monkeypatch.setattr(_rootfind, "expand_left", expand_left)
+    monkeypatch.setattr(spectrum, "expand_left", expand_left)
+    seen = _recorded(monkeypatch)
+    q = make_potential("two-step")
+    if kind == "band structure":
+        band_structure(q, MagneticConfig(a=0.9), 20, include_flat=False)
+    else:
+        spectrum.flat_spectrum(q, MagneticConfig(a=math.pi / 2), 20)
+    assert len(found) == 1
+    assert sum(n for (x, _), n in seen.items() if x == found[0]) == 1
+
+
+def test_silent_overflow_below_the_potential_raises_on_both_paths():
+    # at -4e5 cosh is finite, but xi and xi' overflow to inf and nan: the
+    # readers of xi raise instead of returning them, without a warning
+    q, cfg = make_potential("zero"), MagneticConfig(a=0.9)
+    arr = np.array([0.0, -4e5, -4.5e5])
+    for call, named in ((lambda: spectrum.xi(q, cfg, -4e5), -4e5),
+                        (lambda: spectrum.xi(q, cfg, arr), -4.5e5),
+                        (lambda: k_eval(q, cfg, -4e5), -4e5),
+                        (lambda: k_eval(q, cfg, arr), -4.5e5),
+                        (lambda: verify_kprime_squared(q, cfg, [-4e5, -1e3]),
+                         -4e5)):
+        with pytest.raises(monodromy._JetOverflowError) as err:
+            call()
+        assert err.value.lam == named and f"lambda={named}" in str(err.value)
+    with pytest.raises(monodromy._JetOverflowError):
+        verify_deep_asymptotics(q, cfg, [10.0, 650.0])
 
 
 def test_overflow_below_the_potential_names_lambda_on_both_paths():

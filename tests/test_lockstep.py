@@ -4,7 +4,9 @@ each entry exactly, and structures, flat bands, Dirichlet roots, Hill
 combs, flat spectra and masses built on arrays equal a shallow float
 build gap for gap, and a float build of the same depth entry for entry
 (`==`, not a tolerance), with the same errors.  Shallow structures and
-short evaluations never reach the array jet."""
+short evaluations never reach the array jet.  The scan runs on arrays at
+every size and equals the float reference `reference_scan` of
+tests/oracles.py lane for lane."""
 
 import math
 import random
@@ -20,6 +22,7 @@ from nanoband.monodromy import dirichlet_spectrum, hill_spectrum, transfer
 from nanoband.potential import make_potential
 from nanoband.spectrum import (F_with_derivs, MagneticConfig, band_structure,
                                flat_spectrum)
+from oracles import reference_scan
 
 SHALLOW = 20
 DEEP = _LOCKSTEP_GAPS + 30
@@ -145,7 +148,8 @@ def test_mislabelled_critical_fails_the_gap_below_it():
 
 
 def _scalar(monkeypatch):
-    """Make every search run one lane at a time, on floats."""
+    """Make every solve run one lane at a time and every evaluation on
+    floats."""
     monkeypatch.setattr(_rootfind, "_LOCKSTEP_GAPS", 10 ** 9)
 
 
@@ -213,7 +217,9 @@ def test_lockstep_keeps_at_most_the_lane_window_live(monkeypatch):
         sizes.append(x.size if isinstance(x, np.ndarray) else None)
         return _cube(x)
 
-    # every fifth window starts right of its zero and is widened
+    # every fifth window starts right of its zero and is widened; every
+    # lane is live from the start, and _eval takes at most _LANES points
+    # per call
     count = 3 * _rootfind._LANES + 7
     lo = np.arange(count, dtype=float) + 0.1 * (np.arange(count) % 5)
     idx = np.arange(count)
@@ -229,7 +235,7 @@ def test_lockstep_keeps_at_most_the_lane_window_live(monkeypatch):
 
 
 def test_seeded_lanes_agree_on_both_engines(monkeypatch):
-    # more lanes than _LANES, so finished slots are refilled, each from
+    # more lanes than _LANES points per evaluation call, each lane from
     # its own start: near the root, off it, outside the bracket, or none
     count = _rootfind._LANES + 37
     idx = np.arange(count)
@@ -241,6 +247,70 @@ def test_seeded_lanes_agree_on_both_engines(monkeypatch):
         "cube", idx, start).tolist())
     assert deep == scalar
     assert np.allclose(deep, c, rtol=1e-12, atol=0.0)
+
+
+def test_array_solve_passes_every_lane_to_its_first_eval():
+    sizes = []
+
+    def fbatch(x):
+        sizes.append(x.size if isinstance(x, np.ndarray) else None)
+        return _cube(x)
+
+    count = _rootfind._LANES + 37
+    idx = np.arange(count)
+    lo, hi = idx - 0.2, idx + 0.9
+    c = idx + 0.3
+    _solve_all(fbatch, _cube_root_at, lo, hi, lo ** 3 - c ** 3,
+               hi ** 3 - c ** 3, "cube", idx)
+    # one full array call, then the 37 lanes past it on floats
+    assert sizes[:38] == [_rootfind._LANES] + [None] * 37
+
+
+def _sin(x):
+    """(sin, cos) through math one point at a time, so an array gives the
+    numbers of its entries bit for bit."""
+    if isinstance(x, np.ndarray):
+        return tuple(np.array(col) for col in zip(*map(_sin, x.tolist())))
+    return math.sin(x), math.cos(x)
+
+
+@pytest.mark.parametrize("size", [1, _LOCKSTEP_GAPS - 1, _LOCKSTEP_GAPS,
+                                  _rootfind._LANES + 37])
+def test_scan_array_equals_the_reference_scan_lane_for_lane(size):
+    # lanes in turn: the ends bracket a zero of sin; the ends do not but
+    # interior samples do (four periods); the window holds no zero and
+    # is widened once, or several times; sin + 2 has no zero at all
+    idx = np.arange(size)
+    kind = idx % 5
+    base = 0.37 * idx + 0.1
+    k = np.pi * idx
+    lo = np.choose(kind, [base, base, k + 0.5, k + 1.5, base])
+    hi = np.choose(kind, [base + np.pi, base + 4.0 * np.pi, k + 2.5,
+                          k + 1.6, base + 4.0 * np.pi])
+    prefer = np.choose(kind, [base, base + idx % 13, k + 1.5, k + 1.55,
+                              base])
+    shift = np.where(kind == 4, 2.0, 0.0)
+
+    def g(v, n):
+        return v[0] + shift[n]
+
+    *got, failed = _rootfind._scan_array(_sin, g, lo, hi, prefer, idx)
+    got = [col.tolist() for col in got]
+    want_failed, widened = [], 0
+    for i, a, b, p, s in zip(idx.tolist(), lo.tolist(), hi.tolist(),
+                             prefer.tolist(), shift.tolist()):
+        try:
+            want = reference_scan(lambda x, s=s: _sin(x)[0] + s, a, b, p,
+                                  "scan", i)
+        except RootBracketError as err:
+            assert err.index == i
+            want_failed.append(i)
+            continue
+        assert repr(tuple(col[i] for col in got)) == repr(want), i
+        widened += not a <= want[0] <= want[1] <= b
+    assert failed.tolist() == want_failed
+    if size > 5:
+        assert want_failed and widened
 
 
 def test_scans_take_the_sign_change_nearest_the_guess(monkeypatch):
