@@ -18,7 +18,11 @@ samples:
   fraction at the `verify` command's three test lambdas (ms);
 * the monodromy jet `transfer` for 1, 3 and 64 pieces, in microseconds
   per lambda: one lambda per call at orders 2, 1 and 0 (the last two
-  only where `transfer` takes an order), and 512 lambdas per array call;
+  only where `transfer` takes an order), 512 lambdas on [-50, 5000] per
+  array call, 2401 lambdas per array call, as many as the critical
+  phase of a 2400-gap structure holds, spread over its windows, and 512
+  lambdas on [-50, 400] per array call, where the lanes below a piece
+  (mu < 0) take its hyperbolic branch;
 * the Floquet oracle `cross_validate` for 1, 3 and 64 pieces over a
   300-point grid, its band structure built beforehand, in microseconds
   per lambda;
@@ -73,6 +77,8 @@ COUNT_DEPTHS = (20, 200, 2000, 20000)
 SECTOR_N_MAX = 20
 SECTOR_BUILDS = 5  # structures per sample of the 20-gap layer
 JET_BATCH = 512
+JET_DEEP = 2401  # the critical lanes of a 2400-gap structure
+JET_MIXED = (-50.0, 400.0)
 JET_CALLS = 2000  # one-lambda calls per sample
 ORACLE_GRID = (0.05, 40.0, 300)  # lo, hi, points
 DEEP_ALLOC_N_MAX = 2400
@@ -128,6 +134,9 @@ def _cases(src: str) -> dict:
             64: nanoband.make_potential(
                 lambda t: 3.0 * math.cos(2.0 * math.pi * t) + t, mesh=64)}
     lams = np.linspace(-50.0, 5000.0, JET_BATCH)
+    deep_lams = np.linspace(1.0, (math.pi * (JET_DEEP + 1) / 2) ** 2,
+                            JET_DEEP)
+    mixed_lams = np.linspace(*JET_MIXED, JET_BATCH)
     scalar_lams = lams.tolist() * (JET_CALLS // JET_BATCH + 1)
     env = dict(os.environ, PYTHONPATH=src)
 
@@ -161,9 +170,12 @@ def _cases(src: str) -> dict:
             cases[f"jet_us_per_lambda.pieces_{m}.scalar_order_{order}"] = (
                 "us", lambda q=q, order=order: 1e6 * _timed(
                     lambda: [transfer(q, x, order) for x in xs]) / JET_CALLS)
-        cases[f"jet_us_per_lambda.pieces_{m}.batch_{JET_BATCH}"] = (
-            "us", lambda q=q: 1e6 * _timed(lambda: transfer(q, lams))
-            / JET_BATCH)
+        for name, batch in ((f"batch_{JET_BATCH}", lams),
+                            (f"deep_phase_{JET_DEEP}", deep_lams),
+                            (f"mixed_sign_{JET_BATCH}", mixed_lams)):
+            cases[f"jet_us_per_lambda.pieces_{m}.{name}"] = (
+                "us", lambda q=q, batch=batch: 1e6 * _timed(
+                    lambda: transfer(q, batch)) / batch.size)
     lo, hi, points = ORACLE_GRID
     grid = np.linspace(lo, hi, points).tolist()
     for m, q in jets.items():

@@ -32,10 +32,12 @@ larger one on _solve_array, which keeps every piece of solver state of
 every lane of the phase in a float64 array, advances all live lanes
 with masked numpy steps, one call of _eval per step, and drops lanes
 as they finish.  _eval, which every evaluation of several points goes
-through, calls f on floats below _LOCKSTEP_GAPS points and on arrays of
-at most _LANES points from there on; so the last few live lanes of a
-deep solve, and the ends of a shallow scan, never build a small array
-jet.  _solve_array evaluates the same points and takes the same
+through, calls f on floats below _LOCKSTEP_GAPS points and once on an
+array of all of them from there on; so every live lane of a deep step
+shares one array jet, and the last few live lanes of a deep solve, and
+the ends of a shallow scan, never build a small one.  The windows of a
+scan that share their ends (every caller's do) evaluate each shared
+end once.  _solve_array evaluates the same points and takes the same
 branches as _solve_one, and the evaluators return the float numbers
 bit for bit on arrays, so both ways give identical structures and
 raise the same RootBracketError, that of the lowest failing lane.
@@ -94,12 +96,6 @@ _CLAMP_TOL = 1e-12
 # (64 pieces); 60 puts every phase on the cheaper engine but those of
 # 40-59 lanes at 1-6 pieces, whose float lanes cost up to 1.35x.
 _LOCKSTEP_GAPS = 60
-# Points per call of the evaluator (_eval, also for the masses and the
-# Floquet oracle's chunks); every lane of a phase is live.  perfbench
-# deep-tables, seed 1, 20 s, two runs each on a 2-core machine: 512
-# points gave 20.7-20.8 jobs/s at 34.5-34.6 MB peak RSS (256 points:
-# 18.1-18.2 jobs/s, 34.5-34.6 MB; 1024: 26.3-26.9 jobs/s, 34.5 MB).
-_LANES = 512
 
 
 class RootBracketError(RuntimeError):
@@ -258,14 +254,11 @@ def _critical_all(f: Callable, fdf: Callable, lo, hi, prefer, what: str,
 
 def _eval(f, x):
     """f at the points of the float64 array x, as a tuple of arrays: one
-    float at a time below _LOCKSTEP_GAPS points, on arrays of at most
-    _LANES points from there on (a short last chunk on floats too)."""
+    float at a time below _LOCKSTEP_GAPS points, in one array call of f
+    from there on."""
     if x.size < _LOCKSTEP_GAPS:
         return tuple(map(np.array, zip(*map(f, x.tolist()))))
-    if x.size <= _LANES:
-        return f(x)
-    parts = [_eval(f, x[i:i + _LANES]) for i in range(0, x.size, _LANES)]
-    return tuple(np.concatenate(col) for col in zip(*parts))
+    return f(x)
 
 
 # the sample positions of a scan as fractions i / (SCAN_SAMPLES - 1) of
@@ -284,12 +277,21 @@ def _scan_array(f, g, lo, hi, prefer, index):
     Among several sign changes the one closest to prefer[i] wins.
     Returns the bracket arrays (lo, hi, g(lo), g(hi)) and the sorted
     positions of the lanes that found none.  The first attempt evaluates
-    the lower ends in one _eval call, the upper ends in another and the
-    interior samples of the lanes without a sign change in a third, so
-    that a phase of fewer than _LOCKSTEP_GAPS lanes whose ends bracket
-    runs on floats; later attempts take one call of all nine samples.
+    the ends in one _eval call and the interior samples of the lanes
+    without a sign change in a second; later attempts take one call of
+    all nine samples.  Contiguous windows, where each upper end equals
+    the next lower end bit for bit (as from every caller of the
+    package), share their ends: n lanes evaluate n + 1 points.
     """
-    flo, fhi = g(_eval(f, lo), index), g(_eval(f, hi), index)
+    # the upper ends follow the lower ones, from offset 1 when shared
+    # (bitwise: == would merge -0.0 and 0.0)
+    n = lo.size
+    top = 1 if np.array_equal(lo[1:].view(np.int64),
+                              hi[:-1].view(np.int64)) else n
+    v = _eval(f, np.append(lo, hi[n - top:]))
+    # copies: the bracket values are written in place below
+    flo, fhi = (np.array(g(tuple(col[i:i + n] for col in v), index))
+                for i in (0, top))
     out = [lo.copy(), hi.copy(), flo, fhi]
     live = np.flatnonzero((flo > 0) == (fhi > 0))
     a, b, p, ends = lo[live], hi[live], prefer[live], (flo[live], fhi[live])

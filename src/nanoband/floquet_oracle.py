@@ -14,8 +14,9 @@ are built from the monodromy entries theta, phi and their x-derivatives
 alone, never from F or xi, so a fault in the xi formula cannot cancel
 out of the comparison.
 
-A grid of lambda is evaluated in chunks of at most _rootfind._LANES
-points, which bounds the memory of large grids.  Per chunk,
+A grid of lambda is evaluated in chunks of at most _CHUNK points,
+which bounds the memory of large grids: the grids are sized by the
+caller, and each point holds two 6x6 matrices.  Per chunk,
 build_cell_system assembles stacked (n, 6, 6) matrices from one array
 transfer call (the same numbers as one lambda at a time, see
 monodromy), det_coeffs takes all their determinants in one stacked
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import monodromy, spectrum as _spec
-from ._rootfind import _LANES, _depth_for
+from ._rootfind import _depth_for
 from .potential import PotentialSpec
 from .spectrum import BandStructure, MagneticConfig
 
@@ -53,6 +54,9 @@ FLAT_BAND_VICINITY = 1e-8
 
 #: Unit-circle tolerance for classifying a Floquet multiplier as ac.
 UNIT_CIRCLE_TOL = 1e-4
+
+# Points per chunk of cross_validate.
+_CHUNK = 512
 
 
 class FlatBandVicinityError(ValueError):
@@ -206,7 +210,7 @@ def cross_validate(q: PotentialSpec, cfg: MagneticConfig, lam_grid,
     the band structure (at points farther than edge_margin from edges).
 
     Grid points in the flat-band vicinity are skipped and reported.  The
-    grid goes through in chunks of _LANES points: per chunk, one stacked
+    grid goes through in chunks of _CHUNK points: per chunk, one stacked
     cell system (one transfer call and one determinant call) and one
     call of xi, then the roots and comparisons point by point.
     """
@@ -220,8 +224,8 @@ def cross_validate(q: PotentialSpec, cfg: MagneticConfig, lam_grid,
     mismatches = []
     checked = 0
     edges = np.array((bs.lambda0,) + bs.minus + bs.plus)
-    for start in range(0, len(lams), _LANES):
-        x = np.array(lams[start:start + _LANES])
+    for start in range(0, len(lams), _CHUNK):
+        x = np.array(lams[start:start + _CHUNK])
         roots = _multipliers(build_cell_system(q, cfg, x))
         xis = _spec.xi(q, cfg, x)[0].tolist()
         clear = (np.abs(x[:, None] - edges).min(axis=1)

@@ -89,10 +89,10 @@ def effective_masses(bs: BandStructure) -> MassTable:
     closed = np.array(bs.degenerate)
     g = np.flatnonzero(~closed)  # open gaps, as n - 1
     edges = np.column_stack((np.array(bs.plus)[g], np.array(bs.minus)[g]))
-    # F' at _rootfind._LANES (512) edges per call.  At the 4801 edges of a
-    # 2400-gap structure one array for all of them was no faster beyond
-    # noise (best of 9: 3.7-5.6 ms against 4.4-4.5 ms) but raised the
-    # allocation peak from 0.3 to 1.8 MB (tracemalloc)
+    # F' at every edge in one array call (_eval).  At the 4801 edges of a
+    # 2400-gap one-piece structure that raised the allocation peak from
+    # 0.48 MB (512-edge pieces) to 0.72 MB (tracemalloc) and was no
+    # slower (best of 9, process time: 2.0-2.8 ms against 2.6-4.0 ms)
     d1 = _eval(lambda x: _spec.F_with_derivs(q, x, 1),
                np.concatenate(([bs.lambda0], edges.ravel())))[1]
     mu = np.zeros((bs.n_max, 2))  # columns plus, minus

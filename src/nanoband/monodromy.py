@@ -25,14 +25,16 @@ gives the entries it returns bit for bit as the full jet: the lower
 derivatives never read the higher ones, which are only skipped.
 
 `transfer` takes one lambda or a float64 array of them; the root engine
-of `_rootfind` passes arrays of _LOCKSTEP_GAPS to _LANES lambdas, once
-per step of a scan or of a deep solve (fewer go one lambda at a time).
-An array gives the same numbers as one lambda at a time, bit for bit:
-numpy's elementwise + - * / and sqrt round exactly like Python floats,
-both kinds share `_closed_form` and the loop of `transfer`,
-cos/sin/cosh/sinh go through `math` one lambda at a time (numpy's
-versions can differ from libm in the last bit), and lanes in the series
-window |mu| <= _SERIES_CUT are computed by `_factor` itself.
+of `_rootfind` passes arrays of every live lane of a phase, from
+_LOCKSTEP_GAPS lambdas up, once per step of a scan or of a deep solve
+(fewer go one lambda at a time).  An array gives the same numbers as
+one lambda at a time, bit for bit: numpy's elementwise + - * / and sqrt
+round exactly like Python floats, both kinds share `_closed_form` and
+the loop of `transfer`, cos/sin/cosh/sinh go through `math` one lambda
+at a time (numpy's versions can differ from libm in the last bit), in
+one pass over the hyperbolic lanes (mu < 0) and one over the others,
+and lanes in the series window |mu| <= _SERIES_CUT are computed by
+`_factor` itself.
 """
 
 from __future__ import annotations
@@ -115,15 +117,19 @@ def _factor_batch(w: float, mu: np.ndarray, order: int = 2) -> Factor:
         mu = mu.copy()
         mu[series] = 1.0  # any trigonometric lane; overwritten below
     r = np.sqrt(np.abs(mu))
-    wr = (w * r).tolist()
+    wr = w * r
     if hyp.any():
-        cs = [(math.cosh(x), math.sinh(x)) if h else (math.cos(x), math.sin(x))
-              for x, h in zip(wr, hyp.tolist())]
-        c = np.array([v[0] for v in cs])
-        sn = np.array([v[1] for v in cs])
+        # libm once per branch, on the hyperbolic and the other lanes
+        c, sn = np.empty_like(wr), np.empty_like(wr)
+        for lanes, cf, sf in ((hyp, math.cosh, math.sinh),
+                              (~hyp, math.cos, math.sin)):
+            x = wr[lanes].tolist()
+            c[lanes] = np.fromiter(map(cf, x), float, len(x))
+            sn[lanes] = np.fromiter(map(sf, x), float, len(x))
     else:
-        c = np.fromiter(map(math.cos, wr), float, len(wr))
-        sn = np.fromiter(map(math.sin, wr), float, len(wr))
+        x = wr.tolist()
+        c = np.fromiter(map(math.cos, x), float, len(x))
+        sn = np.fromiter(map(math.sin, x), float, len(x))
     out = _closed_form(w, mu, c, sn / r, order)
     for i in series:
         for arr, v in zip(out, _factor(w, float(exact[i]), order)):

@@ -147,7 +147,8 @@ def _pointwise_cross_validation(q, cfg, lams, bs, edge_margin=1e-6):
 
 @pytest.mark.parametrize("name", ["zero", "two-step", "projection-64"])
 def test_chunked_cross_validation_equals_pointwise(name, structure_factory):
-    from nanoband._rootfind import _LANES, _depth_for
+    from nanoband._rootfind import _depth_for
+    from nanoband.floquet_oracle import _CHUNK
     from nanoband.potential import make_potential
     q = (make_potential(lambda t: 3.0 * math.cos(2.0 * math.pi * t) + t,
                         mesh=64)
@@ -155,9 +156,9 @@ def test_chunked_cross_validation_equals_pointwise(name, structure_factory):
     cfg = MagneticConfig(a=0.9, N=3, j=1)
     diri = dirichlet_spectrum(q, 2)
     # longer than one chunk, with a Dirichlet root in each of the two
-    grid = _grid(0.05, diri[1] + 2.0, _LANES + 100)
+    grid = _grid(0.05, diri[1] + 2.0, _CHUNK + 100)
     grid[200] = diri[0]
-    grid[_LANES + 50] = diri[1]
+    grid[_CHUNK + 50] = diri[1]
     bs = structure_factory(q, cfg, _depth_for(max(grid), q.q0))
     rep = cross_validate(q, cfg, grid, bs=bs)
     kept, devs, skipped, checked, mismatches = \

@@ -76,6 +76,38 @@ def test_transfer_at_signed_zero():
         assert _bits(transfer(q, arr)) == _bits(reference_jet(q, arr))
 
 
+@pytest.mark.parametrize("mu", [
+    [3.0, 40.0, -2.5, 1e3, 0.7, 2e5],
+    [-3.0, -40.0, -2.5e2, -2e-6, -0.7, -1e5],
+    [1e-7, -1e-7, 0.0, -0.0, 5.0, -5.0, 1e-6, -1e-6, 2e-6, -2e-6],
+], ids=["one-hyperbolic", "all-hyperbolic", "series-window"])
+def test_factor_batch_equals_factor_lane_for_lane(mu):
+    # the hyperbolic and the trigonometric lanes of an array go through
+    # libm apart, each lane through the function _factor picks for it
+    for w in (0.3, 1.0):
+        for order in (0, 1, 2):
+            got = monodromy._factor_batch(w, np.array(mu), order)
+            assert [None if e is None else repr(e.tolist()) for e in got] \
+                == [None if (e is None or k > 2 * order + 1)
+                    else repr([monodromy._factor(w, m, order)[k]
+                               for m in mu])
+                    for k, e in enumerate(got)], (w, order)
+
+
+def test_factor_batch_overflow_names_the_lowest_lambda():
+    # cosh overflows at the two deepest lanes only, and not at the first
+    q = make_potential([(1.0, 0.0)])
+    lam = np.array([5.0, -6e5, -3.0, -8e5, -1e5])
+    with pytest.raises(OverflowError):
+        monodromy._factor(1.0, -6e5)
+    monodromy._factor(1.0, -1e5)
+    with pytest.raises(OverflowError):
+        monodromy._factor_batch(1.0, lam)
+    with pytest.raises(monodromy._JetOverflowError) as err:
+        transfer(q, lam, 1)
+    assert err.value.lam == -8e5 and "lambda=-800000.0" in str(err.value)
+
+
 def _f_as_fdf(f, fdf, *args, **kwargs):
     return comb_roots(f, f, *args, **kwargs)
 
@@ -112,6 +144,24 @@ def test_edges_from_order_one_equal_full_jet(depth, monkeypatch):
     # the edges moved from the full jet to order 1, call for call
     assert 0 < order2 < order2_all
     assert order1 - order1_all == order2_all - order2
+
+
+@pytest.mark.parametrize("depth", [20, 100])
+def test_the_first_scan_attempt_evaluates_each_window_end_once(
+        depth, monkeypatch):
+    # the critical windows of gaps 1 .. n_max + 1 share their ends: the
+    # first call of the evaluator takes their n_max + 2 distinct ends
+    calls = []
+    evaluate = _rootfind._eval
+
+    def recorded(f, x):
+        calls.append(x.tolist())
+        return evaluate(f, x)
+
+    monkeypatch.setattr(_rootfind, "_eval", recorded)
+    band_structure(make_potential("two-step"), MagneticConfig(a=0.9), depth,
+                   include_flat=False)
+    assert len(calls[0]) == len(set(calls[0])) == depth + 2
 
 
 def _recorded(monkeypatch):

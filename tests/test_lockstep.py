@@ -26,6 +26,7 @@ from oracles import reference_scan
 
 SHALLOW = 20
 DEEP = _LOCKSTEP_GAPS + 30
+WIDE = 549  # lanes of a phase many times _LOCKSTEP_GAPS
 
 
 def _random_potential(rng, m, vmax=8.0):
@@ -217,16 +218,23 @@ def test_lockstep_keeps_at_most_the_lane_window_live(monkeypatch):
         sizes.append(x.size if isinstance(x, np.ndarray) else None)
         return _cube(x)
 
-    # every fifth window starts right of its zero and is widened; every
-    # lane is live from the start, and _eval takes at most _LANES points
-    # per call
-    count = 3 * _rootfind._LANES + 7
+    # every fifth window starts right of its zero and is widened, and
+    # the fifth before it starts on its zero; every lane is live from the
+    # start, and each step passes all its live lanes to f in one call:
+    # the ends of every window, the interior samples and the widened
+    # samples of the widened fifth, then every lane of the solve but the
+    # fifth whose bracket end is the zero, fewer and fewer
+    count = 3 * WIDE + 7
     lo = np.arange(count, dtype=float) + 0.1 * (np.arange(count) % 5)
     idx = np.arange(count)
     deep = _roots_all(fbatch, _cube_root_at, lo, lo + 1.0, lo + 0.5, "scan",
                       idx)
     arrays = [n for n in sizes if n is not None]
-    assert max(arrays) == _rootfind._LANES
+    widened = (count + 4) // 5 - 1
+    assert arrays[:3] == [2 * count, 7 * widened, 9 * widened]
+    solve = arrays[3:]
+    assert solve[0] == count - np.count_nonzero(idx % 5 == 3)
+    assert solve == sorted(solve, reverse=True)
     # the last live lanes are evaluated on floats, never on small arrays
     assert min(arrays) >= _LOCKSTEP_GAPS and None in sizes
     _scalar(monkeypatch)
@@ -235,9 +243,9 @@ def test_lockstep_keeps_at_most_the_lane_window_live(monkeypatch):
 
 
 def test_seeded_lanes_agree_on_both_engines(monkeypatch):
-    # more lanes than _LANES points per evaluation call, each lane from
-    # its own start: near the root, off it, outside the bracket, or none
-    count = _rootfind._LANES + 37
+    # many lanes, each from its own start: near the root, off it,
+    # outside the bracket, or none
+    count = WIDE
     idx = np.arange(count)
     lo, hi = idx - 0.2, idx + 0.9
     c = idx + 0.3
@@ -256,14 +264,19 @@ def test_array_solve_passes_every_lane_to_its_first_eval():
         sizes.append(x.size if isinstance(x, np.ndarray) else None)
         return _cube(x)
 
-    count = _rootfind._LANES + 37
+    count = WIDE
     idx = np.arange(count)
     lo, hi = idx - 0.2, idx + 0.9
     c = idx + 0.3
     _solve_all(fbatch, _cube_root_at, lo, hi, lo ** 3 - c ** 3,
                hi ** 3 - c ** 3, "cube", idx)
-    # one full array call, then the 37 lanes past it on floats
-    assert sizes[:38] == [_rootfind._LANES] + [None] * 37
+    # one array call of every lane per step while _LOCKSTEP_GAPS lanes or
+    # more are live, the last few lanes on floats
+    arrays = [n for n in sizes if n is not None]
+    assert arrays[0] == count
+    assert arrays == sorted(arrays, reverse=True)
+    assert min(arrays) >= _LOCKSTEP_GAPS
+    assert sizes[:len(arrays)] == arrays
 
 
 def _sin(x):
@@ -275,7 +288,7 @@ def _sin(x):
 
 
 @pytest.mark.parametrize("size", [1, _LOCKSTEP_GAPS - 1, _LOCKSTEP_GAPS,
-                                  _rootfind._LANES + 37])
+                                  WIDE])
 def test_scan_array_equals_the_reference_scan_lane_for_lane(size):
     # lanes in turn: the ends bracket a zero of sin; the ends do not but
     # interior samples do (four periods); the window holds no zero and
@@ -289,19 +302,51 @@ def test_scan_array_equals_the_reference_scan_lane_for_lane(size):
                           k + 1.6, base + 4.0 * np.pi])
     prefer = np.choose(kind, [base, base + idx % 13, k + 1.5, k + 1.55,
                               base])
-    shift = np.where(kind == 4, 2.0, 0.0)
+    _check_scan(lo, hi, prefer, np.where(kind == 4, 2.0, 0.0))
+    # contiguous windows, which share their ends: in turn the ends
+    # bracket a zero; the window holds no zero and is widened; four
+    # periods; sin + 2 again.  A widened lane follows a bracketed one,
+    # so a bracket value written for one lane must not leak into the
+    # other's end, also where g hands back the evaluated column itself;
+    # and a shared end takes the shift of each lane
+    ends = [0.1]
+    for i in range(size):
+        zero = math.pi * math.ceil(ends[-1] / math.pi)
+        ends.append((zero + 0.3, 0.5 * (ends[-1] + zero),
+                     ends[-1] + 4.0 * math.pi, zero + 0.3)[i % 4])
+    ends = np.array(ends)
+    kind = idx % 4
+    lo, hi = ends[:-1], ends[1:]
+    prefer = np.where(kind == 2, lo + idx % 13, 0.5 * (lo + hi))
+    _check_scan(lo, hi, prefer, np.where(kind == 3, 2.0, 0.0))
+    _check_scan(lo, hi, prefer, None)
+
+
+def test_scan_array_shares_only_bitwise_equal_ends():
+    # -0.0 == 0.0, but sin keeps the sign of zero: windows that meet at
+    # -0.0 and 0.0 each evaluate their own end (the first brackets there)
+    lo, hi = np.array([-4.0, 0.0]), np.array([-0.0, 4.0])
+    _check_scan(lo, hi, 0.5 * (lo + hi), None)
+
+
+def _check_scan(lo, hi, prefer, shift):
+    """_scan_array of sin + shift on the windows [lo, hi] against
+    reference_scan, lane for lane; from six lanes on, some lanes are
+    widened, and some fail unless shift is None (sin itself, scanned
+    as the evaluator's own array)."""
+    idx = np.arange(lo.size)
 
     def g(v, n):
-        return v[0] + shift[n]
+        return v[0] if shift is None else v[0] + shift[n]
 
     *got, failed = _rootfind._scan_array(_sin, g, lo, hi, prefer, idx)
     got = [col.tolist() for col in got]
     want_failed, widened = [], 0
-    for i, a, b, p, s in zip(idx.tolist(), lo.tolist(), hi.tolist(),
-                             prefer.tolist(), shift.tolist()):
+    for i, a, b, p in zip(idx.tolist(), lo.tolist(), hi.tolist(),
+                          prefer.tolist()):
         try:
-            want = reference_scan(lambda x, s=s: _sin(x)[0] + s, a, b, p,
-                                  "scan", i)
+            want = reference_scan(lambda x, i=i: float(g(_sin(x), i)), a, b,
+                                  p, "scan", i)
         except RootBracketError as err:
             assert err.index == i
             want_failed.append(i)
@@ -309,8 +354,8 @@ def test_scan_array_equals_the_reference_scan_lane_for_lane(size):
         assert repr(tuple(col[i] for col in got)) == repr(want), i
         widened += not a <= want[0] <= want[1] <= b
     assert failed.tolist() == want_failed
-    if size > 5:
-        assert want_failed and widened
+    if lo.size > 5:
+        assert widened and (want_failed or shift is None)
 
 
 def test_scans_take_the_sign_change_nearest_the_guess(monkeypatch):
@@ -487,7 +532,7 @@ def test_shallow_structures_never_build_an_array_jet(q, monkeypatch):
 
 
 @pytest.mark.parametrize("size", [1, _LOCKSTEP_GAPS - 1, _LOCKSTEP_GAPS,
-                                  _rootfind._LANES + 1])
+                                  513])
 def test_eval_on_floats_below_the_threshold_equals_one_array_call(size):
     q = make_potential("two-step")
     rng = np.random.default_rng(size)
@@ -504,9 +549,4 @@ def test_eval_on_floats_below_the_threshold_equals_one_array_call(size):
     assert [[repr(v) for v in col.tolist()] for col in got] \
         == [[repr(v) for v in col.tolist()] for col in want]
     assert all(col.dtype == np.float64 for col in got)
-    if size < _LOCKSTEP_GAPS:
-        assert calls == [None] * size
-    elif size <= _rootfind._LANES:
-        assert calls == [size]
-    else:
-        assert calls == [_rootfind._LANES, None]
+    assert calls == ([None] * size if size < _LOCKSTEP_GAPS else [size])
