@@ -2,12 +2,13 @@
 
 Both packages run, each in a fresh subprocess, the seed-1 and seed-2
 `deep-tables` and `sector-sweep` pools and the seed-1 probe sectors
-(n_max 20) of perfbench/workloads.py, then the README's CLI commands.
-Every output is flattened into leaves: for each field the script prints
-how many floats it holds, how many moved and by how many ulps at most.
-Any other difference (a label, a flag, a count, an anomaly, a job check,
-or the type, message or index of an error) is listed, and the exit code
-is then 1:
+(n_max 20) of perfbench/workloads.py, then the README's CLI commands
+with --format json and --format csv.  Every output is flattened into
+leaves: for each field the script prints how many floats it holds, how
+many moved and by how many ulps at most.  Any other difference (a label,
+a flag, a count, an anomaly, a job check, the type, message or index of
+an error, or a line of a README command's stdout that is not the same
+byte for byte) is listed, and the exit code is then 1:
 
     python bench/compare.py --base ../parent/src
 """
@@ -77,11 +78,15 @@ def _dump(src: str) -> dict:
                 rec = {"out": res, "check": job.check(res)}
             _leaves(rec, f"{pool}/{i}", out)
     for i, argv in enumerate(_readme_commands()):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = cli.main(argv)
-        _leaves({"code": code, "out": json.loads(buf.getvalue())},
-                f"readme/{argv[0]}/{i}", out)
+        for fmt in ("json", "csv"):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli.main([*argv, "--format", fmt])
+            text = buf.getvalue()
+            rec = {"code": code, "stdout": text.splitlines(keepends=True)}
+            if fmt == "json":
+                rec["out"] = json.loads(text)
+            _leaves(rec, f"readme/{argv[0]}/{i}/{fmt}", out)
     return out
 
 

@@ -123,8 +123,9 @@ def solve_bracketed(fdf: Callable[[float], tuple[float, float | None]],
     itself is a bracket end, so a Newton step that rounds back onto it
     (a converged root) is accepted, not bisected away.  The main loop
     ends when the step drops below the relative tolerance SOLVE_XTOL,
-    after which POLISH_STEPS unguarded Newton steps push the root to
-    machine accuracy.  The bracket sign invariant is maintained
+    after which up to POLISH_STEPS unguarded Newton steps push the root
+    to machine accuracy, stopping at a step that no longer moves it.
+    The bracket sign invariant is maintained
     throughout the main loop.
     """
     return _solve_one(fdf, lo, hi, flo, fhi, "bracketed solve", None, math.nan)
@@ -180,7 +181,7 @@ def _solve_one(g, lo, hi, flo, fhi, what, index, start):
         if not dfx:
             break
         step = fx / dfx
-        if abs(step) > 1e-3 * max(1.0, abs(x)):
+        if abs(step) > 1e-3 * max(1.0, abs(x)) or x - step == x:
             break
         x -= step
     return x
@@ -368,8 +369,10 @@ def _solve_array(f, pick, lo, hi, flo, fhi, index, start):
             x_new = np.where(halve, a + dx, newton)
             tol = SOLVE_XTOL * np.fmax(1.0, np.abs(x_new))
             conv = (np.abs(dx) < tol) | (b - a < tol)
-            # polish
-            stop = ~nz | (np.abs(step) > 1e-3 * np.fmax(1.0, np.abs(x)))
+            # polish; a lane whose step no longer moves x would only
+            # evaluate the same x again
+            stop = (~nz | (np.abs(step) > 1e-3 * np.fmax(1.0, np.abs(x)))
+                    | (newton == x))
         zero = main & (fx == 0.0)
         x = np.where(main, np.where(zero, x, x_new),
                      np.where(stop, x, newton))
@@ -534,9 +537,10 @@ def comb_roots(f: Callable, fdf: Callable, lo: np.ndarray, hi: np.ndarray,
 
     # the edges of open gap n: zeros of (-1)^n f - 1 on [crit_{n-1},
     # crit_n] and [crit_n, crit_{n+1}] (crit_0 = lam0), all solved
-    # together, the lower edge of a gap first
-    f0 = fdf(lam0)[0] if g[:1].tolist() == [0] else math.nan
-    below = np.concatenate(([lam0], crit)), np.concatenate(([f0], fcrit))
+    # together, the lower edge of a gap first; f(lam0) = 1 up to
+    # rounding, and the solvers read only the sign of -f(lam0) - 1 and
+    # whether it is zero
+    below = np.concatenate(([lam0], crit)), np.concatenate(([1.0], fcrit))
     seeds = None if edge_seeds is None else edge_seeds[g].ravel()
     roots = _solve_all(
         fdf, lambda v, n: (_parity(n) * v[0] - 1.0, _parity(n) * v[1]),

@@ -2,12 +2,16 @@
 
 Commands: bands, masses, dispersion, verify, oracle, flatbands.
 JSON is the canonical output (numbers at 17 significant digits, sorted
-keys, no timestamps: identical configs give byte-identical output); CSV
-is a flat projection for plotting tools.  Every output embeds a schema
-version and the fully resolved configuration.
+keys, no timestamps: identical configs give byte-identical output).
+Every output embeds a schema version and the fully resolved
+configuration.  CSV is a flat projection for plotting tools: one row
+per entry of the result's table (gaps, mass entries, dispersion rows,
+inequality records; per grid point the oracle's deviation; each flat
+band with its kind), floats at 17 significant digits and flags as 0/1.
 
 Exit codes: 0 success, 1 computation failure (e.g. a root bracket could
-not be established), 2 usage/config errors.
+not be established), 2 usage errors: any malformed flag, config file or
+grid.
 """
 
 from __future__ import annotations
@@ -36,13 +40,11 @@ OUTPUT_DIR_ENV = "NANOBAND_OUT_DIR"
 
 
 def _fmt(x: Any) -> Any:
-    """JSON projection: nan and infinities as strings, complex numbers as
-    {"re", "im"}; finite floats as they are (json writes the shortest
-    repr that reads back to the same float)."""
+    """JSON projection: nan and infinities as strings; finite floats as
+    they are (json writes the shortest repr that reads back to the same
+    float)."""
     if isinstance(x, float) and not math.isfinite(x):
         return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
-    if isinstance(x, complex):
-        return {"re": _fmt(x.real), "im": _fmt(x.imag)}
     if isinstance(x, dict):
         return {k: _fmt(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -50,14 +52,14 @@ def _fmt(x: Any) -> Any:
     return x
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str, parser: argparse.ArgumentParser) -> list[float]:
     try:
         lo_s, hi_s, n_s = text.split(":")
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
-    except ValueError:
-        raise ValueError(f"grid must be lo:hi:count, got {text!r}") from None
+    except (AttributeError, ValueError):
+        parser.error(f"grid must be lo:hi:count, got {text!r}")
     if n < 1 or not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("grid bounds must be finite and count >= 1")
+        parser.error("grid bounds must be finite and count >= 1")
     if n == 1:
         return [lo]
     step = (hi - lo) / (n - 1)
@@ -74,7 +76,9 @@ def _load_config_file(path: str) -> dict:
 
 def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser
              ) -> tuple[PotentialSpec, MagneticConfig, dict]:
-    """Merge config file and flags (flags win); enforce invariants."""
+    """Merge config file and flags (flags win); enforce invariants.
+    Malformed input raises ArithmeticError, OSError, TypeError or
+    ValueError, which main turns into a usage error."""
     file_cfg = _load_config_file(args.config) if args.config else {}
     q_entry = args.q if args.q is not None else file_cfg.get("potential")
     if q_entry is None:
@@ -123,22 +127,29 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser
     return q, cfg, echo
 
 
-def _emit(payload: dict, args: argparse.Namespace, csv_rows=None,
-          csv_header=None, csv_summary=None) -> None:
-    if args.format == "csv" and csv_rows is not None:
+def _emit(args: argparse.Namespace, echo: dict, result: dict,
+          table: list[dict], columns: list[str], summary=None) -> None:
+    """Write the result as JSON or, with --format csv, the dicts of its
+    table one row each in the given columns, after the resolved config
+    (and the summary, if any) in # comment lines."""
+    if args.format == "csv":
         lines = [f"# {k}={json.dumps(_fmt(v), sort_keys=True)}"
-                 for k, v in payload["config"].items()]
-        lines.append(f"# schema_version={payload['schema_version']}")
-        for k, v in (csv_summary or {}).items():
+                 for k, v in echo.items()]
+        lines.append(f"# schema_version={SCHEMA_VERSION}")
+        for k, v in (summary or {}).items():
             lines.append(f"# {k}={json.dumps(_fmt(v), sort_keys=True)}")
-        lines.append(",".join(csv_header))
-        for row in csv_rows:
+        lines.append(",".join(columns))
+        for row in table:
             lines.append(",".join(
-                format(v, ".17g") if isinstance(v, float) else str(v)
-                for v in row))
+                format(v, ".17g") if isinstance(v, float)
+                else str(int(v) if isinstance(v, bool) else v)
+                for v in (row[c] for c in columns)))
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(_fmt(payload), sort_keys=True, indent=1) + "\n"
+        text = json.dumps(_fmt({"schema_version": SCHEMA_VERSION,
+                                "command": args.command, "config": echo,
+                                "result": result}),
+                          sort_keys=True, indent=1) + "\n"
     if args.output:
         path = args.output
         out_dir = os.environ.get(OUTPUT_DIR_ENV)
@@ -148,11 +159,6 @@ def _emit(payload: dict, args: argparse.Namespace, csv_rows=None,
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _payload(command: str, echo: dict, result: dict) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "command": command,
-            "config": echo, "result": result}
 
 
 def _structure_dict(bs) -> dict:
@@ -180,20 +186,14 @@ def _record_dict(r) -> dict:
             "note": r.note, "extras": {k: v for k, v in r.extras}}
 
 
-def cmd_bands(args, parser) -> None:
-    q, cfg, echo = _resolve(args, parser)
+def cmd_bands(args, parser, q, cfg, echo) -> None:
     structure = _structure_dict(_spec.band_structure(q, cfg, echo["n_max"]))
-    rows = [(g["n"], g["lambda_minus"], g["lambda_plus"],
-             int(g["degenerate"]), g["critical"], g["height"])
-            for g in structure["gaps"]]
-    _emit(_payload("bands", echo, structure), args,
-          csv_rows=rows,
-          csv_header=["n", "lambda_minus", "lambda_plus", "degenerate",
-                      "critical", "height"])
+    _emit(args, echo, structure, structure["gaps"],
+          ["n", "lambda_minus", "lambda_plus", "degenerate", "critical",
+           "height"])
 
 
-def cmd_masses(args, parser) -> None:
-    q, cfg, echo = _resolve(args, parser)
+def cmd_masses(args, parser, q, cfg, echo) -> None:
     bs = _spec.band_structure(q, cfg, echo["n_max"], include_flat=False)
     mt = _masses.effective_masses(bs)
     result = {
@@ -204,30 +204,23 @@ def cmd_masses(args, parser) -> None:
                      "bare_mu_minus": mt.bare_minus[n - 1]}
                     for n, mp, mm in mt.entries()],
     }
-    rows = [(e["n"], e["mu_plus"], e["mu_minus"], e["bare_mu_plus"],
-             e["bare_mu_minus"]) for e in result["entries"]]
-    _emit(_payload("masses", echo, result), args, csv_rows=rows,
-          csv_header=["n", "mu_plus", "mu_minus", "bare_mu_plus",
-                      "bare_mu_minus"])
+    _emit(args, echo, result, result["entries"],
+          ["n", "mu_plus", "mu_minus", "bare_mu_plus", "bare_mu_minus"])
 
 
-def cmd_dispersion(args, parser) -> None:
-    q, cfg, echo = _resolve(args, parser)
+def cmd_dispersion(args, parser, q, cfg, echo) -> None:
     if not echo["grid"]:
         parser.error("dispersion needs --grid lo:hi:count")
-    lams = _parse_grid(echo["grid"])
+    lams = _parse_grid(echo["grid"], parser)
     n_need = max(_depth_for(max(lams), q.q0), echo["n_max"])
     bs = _spec.band_structure(q, cfg, n_need, include_flat=False)
     ks = _qm.k_eval(q, cfg, np.array(lams), bs=bs).tolist()
-    rows = [(lam, k.real, k.imag) for lam, k in zip(lams, ks)]
-    result = {"rows": [{"lambda": a, "re_k": b, "im_k": c}
-                       for a, b, c in rows]}
-    _emit(_payload("dispersion", echo, result), args, csv_rows=rows,
-          csv_header=["lambda", "re_k", "im_k"])
+    result = {"rows": [{"lambda": lam, "re_k": k.real, "im_k": k.imag}
+                       for lam, k in zip(lams, ks)]}
+    _emit(args, echo, result, result["rows"], ["lambda", "re_k", "im_k"])
 
 
-def cmd_verify(args, parser) -> None:
-    q, cfg, echo = _resolve(args, parser)
+def cmd_verify(args, parser, q, cfg, echo) -> None:
     n_max = echo["n_max"]
     bs = _spec.band_structure(q, cfg, n_max, include_flat=False)
     mt = _masses.effective_masses(bs)
@@ -259,19 +252,15 @@ def cmd_verify(args, parser) -> None:
             "normalization_shift": ineq.shift,
         },
     }
-    rows = [(r["check"], r["n"], r["lhs"], r["rhs"], r["slack"],
-             int(r["passed"])) for r in records]
-    _emit(_payload("verify", echo, result), args, csv_rows=rows,
-          csv_header=["check", "n", "lhs", "rhs", "slack", "passed"],
-          csv_summary={"trace_residual": trace.residual,
-                       **result["summary"]})
+    _emit(args, echo, result, records,
+          ["check", "n", "lhs", "rhs", "slack", "passed"],
+          {"trace_residual": trace.residual, **result["summary"]})
 
 
-def cmd_oracle(args, parser) -> None:
-    q, cfg, echo = _resolve(args, parser)
+def cmd_oracle(args, parser, q, cfg, echo) -> None:
     grid_spec = echo["grid"] or "0:40:200"
     echo["grid"] = grid_spec
-    lams = _parse_grid(grid_spec)
+    lams = _parse_grid(grid_spec, parser)
     rep = _oracle.cross_validate(q, cfg, lams)
     result = {
         "max_deviation": rep.max_deviation,
@@ -280,13 +269,13 @@ def cmd_oracle(args, parser) -> None:
         "membership_checked": rep.membership_checked,
         "membership_mismatches": list(rep.membership_mismatches),
     }
-    rows = list(zip(rep.lams, rep.deviations))
-    _emit(_payload("oracle", echo, result), args, csv_rows=rows,
-          csv_header=["lambda", "deviation"])
+    table = [] if args.format == "json" else [
+        {"lambda": lam, "deviation": dev}
+        for lam, dev in zip(rep.lams, rep.deviations)]
+    _emit(args, echo, result, table, ["lambda", "deviation"])
 
 
-def cmd_flatbands(args, parser) -> None:
-    q, cfg, echo = _resolve(args, parser)
+def cmd_flatbands(args, parser, q, cfg, echo) -> None:
     fs = _spec.flat_spectrum(q, cfg, echo["n_max"])
     result = {
         "pure_point_regime": cfg.c_abs < _spec.PURE_POINT_CUTOFF,
@@ -294,10 +283,10 @@ def cmd_flatbands(args, parser) -> None:
         "f_locus": list(fs.f_locus),
         "all": list(fs.all),
     }
-    rows = ([("dirichlet", v) for v in fs.dirichlet]
-            + [("f_locus", v) for v in fs.f_locus])
-    _emit(_payload("flatbands", echo, result), args, csv_rows=rows,
-          csv_header=["kind", "value"])
+    table = [] if args.format == "json" else [
+        {"kind": kind, "value": v} for kind in ("dirichlet", "f_locus")
+        for v in result[kind]]
+    _emit(args, echo, result, table, ["kind", "value"])
 
 
 _COMMANDS = {
@@ -341,7 +330,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _COMMANDS[args.command](args, parser)
+        inputs = _resolve(args, parser)
+    except (ArithmeticError, OSError, TypeError, ValueError) as exc:
+        parser.error(str(exc))
+    try:
+        _COMMANDS[args.command](args, parser, *inputs)
     except (RootBracketError, PurePointRegimeError,
             _oracle.FlatBandVicinityError, ValueError) as exc:
         print(f"nanoband: error: {exc}", file=sys.stderr)

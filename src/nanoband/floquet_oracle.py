@@ -55,6 +55,10 @@ FLAT_BAND_VICINITY = 1e-8
 #: Unit-circle tolerance for classifying a Floquet multiplier as ac.
 UNIT_CIRCLE_TOL = 1e-4
 
+#: cross_validate checks the band/gap membership of the grid points
+#: farther than this from every band edge.
+EDGE_MARGIN = 1e-6
+
 # Points per chunk of cross_validate.
 _CHUNK = 512
 
@@ -183,11 +187,10 @@ def cos_k_from_root(z: complex, cfg: MagneticConfig) -> complex:
     return 0.5 * (big_z + 1.0 / big_z)
 
 
-def is_ac_multiplier_pair(z1: complex, z2: complex,
-                          tol: float = UNIT_CIRCLE_TOL) -> bool:
+def is_ac_multiplier_pair(z1: complex, z2: complex) -> bool:
     r = max(abs(z1), abs(z2), 1.0 / max(abs(z1), 1e-300),
             1.0 / max(abs(z2), 1e-300))
-    return r - 1.0 < tol
+    return r - 1.0 < UNIT_CIRCLE_TOL
 
 
 @dataclass(frozen=True)
@@ -203,11 +206,10 @@ class CrossValidation:
 
 
 def cross_validate(q: PotentialSpec, cfg: MagneticConfig, lam_grid,
-                   bs: BandStructure | None = None,
-                   edge_margin: float = 1e-6) -> CrossValidation:
+                   bs: BandStructure | None = None) -> CrossValidation:
     """Compare cos(p_j + pi j / N) from the cell-system roots against xi
     over a grid, and the band/gap classification of the roots against
-    the band structure (at points farther than edge_margin from edges).
+    the band structure (at points farther than EDGE_MARGIN from edges).
 
     Grid points in the flat-band vicinity are skipped and reported.  The
     grid goes through in chunks of _CHUNK points: per chunk, one stacked
@@ -229,7 +231,7 @@ def cross_validate(q: PotentialSpec, cfg: MagneticConfig, lam_grid,
         roots = _multipliers(build_cell_system(q, cfg, x))
         xis = _spec.xi(q, cfg, x)[0].tolist()
         clear = (np.abs(x[:, None] - edges).min(axis=1)
-                 > edge_margin).tolist()
+                 > EDGE_MARGIN).tolist()
         for lam, pair, xi_val, away in zip(x.tolist(), roots, xis, clear):
             if pair is None:
                 skipped.append(lam)

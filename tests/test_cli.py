@@ -11,9 +11,10 @@ from nanoband.cli import main
 HALF_PI = "1.5707963267948966"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
-# The README's CLI commands and the stored output of each.  `oracle` is
-# left out: its deviations come from LAPACK determinants, whose last bits
-# can differ between BLAS builds.
+# The README's CLI commands and the stored output of each, as JSON and,
+# for bands, masses and flatbands, as CSV too.  `oracle` is left out: its
+# deviations come from LAPACK determinants, whose last bits can differ
+# between BLAS builds.
 README_COMMANDS = {
     "bands_zero.json": "bands --q zero --a 0 --n-max 5",
     "bands_two_step_field.json":
@@ -22,6 +23,13 @@ README_COMMANDS = {
     "dispersion_zero.json": "dispersion --q zero --a 0 --grid 0:40:400",
     "verify_two_step.json": "verify --q two-step --a 0.9 --n-max 20",
     "flatbands_zero.json": f"flatbands --q zero --a {HALF_PI} --n-max 5",
+    "bands_zero.csv": "bands --q zero --a 0 --n-max 5 --format csv",
+    "bands_two_step_field.csv":
+        "bands --q two-step --B 1.0 --N 4 --j 1 --n-max 8 --format csv",
+    "masses_two_step.csv":
+        "masses --q two-step --a 0.9 --n-max 10 --format csv",
+    "flatbands_zero.csv":
+        f"flatbands --q zero --a {HALF_PI} --n-max 5 --format csv",
 }
 
 
@@ -66,6 +74,34 @@ def test_missing_magnetic_input_usage_error(capsys):
         main(["bands", "--q", "zero"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, config", [
+    ("dispersion --q zero --a 0.9 --grid 1:2", None),
+    ("bands --q nosuch --a 0.9", None),
+    ("bands --q [1,2 --a 0.9", None),
+    ("bands --q zero --a 0.9 --N 0", None),
+    ("bands --q zero --B 1 --N 0", None),
+    ("bands --config missing.json", None),
+    ("bands --config run.json", [1, 2]),
+    ("bands --config run.json",
+     {"potential": {"pieces": [1, 2]}, "magnetic": {"a": 0.9}}),
+    ("bands --config run.json",
+     {"potential": "zero", "magnetic": {"a": 0.9}, "n_max": None}),
+    ("dispersion --config run.json",
+     {"potential": "zero", "magnetic": {"a": 0.9}, "grid": [0, 1, 3]}),
+])
+def test_malformed_input_is_a_usage_error(argv, config, tmp_path, capsys,
+                                          monkeypatch):
+    # a malformed flag, config file or grid exits 2 with one error line,
+    # not 1 as a failed computation and not with a traceback
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert "nanoband: error: " in capsys.readouterr().err
 
 
 def test_computation_error_exit_code(capsys):

@@ -212,6 +212,32 @@ def test_the_lowest_anchor_reaches_the_jet_once(kind, monkeypatch):
     assert sum(n for (x, _), n in seen.items() if x == found[0]) == 1
 
 
+@pytest.mark.parametrize("depth", [20, 100])
+def test_lambda0_does_not_reach_the_jet_after_its_solve(depth, monkeypatch):
+    # f(lambda0) = 1, so the lower bracket value of gap 1's lower edge
+    # needs no jet call at lambda0
+    lams = []
+    jet = monodromy.transfer
+    solve = _rootfind.solve_bracketed
+    solved = []
+
+    def recorded(q, lam, order=2):
+        lams.extend(np.atleast_1d(lam).tolist())
+        return jet(q, lam, order)
+
+    def solve_bracketed(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        solved.append(len(lams))
+        return out
+
+    monkeypatch.setattr(monodromy, "transfer", recorded)
+    monkeypatch.setattr(_rootfind, "solve_bracketed", solve_bracketed)
+    bs = band_structure(make_potential("two-step"), MagneticConfig(a=0.9),
+                        depth, include_flat=False)
+    assert not bs.degenerate[0] and len(solved) == 1
+    assert bs.lambda0 not in lams[solved[0]:]
+
+
 def test_silent_overflow_below_the_potential_raises_on_both_paths():
     # at -4e5 cosh is finite, but xi and xi' overflow to inf and nan: the
     # readers of xi raise instead of returning them, without a warning

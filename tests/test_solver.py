@@ -4,6 +4,7 @@ start point inside the bracket is where the solve begins (the midpoint
 otherwise), and deep gap edges started at their seeds take few steps.
 tests/test_lockstep.py checks that seeded lanes agree on both engines."""
 
+import itertools
 import math
 
 import numpy as np
@@ -58,6 +59,27 @@ def test_converged_newton_step_ends_the_solve(monkeypatch):
         root, points = _solve_cos(monkeypatch, gaps)
         assert root == [math.pi / 2]
         assert len(points) <= 10
+
+
+@pytest.mark.parametrize("gaps", ENGINES)
+def test_polish_stops_at_a_step_that_leaves_x_in_place(gaps, monkeypatch):
+    # a Newton step that rounds back onto x ends the main loop, so the
+    # first polish step evaluates that x once more; the polish never
+    # sends one x to the evaluator twice in a row, so no lane evaluates
+    # an x three times in a row
+    monkeypatch.setattr(_rootfind, "_LOCKSTEP_GAPS", gaps)
+    k = np.arange(40)
+    lo, hi = k * math.pi + 1.0, k * math.pi + 2.0
+    f = _Counted()
+    roots = _solve_all(f, lambda v, i: v, lo, hi, np.cos(lo), np.cos(hi),
+                       "cos", k + 1, None)
+    lanes = [[] for _ in k]
+    for x in f.points:  # the brackets are disjoint, and so are the lanes
+        lanes[int((x - 1.0) // math.pi)].append(x)
+    runs = [[len(list(run)) for _, run in itertools.groupby(xs)]
+            for xs in lanes]
+    assert all(xs[-1] == root for xs, root in zip(lanes, roots.tolist()))
+    assert max(map(max, runs)) == 2
 
 
 @pytest.mark.parametrize("gaps", ENGINES)
