@@ -28,7 +28,10 @@ samples:
   per lambda;
 * `nanoband bands --q two-step --a 0.9 --n-max 2000` and the README's
   `masses`, `dispersion`, `verify`, `oracle` and `flatbands` commands
-  end to end in a subprocess, output discarded (s);
+  end to end in a subprocess, output discarded (s), and each again in
+  process through `nanoband.cli.main`, stdout sent to os.devnull
+  (`cli_in_process_*`, s): compute plus emit, without the interpreter
+  start and the import that the subprocess time includes;
 * `import nanoband` in a fresh interpreter, timed inside it (s);
 * the tracemalloc peak of a 2400-gap `band_structure` with its flat
   bands plus `effective_masses` for one piece at a = 0.9 (kB): the
@@ -57,6 +60,7 @@ alike, and writes BENCH_<TAG>.json for it as well:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
 import math
@@ -124,6 +128,7 @@ def _cases(src: str) -> dict:
     sample."""
     import numpy as np
     import nanoband
+    from nanoband.cli import main as cli_main
     from nanoband.floquet_oracle import cross_validate
     from nanoband.monodromy import dirichlet_spectrum, transfer
 
@@ -191,10 +196,25 @@ def _cases(src: str) -> dict:
             lambda: subprocess.run(
                 [sys.executable, "-m", "nanoband.cli", *command.split()],
                 env=env, check=True, stdout=subprocess.DEVNULL)))
+        cases[name.replace("cli_", "cli_in_process_", 1)] = (
+            "s", lambda command=command: _in_process(cli_main,
+                                                     command.split()))
     cases["import_s"] = ("s", lambda: float(subprocess.run(
         [sys.executable, "-c", IMPORT_TIMER], env=env, check=True,
         capture_output=True, text=True).stdout))
     return cases
+
+
+def _in_process(cli_main, argv: list[str]) -> float:
+    """The time of one cli_main(argv) call, its stdout sent to
+    os.devnull; a nonzero exit code stops the run."""
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        t = time.perf_counter()
+        code = cli_main(argv)
+        t = time.perf_counter() - t
+    if code != 0:
+        raise SystemExit(f"{' '.join(argv)}: exit code {code}")
+    return t
 
 
 def _identity_checks(nanoband, bs, mt) -> None:

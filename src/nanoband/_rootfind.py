@@ -125,6 +125,8 @@ def solve_bracketed(fdf: Callable[[float], tuple[float, float | None]],
     ends when the step drops below the relative tolerance SOLVE_XTOL,
     after which up to POLISH_STEPS unguarded Newton steps push the root
     to machine accuracy, stopping at a step that no longer moves it.
+    No point is evaluated twice in a row: the first polish step reads
+    the values at the last iterate, and the last one evaluates nothing.
     The bracket sign invariant is maintained
     throughout the main loop.
     """
@@ -171,19 +173,20 @@ def _solve_one(g, lo, hi, flo, fhi, what, index, start):
             dx = fx / dfx
             x_new = x - dx
         tol = SOLVE_XTOL * max(1.0, abs(x_new))
-        if abs(dx) < tol or hi - lo < tol:
+        if x_new != x:  # (fx, dfx) at x are in hand otherwise
             x = x_new
+            fx, dfx = g(x)
+        if abs(dx) < tol or hi - lo < tol:
             break
-        x = x_new
-        fx, dfx = g(x)
-    for _ in range(POLISH_STEPS):
-        fx, dfx = g(x)
+    for i in range(POLISH_STEPS):
         if not dfx:
             break
         step = fx / dfx
         if abs(step) > 1e-3 * max(1.0, abs(x)) or x - step == x:
             break
         x -= step
+        if i < POLISH_STEPS - 1:
+            fx, dfx = g(x)
     return x
 
 
@@ -341,9 +344,10 @@ def _solve_array(f, pick, lo, hi, flo, fhi, index, start):
     elsewhere (nan for no start), and leaves the arrays when it
     finishes.  Each lane's step counter k counts Newton/bisection steps
     up to SOLVE_MAXITER and polish steps above it; a converged lane
-    jumps to SOLVE_MAXITER.  Divisions by g' = 0 are masked where Python
-    would not reach them, and overflow to inf or nan stays silent as
-    with floats."""
+    jumps to SOLVE_MAXITER, or one past it when its converging step left
+    x in place and so took the first polish step too.  Divisions by
+    g' = 0 are masked where Python would not reach them, and overflow to
+    inf or nan stays silent as with floats."""
     root = np.where(flo == 0.0, lo, hi)
     live = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
     a, b, lo_pos = lo[live], hi[live], flo[live] > 0
@@ -374,10 +378,14 @@ def _solve_array(f, pick, lo, hi, flo, fhi, index, start):
             stop = (~nz | (np.abs(step) > 1e-3 * np.fmax(1.0, np.abs(x)))
                     | (newton == x))
         zero = main & (fx == 0.0)
-        x = np.where(main, np.where(zero, x, x_new),
-                     np.where(stop, x, newton))
-        k = np.where(main & conv, SOLVE_MAXITER, k + 1)
-        done = zero | (~main & (stop | (k == SOLVE_MAXITER + POLISH_STEPS)))
+        # a converging step that leaves x in place is also the first
+        # polish step, from the values in hand
+        carry = main & conv & (x_new == x) & ~zero
+        polish = ~main | carry
+        x = np.where(polish, np.where(stop, x, newton),
+                     np.where(zero, x, x_new))
+        k = np.where(main & conv, SOLVE_MAXITER + carry, k + 1)
+        done = zero | (polish & (stop | (k >= SOLVE_MAXITER + POLISH_STEPS)))
         if done.any():
             root[live[done]] = x[done]
             keep = ~done

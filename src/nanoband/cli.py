@@ -9,9 +9,14 @@ per entry of the result's table (gaps, mass entries, dispersion rows,
 inequality records; per grid point the oracle's deviation; each flat
 band with its kind), floats at 17 significant digits and flags as 0/1.
 
+A request takes one pass: _resolve turns the flags, the config file and
+the grid into the inputs, a command computes its result from them
+alone, and main writes it once.
+
 Exit codes: 0 success, 1 computation failure (e.g. a root bracket could
 not be established), 2 usage errors: any malformed flag, config file or
-grid.
+grid, and an --output path that cannot be written (its directory is
+missing, or it is a directory).
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from . import spectrum as _spec
 from . import verifier as _ver
 from . import floquet_oracle as _oracle
 from ._rootfind import RootBracketError, _depth_for
-from .potential import PotentialSpec, from_config
-from .spectrum import MagneticConfig, PurePointRegimeError
+from .potential import from_config
+from .spectrum import MagneticConfig
 
 SCHEMA_VERSION = "nanoband/1"
 OUTPUT_DIR_ENV = "NANOBAND_OUT_DIR"
@@ -52,56 +57,51 @@ def _fmt(x: Any) -> Any:
     return x
 
 
-def _parse_grid(text: str, parser: argparse.ArgumentParser) -> list[float]:
+def _parse_grid(text) -> list[float]:
     try:
         lo_s, hi_s, n_s = text.split(":")
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except (AttributeError, ValueError):
-        parser.error(f"grid must be lo:hi:count, got {text!r}")
+        raise ValueError(f"grid must be lo:hi:count, got {text!r}") from None
     if n < 1 or not (math.isfinite(lo) and math.isfinite(hi)):
-        parser.error("grid bounds must be finite and count >= 1")
+        raise ValueError("grid bounds must be finite and count >= 1")
     if n == 1:
         return [lo]
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
 
 
-def _load_config_file(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
-    return data
-
-
-def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser
-             ) -> tuple[PotentialSpec, MagneticConfig, dict]:
-    """Merge config file and flags (flags win); enforce invariants.
-    Malformed input raises ArithmeticError, OSError, TypeError or
-    ValueError, which main turns into a usage error."""
-    file_cfg = _load_config_file(args.config) if args.config else {}
+def _resolve(args: argparse.Namespace):
+    """The inputs of a request, (q, cfg, n_max, lams, echo): config file
+    and flags merged (flags win), invariants enforced, the grid parsed
+    for every command (lams is None without one; oracle's default is
+    0:40:200, and dispersion needs one) and echoed.  Malformed input
+    raises ArithmeticError, OSError, TypeError or ValueError, which main
+    turns into a usage error."""
+    file_cfg = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValueError("config file must hold a JSON object")
     q_entry = args.q if args.q is not None else file_cfg.get("potential")
     if q_entry is None:
-        parser.error("no potential given (use --q or the config file)")
+        raise ValueError("no potential given (use --q or the config file)")
     if isinstance(q_entry, str) and q_entry.strip().startswith(("[", "{")):
         q_entry = json.loads(q_entry)
     q = from_config(q_entry)
 
+    flags = {k: getattr(args, k) for k in ("a", "B", "N", "j")
+             if getattr(args, k) is not None}
+    if "a" in flags and "B" in flags:
+        raise ValueError("give either --a or --B/--N/--j, not both")
     mag = dict(file_cfg.get("magnetic", {}))
-    if args.a is not None:
-        mag.pop("B", None)
-        mag["a"] = args.a
-    if args.B is not None:
-        if args.a is not None:
-            parser.error("give either --a or --B/--N/--j, not both")
+    if "a" in flags or "B" in flags:  # a flag's phase or field wins
         mag.pop("a", None)
-        mag["B"] = args.B
-    if args.N is not None:
-        mag["N"] = args.N
-    if args.j is not None:
-        mag["j"] = args.j
+        mag.pop("B", None)
+    mag.update(flags)
     if ("a" in mag) == ("B" in mag):
-        parser.error("exactly one of a (phase) or B (field) is required")
+        raise ValueError("exactly one of a (phase) or B (field) is required")
     N = int(mag.get("N", 1))
     j = int(mag.get("j", 0))
     if "B" in mag:
@@ -111,8 +111,13 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser
 
     n_max = args.n_max if args.n_max is not None else int(file_cfg.get("n_max", 10))
     if n_max < 1:
-        parser.error("n-max must be >= 1")
+        raise ValueError("n-max must be >= 1")
     grid = args.grid if args.grid is not None else file_cfg.get("grid")
+    if args.command == "oracle":
+        grid = grid or "0:40:200"
+    elif args.command == "dispersion" and not grid:
+        raise ValueError("dispersion needs --grid lo:hi:count")
+    lams = None if grid is None else _parse_grid(grid)
 
     echo = {
         "potential": {"label": q.label,
@@ -124,14 +129,15 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser
         "grid": grid,
         "format": args.format,
     }
-    return q, cfg, echo
+    return q, cfg, n_max, lams, echo
 
 
-def _emit(args: argparse.Namespace, echo: dict, result: dict,
-          table: list[dict], columns: list[str], summary=None) -> None:
+def _emit(args: argparse.Namespace, echo: dict, result: dict, table,
+          columns: list[str], summary=None) -> None:
     """Write the result as JSON or, with --format csv, the dicts of its
-    table one row each in the given columns, after the resolved config
-    (and the summary, if any) in # comment lines."""
+    table (an iterable, read only here) one row each in the given
+    columns, after the resolved config (and the summary, if any) in #
+    comment lines."""
     if args.format == "csv":
         lines = [f"# {k}={json.dumps(_fmt(v), sort_keys=True)}"
                  for k, v in echo.items()]
@@ -186,15 +192,18 @@ def _record_dict(r) -> dict:
             "note": r.note, "extras": {k: v for k, v in r.extras}}
 
 
-def cmd_bands(args, parser, q, cfg, echo) -> None:
-    structure = _structure_dict(_spec.band_structure(q, cfg, echo["n_max"]))
-    _emit(args, echo, structure, structure["gaps"],
-          ["n", "lambda_minus", "lambda_plus", "degenerate", "critical",
-           "height"])
+# Each command maps the resolved inputs (q, cfg, n_max, lams) to the
+# result, its table and the table's CSV columns (verify: and a summary).
+
+def cmd_bands(q, cfg, n_max, lams):
+    structure = _structure_dict(_spec.band_structure(q, cfg, n_max))
+    return structure, structure["gaps"], [
+        "n", "lambda_minus", "lambda_plus", "degenerate", "critical",
+        "height"]
 
 
-def cmd_masses(args, parser, q, cfg, echo) -> None:
-    bs = _spec.band_structure(q, cfg, echo["n_max"], include_flat=False)
+def cmd_masses(q, cfg, n_max, lams):
+    bs = _spec.band_structure(q, cfg, n_max, include_flat=False)
     mt = _masses.effective_masses(bs)
     result = {
         "mu0": mt.mu0,
@@ -204,24 +213,20 @@ def cmd_masses(args, parser, q, cfg, echo) -> None:
                      "bare_mu_minus": mt.bare_minus[n - 1]}
                     for n, mp, mm in mt.entries()],
     }
-    _emit(args, echo, result, result["entries"],
-          ["n", "mu_plus", "mu_minus", "bare_mu_plus", "bare_mu_minus"])
+    return result, result["entries"], [
+        "n", "mu_plus", "mu_minus", "bare_mu_plus", "bare_mu_minus"]
 
 
-def cmd_dispersion(args, parser, q, cfg, echo) -> None:
-    if not echo["grid"]:
-        parser.error("dispersion needs --grid lo:hi:count")
-    lams = _parse_grid(echo["grid"], parser)
-    n_need = max(_depth_for(max(lams), q.q0), echo["n_max"])
+def cmd_dispersion(q, cfg, n_max, lams):
+    n_need = max(_depth_for(max(lams), q.q0), n_max)
     bs = _spec.band_structure(q, cfg, n_need, include_flat=False)
     ks = _qm.k_eval(q, cfg, np.array(lams), bs=bs).tolist()
     result = {"rows": [{"lambda": lam, "re_k": k.real, "im_k": k.imag}
                        for lam, k in zip(lams, ks)]}
-    _emit(args, echo, result, result["rows"], ["lambda", "re_k", "im_k"])
+    return result, result["rows"], ["lambda", "re_k", "im_k"]
 
 
-def cmd_verify(args, parser, q, cfg, echo) -> None:
-    n_max = echo["n_max"]
+def cmd_verify(q, cfg, n_max, lams):
     bs = _spec.band_structure(q, cfg, n_max, include_flat=False)
     mt = _masses.effective_masses(bs)
     trace = _masses.verify_trace_identity(mt)
@@ -252,15 +257,11 @@ def cmd_verify(args, parser, q, cfg, echo) -> None:
             "normalization_shift": ineq.shift,
         },
     }
-    _emit(args, echo, result, records,
-          ["check", "n", "lhs", "rhs", "slack", "passed"],
-          {"trace_residual": trace.residual, **result["summary"]})
+    return (result, records, ["check", "n", "lhs", "rhs", "slack", "passed"],
+            {"trace_residual": trace.residual, **result["summary"]})
 
 
-def cmd_oracle(args, parser, q, cfg, echo) -> None:
-    grid_spec = echo["grid"] or "0:40:200"
-    echo["grid"] = grid_spec
-    lams = _parse_grid(grid_spec, parser)
+def cmd_oracle(q, cfg, n_max, lams):
     rep = _oracle.cross_validate(q, cfg, lams)
     result = {
         "max_deviation": rep.max_deviation,
@@ -269,24 +270,22 @@ def cmd_oracle(args, parser, q, cfg, echo) -> None:
         "membership_checked": rep.membership_checked,
         "membership_mismatches": list(rep.membership_mismatches),
     }
-    table = [] if args.format == "json" else [
-        {"lambda": lam, "deviation": dev}
-        for lam, dev in zip(rep.lams, rep.deviations)]
-    _emit(args, echo, result, table, ["lambda", "deviation"])
+    table = ({"lambda": lam, "deviation": dev}
+             for lam, dev in zip(rep.lams, rep.deviations))
+    return result, table, ["lambda", "deviation"]
 
 
-def cmd_flatbands(args, parser, q, cfg, echo) -> None:
-    fs = _spec.flat_spectrum(q, cfg, echo["n_max"])
+def cmd_flatbands(q, cfg, n_max, lams):
+    fs = _spec.flat_spectrum(q, cfg, n_max)
     result = {
         "pure_point_regime": cfg.c_abs < _spec.PURE_POINT_CUTOFF,
         "dirichlet": list(fs.dirichlet),
         "f_locus": list(fs.f_locus),
         "all": list(fs.all),
     }
-    table = [] if args.format == "json" else [
-        {"kind": kind, "value": v} for kind in ("dirichlet", "f_locus")
-        for v in result[kind]]
-    _emit(args, echo, result, table, ["kind", "value"])
+    table = ({"kind": kind, "value": v} for kind in ("dirichlet", "f_locus")
+             for v in result[kind])
+    return result, table, ["kind", "value"]
 
 
 _COMMANDS = {
@@ -330,15 +329,18 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        inputs = _resolve(args, parser)
+        q, cfg, n_max, lams, echo = _resolve(args)
     except (ArithmeticError, OSError, TypeError, ValueError) as exc:
         parser.error(str(exc))
     try:
-        _COMMANDS[args.command](args, parser, *inputs)
-    except (RootBracketError, PurePointRegimeError,
-            _oracle.FlatBandVicinityError, ValueError) as exc:
+        out = _COMMANDS[args.command](q, cfg, n_max, lams)
+    except (RootBracketError, ValueError) as exc:
         print(f"nanoband: error: {exc}", file=sys.stderr)
         return 1
+    try:
+        _emit(args, echo, *out)
+    except OSError as exc:
+        parser.error(str(exc))
     return 0
 
 

@@ -65,7 +65,8 @@ class MagneticConfig:
 
     @classmethod
     def from_field(cls, B: float, N: int, j: int = 0) -> "MagneticConfig":
-        a = (3.0 * B / 16.0) / math.tan(math.pi / (2 * N))
+        # an N below 1 reaches __post_init__, which rejects it
+        a = (3.0 * B / 16.0) / math.tan(math.pi / (2 * N)) if N >= 1 else 0.0
         return cls(a=a, N=N, j=j, B=B)
 
     @cached_property

@@ -90,18 +90,39 @@ def test_missing_magnetic_input_usage_error(capsys):
      {"potential": "zero", "magnetic": {"a": 0.9}, "n_max": None}),
     ("dispersion --config run.json",
      {"potential": "zero", "magnetic": {"a": 0.9}, "grid": [0, 1, 3]}),
+    ("bands --q zero --a 0.9 --grid 1:2", None),
+    ("flatbands --q zero --a 0.9 --grid 0:1:0", None),
+    ("masses --config run.json",
+     {"potential": "zero", "magnetic": {"a": 0.9}, "grid": "0:1"}),
+    ("bands --q zero --a 0.9 --output nodir/out.json", None),
+    ("bands --q zero --a 0.9 --output .", None),
 ])
 def test_malformed_input_is_a_usage_error(argv, config, tmp_path, capsys,
                                           monkeypatch):
-    # a malformed flag, config file or grid exits 2 with one error line,
-    # not 1 as a failed computation and not with a traceback
+    # a malformed flag, config file or grid, or an output path that
+    # cannot be written, exits 2 with one error line, not 1 as a failed
+    # computation and not with a traceback, and writes no file
     monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NANOBAND_OUT_DIR", raising=False)
     if config is not None:
         (tmp_path / "run.json").write_text(json.dumps(config))
     with pytest.raises(SystemExit) as exc:
         main(argv.split())
     assert exc.value.code == 2
-    assert "nanoband: error: " in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "nanoband: error: " in err and "Traceback" not in err
+    assert not out
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        [] if config is None else ["run.json"])
+
+
+def test_oracle_default_grid(capsys):
+    code, out, _ = run_cli(["oracle", "--q", "zero", "--a", "0.9"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["grid"] == "0:40:200"
+    res = doc["result"]
+    assert res["points"] + len(res["skipped_near_flat_bands"]) == 200
 
 
 def test_computation_error_exit_code(capsys):

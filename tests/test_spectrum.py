@@ -38,6 +38,13 @@ def test_magnetic_config_from_field():
     assert cfg.B == 2.0
 
 
+@pytest.mark.parametrize("N", [0, -3])
+def test_magnetic_config_from_field_rejects_a_bad_N(N):
+    # the same error as the constructor's, not a division by zero
+    with pytest.raises(ValueError, match="N must be a positive integer"):
+        MagneticConfig.from_field(B=1.0, N=N)
+
+
 def test_xi_free_values(zero_q):
     cfg = MagneticConfig(a=0.0)
     v, _ = xi(zero_q, cfg, (math.pi / 3) ** 2)
