@@ -1,8 +1,9 @@
 """Batch front-end: parse a config, run computations, emit reports.
 
 Commands: bands, masses, dispersion, verify, oracle, flatbands.
-JSON is the canonical output (numbers at 17 significant digits, sorted
-keys, no timestamps: identical configs give byte-identical output).
+JSON is the canonical output (floats as the shortest repr that reads
+back to the same float, sorted keys, no timestamps: identical configs
+give byte-identical output).
 Every output embeds a schema version and the fully resolved
 configuration.  CSV is a flat projection for plotting tools: one row
 per entry of the result's table (gaps, mass entries, dispersion rows,
@@ -36,7 +37,7 @@ from . import quasimomentum as _qm
 from . import spectrum as _spec
 from . import verifier as _ver
 from . import floquet_oracle as _oracle
-from ._rootfind import RootBracketError, _depth_for
+from ._rootfind import RootBracketError
 from .potential import from_config
 from .spectrum import MagneticConfig
 
@@ -45,9 +46,9 @@ OUTPUT_DIR_ENV = "NANOBAND_OUT_DIR"
 
 
 def _fmt(x: Any) -> Any:
-    """JSON projection: nan and infinities as strings; finite floats as
-    they are (json writes the shortest repr that reads back to the same
-    float)."""
+    """JSON projection for the CSV comment lines: nan and infinities as
+    strings; finite floats as they are (json writes the shortest repr
+    that reads back to the same float)."""
     if isinstance(x, float) and not math.isfinite(x):
         return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
     if isinstance(x, dict):
@@ -55,6 +56,91 @@ def _fmt(x: Any) -> Any:
     if isinstance(x, (list, tuple)):
         return [_fmt(v) for v in x]
     return x
+
+
+_ENCODE = json.encoder.encode_basestring_ascii
+_NONFINITE = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
+_CONTAINERS = (dict, list, tuple)
+
+
+def _scalar(v) -> str:
+    """One JSON value that is not a container, as json.dumps writes it
+    after _fmt: nan and infinities as the strings "nan", "inf", "-inf"."""
+    if isinstance(v, str):
+        return _ENCODE(v)
+    if v is None:
+        return "null"
+    if v is True or v is False:
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        r = float.__repr__(v)
+        return _NONFINITE.get(r, r)
+    raise TypeError(f"{type(v).__name__} is not JSON serializable")
+
+
+def _column(values: list) -> list[str] | None:
+    """The JSON text of each value of a table column, or None if one of
+    them is a container (the list is then no table)."""
+    kinds = set(map(type, values))
+    if kinds == {float}:  # the common column, without a call per cell
+        cells = list(map(float.__repr__, values))
+        if _NONFINITE.keys().isdisjoint(cells):
+            return cells
+    elif any(issubclass(k, _CONTAINERS) for k in kinds):
+        return None
+    return list(map(_scalar, values))
+
+
+def _table(rows: list, nl: str) -> str | None:
+    """A list of flat dicts that share one key set, written as json.dumps
+    writes it with sort_keys and indent=1 from one row template and one %
+    over all cells, at the indentation nl of the list; None if rows is no
+    such list."""
+    if not all(type(r) is dict for r in rows):
+        return None
+    keys = rows[0].keys()
+    if not keys or not all(r.keys() == keys for r in rows):
+        return None
+    keys = sorted(keys)
+    cols = []
+    for k in keys:
+        col = _column([r[k] for r in rows])
+        if col is None:
+            return None
+        cols.append(col)
+    row_nl = nl + " "
+    cell_nl = row_nl + " "
+    row = "{" + ",".join(
+        cell_nl + _ENCODE(k).replace("%", "%%") + ": %s" for k in keys
+    ) + row_nl + "}"
+    template = ("[" + row_nl + ("," + row_nl).join([row] * len(rows))
+                + nl + "]")
+    return template % tuple([c for cells in zip(*cols) for c in cells])
+
+
+def _to_json(x: Any, nl: str = "\n") -> str:
+    """The JSON text of x, byte for byte as json.dumps(_fmt(x),
+    sort_keys=True, indent=1) writes it; nl is a newline and the
+    indentation of x's own line."""
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = nl + " "
+        items = [inner + _ENCODE(k) + ": " + _to_json(v, inner)
+                 for k, v in sorted(x.items())]
+        return "{" + ",".join(items) + nl + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        table = _table(x, nl)
+        if table is not None:
+            return table
+        inner = nl + " "
+        items = [inner + _to_json(v, inner) for v in x]
+        return "[" + ",".join(items) + nl + "]"
+    return _scalar(x)
 
 
 def _parse_grid(text) -> list[float]:
@@ -69,6 +155,16 @@ def _parse_grid(text) -> list[float]:
         return [lo]
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
+
+
+def _typed(fields: dict, key: str, default, kind: type):
+    """fields[key] (default if absent) as kind: int takes a JSON integer,
+    float any JSON number; a bool is neither."""
+    v = fields.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, (int, kind)):
+        what = "an integer" if kind is int else "a number"
+        raise TypeError(f"{key} must be {what}, got {v!r}")
+    return kind(v)
 
 
 def _resolve(args: argparse.Namespace):
@@ -102,14 +198,15 @@ def _resolve(args: argparse.Namespace):
     mag.update(flags)
     if ("a" in mag) == ("B" in mag):
         raise ValueError("exactly one of a (phase) or B (field) is required")
-    N = int(mag.get("N", 1))
-    j = int(mag.get("j", 0))
+    N = _typed(mag, "N", 1, int)
+    j = _typed(mag, "j", 0, int)
     if "B" in mag:
-        cfg = MagneticConfig.from_field(float(mag["B"]), N, j)
+        cfg = MagneticConfig.from_field(_typed(mag, "B", None, float), N, j)
     else:
-        cfg = MagneticConfig(a=float(mag["a"]), N=N, j=j)
+        cfg = MagneticConfig(a=_typed(mag, "a", None, float), N=N, j=j)
 
-    n_max = args.n_max if args.n_max is not None else int(file_cfg.get("n_max", 10))
+    n_max = (args.n_max if args.n_max is not None
+             else _typed(file_cfg, "n_max", 10, int))
     if n_max < 1:
         raise ValueError("n-max must be >= 1")
     grid = args.grid if args.grid is not None else file_cfg.get("grid")
@@ -152,10 +249,9 @@ def _emit(args: argparse.Namespace, echo: dict, result: dict, table,
                 for v in (row[c] for c in columns)))
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(_fmt({"schema_version": SCHEMA_VERSION,
-                                "command": args.command, "config": echo,
-                                "result": result}),
-                          sort_keys=True, indent=1) + "\n"
+        text = _to_json({"schema_version": SCHEMA_VERSION,
+                         "command": args.command, "config": echo,
+                         "result": result}) + "\n"
     if args.output:
         path = args.output
         out_dir = os.environ.get(OUTPUT_DIR_ENV)
@@ -218,9 +314,7 @@ def cmd_masses(q, cfg, n_max, lams):
 
 
 def cmd_dispersion(q, cfg, n_max, lams):
-    n_need = max(_depth_for(max(lams), q.q0), n_max)
-    bs = _spec.band_structure(q, cfg, n_need, include_flat=False)
-    ks = _qm.k_eval(q, cfg, np.array(lams), bs=bs).tolist()
+    ks = _qm.k_eval(q, cfg, np.array(lams)).tolist()
     result = {"rows": [{"lambda": lam, "re_k": k.real, "im_k": k.imag}
                        for lam, k in zip(lams, ks)]}
     return result, result["rows"], ["lambda", "re_k", "im_k"]

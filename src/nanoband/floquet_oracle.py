@@ -16,15 +16,17 @@ out of the comparison.
 
 A grid of lambda is evaluated in chunks of at most _CHUNK points,
 which bounds the memory of large grids: the grids are sized by the
-caller, and each point holds two 6x6 matrices.  Per chunk,
-build_cell_system assembles stacked (n, 6, 6) matrices from one array
-transfer call (the same numbers as one lambda at a time, see
-monodromy), det_coeffs takes all their determinants in one stacked
-LAPACK call, and xi comes from one array call of its own.  Points in
-the flat-band vicinity or with a vanishing z^2 coefficient are masked
-and reported as skipped.  The quadratic roots and the comparisons stay
-Python complex arithmetic per point.  One lambda (build_cell_system,
-dispersion_roots) goes through the same code with n = 1.
+caller, and each point holds two 6x6 matrices.  Per chunk, one array
+transfer call gives the jet (the same numbers as one lambda at a time,
+see monodromy) that both sides read: the stacked (n, 6, 6) cell
+matrices take theta, phi and their derivatives from it, and xi takes
+F from it through the spectrum module, the same numbers as xi's own
+call.  det_coeffs takes all the determinants in one stacked LAPACK
+call.  Points in the flat-band vicinity or with a vanishing z^2
+coefficient are masked and reported as skipped.  The quadratic roots
+and the comparisons stay Python complex arithmetic per point.  One
+lambda (build_cell_system, dispersion_roots) goes through the same code
+with n = 1.
 
 Elimination order behind the assembly (documenting the reduction): rows
 are (value continuity at the two vertices, then the two derivative
@@ -112,7 +114,13 @@ def build_cell_system(q: PotentialSpec, cfg: MagneticConfig,
     float64 array of lambda gives the stacked systems from one transfer
     call, with such points flagged in near_flat instead.
     """
-    p, p1 = monodromy.transfer(q, lam, 1)
+    return _cell_system(cfg, lam, monodromy.transfer(q, lam, 1))
+
+
+def _cell_system(cfg: MagneticConfig, lam: float | np.ndarray,
+                 jet: tuple) -> CellSystem:
+    """build_cell_system from the monodromy jet (P, P') at lam."""
+    p, p1 = jet[:2]
     th, ph, thp, php = p
     near = np.abs(ph) < FLAT_BAND_VICINITY * np.fmax(1.0, np.abs(p1[1]))
     if np.ndim(lam) == 0 and near:
@@ -212,9 +220,10 @@ def cross_validate(q: PotentialSpec, cfg: MagneticConfig, lam_grid,
     the band structure (at points farther than EDGE_MARGIN from edges).
 
     Grid points in the flat-band vicinity are skipped and reported.  The
-    grid goes through in chunks of _CHUNK points: per chunk, one stacked
-    cell system (one transfer call and one determinant call) and one
-    call of xi, then the roots and comparisons point by point.
+    grid goes through in chunks of _CHUNK points: per chunk, one transfer
+    call whose jet gives both the stacked cell system (with one
+    determinant call) and xi, then the roots and comparisons point by
+    point.
     """
     lams = [float(x) for x in lam_grid]
     if bs is None:
@@ -226,10 +235,12 @@ def cross_validate(q: PotentialSpec, cfg: MagneticConfig, lam_grid,
     mismatches = []
     checked = 0
     edges = np.array((bs.lambda0,) + bs.minus + bs.plus)
+    sign = math.copysign(1.0, cfg.c_j)  # xi is signed with the true c_j
     for start in range(0, len(lams), _CHUNK):
         x = np.array(lams[start:start + _CHUNK])
-        roots = _multipliers(build_cell_system(q, cfg, x))
-        xis = _spec.xi(q, cfg, x)[0].tolist()
+        jet = monodromy.transfer(q, x, 1)
+        roots = _multipliers(_cell_system(cfg, x, jet))
+        xis = (sign * _spec._xi_finite(q, cfg, x, 1, jet)[0]).tolist()
         clear = (np.abs(x[:, None] - edges).min(axis=1)
                  > EDGE_MARGIN).tolist()
         for lam, pair, xi_val, away in zip(x.tolist(), roots, xis, clear):

@@ -155,12 +155,9 @@ def d2F0(lam: float | np.ndarray) -> float | np.ndarray:
 # the modified discriminant
 # ----------------------------------------------------------------------
 
-def F_with_derivs(q: PotentialSpec, lam: float | np.ndarray,
-                  order: int = 2) -> tuple[float, ...]:
-    """(F, F', F'') at lam through `order` (0, 1 or 2), from the exact
-    monodromy jet of that order; for a float64 array lam, arrays of the
-    values at its entries."""
-    jet = monodromy.transfer(q, lam, order)
+def _F_jet(jet: tuple, order: int) -> tuple[float, ...]:
+    """(F, F', F'') through `order` (0, 1 or 2) from a monodromy jet
+    (P, P', ...) of that order or higher; floats or arrays as the jet."""
     p = jet[0]
     d = 0.5 * (p[0] + p[3])
     dm = 0.5 * (p[3] - p[0])
@@ -180,28 +177,40 @@ def F_with_derivs(q: PotentialSpec, lam: float | np.ndarray,
     return f, f1, f2
 
 
+def F_with_derivs(q: PotentialSpec, lam: float | np.ndarray,
+                  order: int = 2) -> tuple[float, ...]:
+    """(F, F', F'') at lam through `order` (0, 1 or 2), from the exact
+    monodromy jet of that order; for a float64 array lam, arrays of the
+    values at its entries."""
+    return _F_jet(monodromy.transfer(q, lam, order), order)
+
+
 def _xi_eff(q: PotentialSpec, cfg: MagneticConfig, lam: float | np.ndarray,
-            order: int = 2) -> tuple[float, ...]:
+            order: int = 2, jet: tuple | None = None) -> tuple[float, ...]:
     """(xi, xi', xi'') = ((F + s^2)/c, F'/c, F''/c) at c = |c_j| through
     `order`, the labeling convention used internally; floats or arrays as
-    lam."""
+    lam.  A caller that already holds the monodromy jet at lam through
+    `order` passes it as `jet`, and the jet is not evaluated again."""
     c = cfg.c_abs
     if c < PURE_POINT_CUTOFF:
         raise PurePointRegimeError(cfg.c_j)
-    f = F_with_derivs(q, lam, order)
+    if jet is None:
+        jet = monodromy.transfer(q, lam, order)
+    f = _F_jet(jet, order)
     return ((f[0] + cfg.s_j ** 2) / c, *[x / c for x in f[1:]])
 
 
 def _xi_finite(q: PotentialSpec, cfg: MagneticConfig,
-               lam: float | np.ndarray, order: int) -> tuple[float, ...]:
-    """_xi_eff for the readers of xi values (xi, k_eval and the
-    asymptotics checks; the structure solves tolerate inf and skip
-    this): far below the potential the jet overflows to inf or nan, and
-    then monodromy._JetOverflowError names the lowest lam where a value
-    is not finite, on floats and arrays alike and without a numpy
+               lam: float | np.ndarray, order: int,
+               jet: tuple | None = None) -> tuple[float, ...]:
+    """_xi_eff for the readers of xi values (xi, k_eval, the asymptotics
+    checks and the Floquet oracle; the structure solves tolerate inf and
+    skip this): far below the potential the jet overflows to inf or nan,
+    and then monodromy._JetOverflowError names the lowest lam where a
+    value is not finite, on floats and arrays alike and without a numpy
     warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = _xi_eff(q, cfg, lam, order)
+        vals = _xi_eff(q, cfg, lam, order, jet)
     bad = ~np.isfinite(np.vstack(vals)).all(axis=0)
     if bad.any():
         raise monodromy._JetOverflowError(

@@ -6,16 +6,18 @@ spectral oracle diagonalizes a finite-difference discretization, the
 Fourier oracle integrates by adaptive quadrature, and the mass oracle
 fits the dispersion curvature through the quasimomentum map alone.
 
-The two exceptions are bit-level references rather than independent
+The three exceptions are bit-level references rather than independent
 oracles: `reference_jet`, the product of 2x2 tuples by `_mul`/`_add`
 that the fused loop of `monodromy.transfer` replaced, over the
-package's own per-piece factors; and `reference_scan`, the sign-change
+package's own per-piece factors; `reference_scan`, the sign-change
 scan of one bracket on floats that `_rootfind._scan_array` runs for
-every lane of a search phase at once.
+every lane of a search phase at once; and `reference_json`, the
+standard library encoder that the CLI's JSON writer replaced.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -24,6 +26,7 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import eigsh
 
 from nanoband._rootfind import MAX_DOUBLINGS, SCAN_SAMPLES, RootBracketError
+from nanoband.cli import _fmt
 from nanoband.monodromy import _factor, _factor_batch
 from nanoband.potential import PotentialSpec
 from nanoband.quasimomentum import k_eval
@@ -172,3 +175,10 @@ def reference_scan(g, lo: float, hi: float, prefer: float, what: str, index):
         hi = prefer + span
         span *= 2.0
     raise RootBracketError(what, index)
+
+
+def reference_json(x) -> str:
+    """The JSON text of a CLI payload as the standard library writes it
+    after cli._fmt (nan and infinities as strings), with sorted keys and
+    an indent of 1: the bytes `cli._to_json` must reproduce."""
+    return json.dumps(_fmt(x), sort_keys=True, indent=1)

@@ -4,9 +4,12 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nanoband.cli import main
+from nanoband.cli import _to_json, main
+from oracles import reference_json
 
 HALF_PI = "1.5707963267948966"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -31,6 +34,18 @@ README_COMMANDS = {
     "flatbands_zero.csv":
         f"flatbands --q zero --a {HALF_PI} --n-max 5 --format csv",
 }
+
+
+# The seven commands of the README's CLI section.
+README_CLI = [
+    "bands --q zero --a 0 --n-max 5",
+    "bands --q two-step --B 1.0 --N 4 --j 1 --n-max 8",
+    "masses --q two-step --a 0.9 --n-max 10",
+    "dispersion --q zero --a 0 --grid 0:40:400",
+    "verify --q two-step --a 0.9 --n-max 20",
+    "oracle --q two-step --a 0.6283185307179586 --grid 0.05:40:200",
+    f"flatbands --q zero --a {HALF_PI} --n-max 5",
+]
 
 
 def run_cli(args, capsys):
@@ -96,6 +111,14 @@ def test_missing_magnetic_input_usage_error(capsys):
      {"potential": "zero", "magnetic": {"a": 0.9}, "grid": "0:1"}),
     ("bands --q zero --a 0.9 --output nodir/out.json", None),
     ("bands --q zero --a 0.9 --output .", None),
+    ("bands --config run.json",
+     {"potential": "zero", "magnetic": {"a": 0.9, "N": 2.5}}),
+    ("bands --config run.json",
+     {"potential": "zero", "magnetic": {"a": 0.9, "N": True}}),
+    ("bands --config run.json",
+     {"potential": "zero", "magnetic": {"a": 0.9}, "n_max": 7.9}),
+    ("bands --config run.json",
+     {"potential": "zero", "magnetic": {"a": "0.9"}}),
 ])
 def test_malformed_input_is_a_usage_error(argv, config, tmp_path, capsys,
                                           monkeypatch):
@@ -327,3 +350,58 @@ def test_parser_serves_many_requests_in_one_process(capsys):
                            capsys)
     assert code == 0
     assert out == (GOLDEN / "dispersion_zero.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", README_CLI)
+def test_readme_json_is_what_the_standard_encoder_writes(command, capsys):
+    code, out, _ = run_cli(command.split(), capsys)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=1) + "\n"
+
+
+# Payloads for the JSON writer: the scalars a CLI result can hold and
+# the edge cases of the standard encoder, nested in dicts, lists and
+# tuples, and tables (lists of flat dicts sharing one key set) whose
+# rows insert their keys in different orders, or with one row of
+# another key set, or with one nested value.
+_TEXT = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "\x00\x1f\n\t", "caf\u00e9 \u2203",
+                     "\U0001f600", "%", "%s", "100%%", "%(k)s"]))
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16,
+                     1e-5]),
+    st.floats().map(np.float64))
+_SCALARS = st.one_of(_FLOATS, st.integers(), st.integers(min_value=2 ** 64),
+                     st.booleans(), st.none(), _TEXT)
+
+
+@st.composite
+def _tables(draw, values):
+    keys = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+    rows = [{k: draw(_SCALARS) for k in draw(st.permutations(keys))}
+            for _ in range(draw(st.integers(1, 4)))]
+    i = draw(st.integers(0, len(rows) - 1))
+    kind = draw(st.sampled_from(["table", "other keys", "nested"]))
+    if kind == "other keys":
+        rows[i] = {draw(_TEXT): v for v in rows[i].values()}
+    elif kind == "nested":
+        rows[i][keys[0]] = draw(st.one_of(st.lists(values, max_size=2),
+                                          st.dictionaries(_TEXT, values,
+                                                          max_size=2)))
+    return rows
+
+
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda values: st.one_of(
+        st.lists(values, max_size=4), st.tuples(values, values),
+        st.dictionaries(_TEXT, values, max_size=4), _tables(values)),
+    max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_PAYLOADS)
+def test_json_writer_matches_the_standard_encoder(payload):
+    assert _to_json(payload) == reference_json(payload)

@@ -146,7 +146,9 @@ def _pointwise_cross_validation(q, cfg, lams, bs, edge_margin=1e-6):
 
 
 @pytest.mark.parametrize("name", ["zero", "two-step", "projection-64"])
-def test_chunked_cross_validation_equals_pointwise(name, structure_factory):
+def test_chunked_cross_validation_equals_pointwise(name, structure_factory,
+                                                   monkeypatch):
+    from nanoband import monodromy
     from nanoband._rootfind import _depth_for
     from nanoband.floquet_oracle import _CHUNK
     from nanoband.potential import make_potential
@@ -160,7 +162,18 @@ def test_chunked_cross_validation_equals_pointwise(name, structure_factory):
     grid[200] = diri[0]
     grid[_CHUNK + 50] = diri[1]
     bs = structure_factory(q, cfg, _depth_for(max(grid), q.q0))
+    # one jet per chunk, shared by the cell system and xi
+    jets = []
+    transfer = monodromy.transfer
+
+    def counted(q, lam, order=2):
+        jets.append(len(lam))
+        return transfer(q, lam, order)
+
+    monkeypatch.setattr(monodromy, "transfer", counted)
     rep = cross_validate(q, cfg, grid, bs=bs)
+    monkeypatch.undo()
+    assert jets == [_CHUNK, 100]
     kept, devs, skipped, checked, mismatches = \
         _pointwise_cross_validation(q, cfg, grid, bs)
     assert skipped == (diri[0], diri[1])
