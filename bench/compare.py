@@ -3,12 +3,15 @@
 Both packages run, each in a fresh subprocess, the seed-1 and seed-2
 `deep-tables` and `sector-sweep` pools and the seed-1 probe sectors
 (n_max 20) of perfbench/workloads.py, then the README's CLI commands
+and the seed-1 `grid-oracle` requests (without their --output file)
 with --format json and --format csv.  Every output is flattened into
 leaves: for each field the script prints how many floats it holds, how
-many moved and by how many ulps at most.  Any other difference (a label,
-a flag, a count, an anomaly, a job check, the type, message or index of
-an error, or a line of a README command's stdout that is not the same
-byte for byte) is listed, and the exit code is then 1:
+many moved and by how many ulps at most; the floats written into text
+(an error message, a line of a CLI command's stdout) count in the field
+of that text when the rest of the text is the same.  Any other
+difference (a label, a flag, a count, an anomaly, a job check, the type
+or index of an error, other text of a message or of a stdout line) is
+listed, and the exit code is then 1:
 
     python bench/compare.py --base ../parent/src
 """
@@ -31,6 +34,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 POOLS = [("deep-tables", 1), ("deep-tables", 2), ("sector-sweep", 1),
          ("sector-sweep", 2)]
 PROBE_SEED = 1
+GRID_SEED = 1
 
 
 def _leaves(x, path: str, out: dict) -> dict:
@@ -77,7 +81,13 @@ def _dump(src: str) -> dict:
             else:
                 rec = {"out": res, "check": job.check(res)}
             _leaves(rec, f"{pool}/{i}", out)
-    for i, argv in enumerate(_readme_commands()):
+    requests = [("readme", i, argv)
+                for i, argv in enumerate(_readme_commands())]
+    # the grid-oracle requests without their --output file
+    requests += [(f"grid-oracle/{GRID_SEED}", i, job.argv()[:-2])
+                 for i, job in enumerate(workloads.make_pool(
+                     "grid-oracle", GRID_SEED)[0])]
+    for source, i, argv in requests:
         for fmt in ("json", "csv"):
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
@@ -86,8 +96,13 @@ def _dump(src: str) -> dict:
             rec = {"code": code, "stdout": text.splitlines(keepends=True)}
             if fmt == "json":
                 rec["out"] = json.loads(text)
-            _leaves(rec, f"readme/{argv[0]}/{i}/{fmt}", out)
+            _leaves(rec, f"{source}/{argv[0]}/{i}/{fmt}", out)
     return out
+
+
+# a float as repr or %.17g write it: with a point or an exponent, so
+# that integers (counts, indices) stay text
+_NUMBER = re.compile(r"-?(?:\d+\.\d*(?:e[-+]?\d+)?|\d+e[-+]?\d+)")
 
 
 def _ulps(x: float, y: float) -> float:
@@ -112,13 +127,22 @@ def main(argv=None) -> int:
     for path in sorted(base.keys() | new.keys()):
         x, y = base.get(path, "<missing>"), new.get(path, "<missing>")
         if type(x) is float and type(y) is float:
-            field = fields[re.sub(r"/\d+|\[\d+\]", "", path)]
+            pairs = [(x, y)]
+        elif (type(x) is str and type(y) is str
+              and _NUMBER.split(x) == _NUMBER.split(y)):
+            # text that differs at most in the floats written into it
+            pairs = list(zip(*(map(float, _NUMBER.findall(t))
+                               for t in (x, y))))
+        else:
+            if type(x) is not type(y) or x != y:
+                other.append(f"{path}: {x!r} -> {y!r}")
+            continue
+        field = fields[re.sub(r"/\d+|\[\d+\]", "", path)]
+        for u, v in pairs:
             field[0] += 1
-            if repr(x) != repr(y):
+            if repr(u) != repr(v):
                 field[1] += 1
-                field[2] = max(field[2], _ulps(x, y))
-        elif type(x) is not type(y) or x != y:
-            other.append(f"{path}: {x!r} -> {y!r}")
+                field[2] = max(field[2], _ulps(u, v))
     print(f"{'field':60s} {'floats':>7s} {'moved':>6s} {'max ulps':>9s}")
     for name, (count, moved, ulps) in sorted(fields.items()):
         print(f"{name:60s} {count:7d} {moved:6d} {ulps:9g}")

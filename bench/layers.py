@@ -3,7 +3,14 @@
 Each quantity is measured RUNS (5) times, in rounds of one fresh
 subprocess each (after one warm-up of every quantity in that process),
 and reported as the median and quartiles of those runs, with the
-samples:
+samples.  Beside them, `best_cpu` is the least of RUNS * BEST_OF (15)
+process-time samples, BEST_OF per round (the samples in `cpu_samples`
+are the best of each round; a subprocess counts with its own process
+time, the import with process time inside the child).  On a shared
+machine the rounds spread by up to 2x, so the median hides changes
+below about 25%; the best process time counts neither the time the
+process waits for a processor nor most bursts of load.  The
+quantities:
 
 * `band_structure` of the two-step potential at a = 0.9 with its flat
   bands, at n_max 200, 2000 and 20000 (s);
@@ -22,7 +29,9 @@ samples:
   array call, 2401 lambdas per array call, as many as the critical
   phase of a 2400-gap structure holds, spread over its windows, and 512
   lambdas on [-50, 400] per array call, where the lanes below a piece
-  (mu < 0) take its hyperbolic branch;
+  (mu < 0) take its hyperbolic branch, and 21 and 41 lambdas per array
+  call at orders 1 and 2, spread over the range of a 20-gap structure
+  like its critical-point and edge phases;
 * the Floquet oracle `cross_validate` for 1, 3 and 64 pieces over a
   300-point grid, its band structure built beforehand, in microseconds
   per lambda;
@@ -66,6 +75,7 @@ import json
 import math
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -74,6 +84,7 @@ import tracemalloc
 
 HERE = os.path.abspath(__file__)
 RUNS = 5
+BEST_OF = 3  # process-time samples per round
 DEPTHS = (200, 2000, 20000)
 DIRICHLET_DEPTHS = (200, 2000)
 IDENTITY_DEPTHS = (200, 2000)
@@ -84,6 +95,12 @@ JET_BATCH = 512
 JET_DEEP = 2401  # the critical lanes of a 2400-gap structure
 JET_MIXED = (-50.0, 400.0)
 JET_CALLS = 2000  # one-lambda calls per sample
+# lambdas per array call like the critical-point (21) and edge (41)
+# phases of a 20-gap structure, spread over its range, and calls per
+# sample
+JET_PHASES = (21, 41)
+SECTOR_TOP = (math.pi * 21 / 2) ** 2
+PHASE_CALLS = 20
 ORACLE_GRID = (0.05, 40.0, 300)  # lo, hi, points
 DEEP_ALLOC_N_MAX = 2400
 CLI_RUNS = {
@@ -96,20 +113,33 @@ CLI_RUNS = {
     "cli_flatbands_s": "flatbands --q zero --a 1.5707963267948966 "
                        "--n-max 5",
 }
-IMPORT_TIMER = ("import time; t = time.perf_counter(); import nanoband; "
-                "print(time.perf_counter() - t)")
+# the import in a fresh interpreter, timed there with the named clock
+IMPORT_TIMER = ("import time; t = time.{0}(); import nanoband; "
+                "print(time.{0}() - t)")
 
 
-def _summary(samples: list[float], unit: str) -> dict:
+def _summary(samples: list[float], best: list[float], unit: str) -> dict:
     q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
     return {"unit": unit, "median": median, "q1": q1, "q3": q3,
-            "samples": samples}
+            "samples": samples, "best_cpu": min(best), "cpu_samples": best}
 
 
-def _timed(fn) -> float:
-    t = time.perf_counter()
+def _cpu() -> float:
+    """Process time of this process and of its finished children (s)."""
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return time.process_time() + children.ru_utime + children.ru_stime
+
+
+# the clocks a sample is taken with, and their names in a child process
+CLOCKS = {"wall": time.perf_counter, "cpu": _cpu}
+CHILD_CLOCKS = {"wall": "perf_counter", "cpu": "process_time"}
+
+
+def _timed(clock: str, fn) -> float:
+    tick = CLOCKS[clock]
+    t = tick()
     fn()
-    return time.perf_counter() - t
+    return tick() - t
 
 
 def _alloc_peak_kb(fn) -> float:
@@ -124,8 +154,8 @@ def _alloc_peak_kb(fn) -> float:
 
 
 def _cases(src: str) -> dict:
-    """name -> (unit, fn) for the package in src, fn returning one
-    sample."""
+    """name -> (unit, fn) for the package in src, fn(clock) returning one
+    sample timed with the clock of that name."""
     import numpy as np
     import nanoband
     from nanoband.cli import main as cli_main
@@ -147,71 +177,84 @@ def _cases(src: str) -> dict:
 
     cases = {}
     for n in DEPTHS:
-        cases[f"band_structure_s.n_max_{n}"] = ("s", lambda n=n: _timed(
-            lambda: nanoband.band_structure(two_step, cfg, n)))
+        cases[f"band_structure_s.n_max_{n}"] = (
+            "s", lambda clock, n=n: _timed(
+                clock, lambda: nanoband.band_structure(two_step, cfg, n)))
     sector = {1: jets[1], 2: two_step, 3: jets[3], 64: jets[64]}
     for m, q in sector.items():
         cases[f"sector_structure_ms.pieces_{m}"] = (
-            "ms", lambda q=q: 1e3 * _timed(lambda: [
+            "ms", lambda clock, q=q: 1e3 * _timed(clock, lambda: [
                 nanoband.effective_masses(
                     nanoband.band_structure(q, cfg, SECTOR_N_MAX))
                 for _ in range(SECTOR_BUILDS)]) / SECTOR_BUILDS)
     for n in DIRICHLET_DEPTHS:
-        cases[f"dirichlet_spectrum_s.n_max_{n}"] = ("s", lambda n=n: _timed(
-            lambda: dirichlet_spectrum(two_step, n)))
+        cases[f"dirichlet_spectrum_s.n_max_{n}"] = (
+            "s", lambda clock, n=n: _timed(
+                clock, lambda: dirichlet_spectrum(two_step, n)))
     for n in IDENTITY_DEPTHS:
         bs = nanoband.band_structure(two_step, cfg, n, include_flat=False)
         mt = nanoband.effective_masses(bs)
         cases[f"identity_checks_ms.n_max_{n}"] = (
-            "ms", lambda bs=bs, mt=mt: 1e3 * _timed(
-                lambda: _identity_checks(nanoband, bs, mt)))
+            "ms", lambda clock, bs=bs, mt=mt: 1e3 * _timed(
+                clock, lambda: _identity_checks(nanoband, bs, mt)))
     xs = scalar_lams[:JET_CALLS]
     has_order = "order" in inspect.signature(transfer).parameters
     for m, q in jets.items():
         cases[f"jet_us_per_lambda.pieces_{m}.scalar"] = (
-            "us", lambda q=q: 1e6 * _timed(
-                lambda: [transfer(q, x) for x in xs]) / JET_CALLS)
+            "us", lambda clock, q=q: 1e6 * _timed(
+                clock, lambda: [transfer(q, x) for x in xs]) / JET_CALLS)
         for order in (1, 0) if has_order else ():
             cases[f"jet_us_per_lambda.pieces_{m}.scalar_order_{order}"] = (
-                "us", lambda q=q, order=order: 1e6 * _timed(
-                    lambda: [transfer(q, x, order) for x in xs]) / JET_CALLS)
+                "us", lambda clock, q=q, order=order: 1e6 * _timed(
+                    clock, lambda: [transfer(q, x, order) for x in xs])
+                / JET_CALLS)
         for name, batch in ((f"batch_{JET_BATCH}", lams),
                             (f"deep_phase_{JET_DEEP}", deep_lams),
                             (f"mixed_sign_{JET_BATCH}", mixed_lams)):
             cases[f"jet_us_per_lambda.pieces_{m}.{name}"] = (
-                "us", lambda q=q, batch=batch: 1e6 * _timed(
-                    lambda: transfer(q, batch)) / batch.size)
+                "us", lambda clock, q=q, batch=batch: 1e6 * _timed(
+                    clock, lambda: transfer(q, batch)) / batch.size)
+        for size in JET_PHASES:
+            batch = np.linspace(1.0, SECTOR_TOP, size)
+            for order in (1, 2) if has_order else ():
+                cases[f"jet_us_per_lambda.pieces_{m}.phase_{size}"
+                      f"_order_{order}"] = (
+                    "us", lambda clock, q=q, batch=batch, order=order: 1e6
+                    * _timed(clock, lambda: [transfer(q, batch, order)
+                                             for _ in range(PHASE_CALLS)])
+                    / (PHASE_CALLS * batch.size))
     lo, hi, points = ORACLE_GRID
     grid = np.linspace(lo, hi, points).tolist()
     for m, q in jets.items():
         bs = nanoband.band_structure(q, cfg, 20, include_flat=False)
         cases[f"oracle_us_per_lambda.pieces_{m}"] = (
-            "us", lambda q=q, bs=bs: 1e6 * _timed(
-                lambda: cross_validate(q, cfg, grid, bs=bs)) / points)
-    cases["deep_alloc_peak_kb"] = ("kB", lambda: _alloc_peak_kb(
+            "us", lambda clock, q=q, bs=bs: 1e6 * _timed(
+                clock, lambda: cross_validate(q, cfg, grid, bs=bs)) / points)
+    cases["deep_alloc_peak_kb"] = ("kB", lambda clock: _alloc_peak_kb(
         lambda: nanoband.effective_masses(
             nanoband.band_structure(jets[1], cfg, DEEP_ALLOC_N_MAX))))
     for name, command in CLI_RUNS.items():
-        cases[name] = ("s", lambda command=command: _timed(
-            lambda: subprocess.run(
+        cases[name] = ("s", lambda clock, command=command: _timed(
+            clock, lambda: subprocess.run(
                 [sys.executable, "-m", "nanoband.cli", *command.split()],
                 env=env, check=True, stdout=subprocess.DEVNULL)))
         cases[name.replace("cli_", "cli_in_process_", 1)] = (
-            "s", lambda command=command: _in_process(cli_main,
-                                                     command.split()))
-    cases["import_s"] = ("s", lambda: float(subprocess.run(
-        [sys.executable, "-c", IMPORT_TIMER], env=env, check=True,
-        capture_output=True, text=True).stdout))
+            "s", lambda clock, command=command: _in_process(
+                clock, cli_main, command.split()))
+    cases["import_s"] = ("s", lambda clock: float(subprocess.run(
+        [sys.executable, "-c", IMPORT_TIMER.format(CHILD_CLOCKS[clock])],
+        env=env, check=True, capture_output=True, text=True).stdout))
     return cases
 
 
-def _in_process(cli_main, argv: list[str]) -> float:
+def _in_process(clock: str, cli_main, argv: list[str]) -> float:
     """The time of one cli_main(argv) call, its stdout sent to
     os.devnull; a nonzero exit code stops the run."""
+    tick = CLOCKS[clock]
     with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
-        t = time.perf_counter()
+        t = tick()
         code = cli_main(argv)
-        t = time.perf_counter() - t
+        t = tick() - t
     if code != 0:
         raise SystemExit(f"{' '.join(argv)}: exit code {code}")
     return t
@@ -264,13 +307,16 @@ def _counts() -> dict:
 
 def _round(src: str) -> dict:
     """One round in this process: every case once to warm up, then one
-    sample of each, then the counts."""
+    wall-clock sample of each and the best of BEST_OF process-time
+    samples, then the counts."""
     sys.path.insert(0, src)
     cases = _cases(src)
     for _, fn in cases.values():
-        fn()
+        fn("wall")
     return {"units": {name: unit for name, (unit, _) in cases.items()},
-            "samples": {name: fn() for name, (_, fn) in cases.items()},
+            "samples": {name: fn("wall") for name, (_, fn) in cases.items()},
+            "best": {name: min(fn("cpu") for _ in range(BEST_OF))
+                     for name, (_, fn) in cases.items()},
             "counts": _counts()}
 
 
@@ -289,7 +335,7 @@ def _record(tag: str, rounds: list[dict], paired: str | None) -> dict:
                     "platform": platform.platform()},
         "runs": len(rounds),
         "metrics": {name: _summary([r["samples"][name] for r in rounds],
-                                   unit)
+                                   [r["best"][name] for r in rounds], unit)
                     for name, unit in units.items()},
         "counts": counts,
     }
@@ -336,7 +382,8 @@ def main(argv=None) -> int:
         print(f"== {record['tag']}")
         for name, m in record["metrics"].items():
             print(f"{name:45s} {m['median']:12.5g} {m['unit']}  "
-                  f"(q1 {m['q1']:.5g}, q3 {m['q3']:.5g})")
+                  f"(q1 {m['q1']:.5g}, q3 {m['q3']:.5g}; "
+                  f"best cpu {m['best_cpu']:.5g})")
         for name, value in record["counts"].items():
             print(f"{name:45s} {value:12.5g} lambdas/gap")
         print(f"wrote {path}")

@@ -25,17 +25,22 @@ guess, solved from the guess) and _solve_all (zeros on known brackets,
 from optional starts).
 
 Every scan runs all lanes of its phase at once on arrays (_scan_array).
-One rule picks floats or arrays for the rest, from the number of points
-in hand against _LOCKSTEP_GAPS.  _solve_all runs a phase of fewer lanes
-one after another through _solve_one, which calls f on floats, and a
-larger one on _solve_array, which keeps every piece of solver state of
-every lane of the phase in a float64 array, advances all live lanes
-with masked numpy steps, one call of _eval per step, and drops lanes
-as they finish.  _eval, which every evaluation of several points goes
-through, calls f on floats below _LOCKSTEP_GAPS points and once on an
-array of all of them from there on; so every live lane of a deep step
-shares one array jet, and the last few live lanes of a deep solve, and
-the ends of a shallow scan, never build a small one.  The windows of a
+One rule, _lockstep, picks floats or arrays for the rest, from the
+number of points in hand and the piece count of the potential behind f
+(`pieces`, which every phase passes down; 1 for an evaluator that is
+no monodromy jet): from _LOCKSTEP_GAPS points up to _BLOCK pieces,
+from _LOCKSTEP_WORK / pieces beyond, where the jet is a product of
+blocks.
+_solve_all runs a phase the rule leaves on floats one lane after
+another through _solve_one, which calls f on floats, and a larger one
+on _solve_array, which keeps every piece of solver state of every lane
+of the phase in a float64 array, advances all live lanes with masked
+numpy steps, one call of _eval per step, and drops lanes as they
+finish.  _eval, which every evaluation of several points goes through,
+calls f on floats where the rule says so and once on an array of all
+the points otherwise; so every live lane of a deep step shares one
+array jet, and the last few live lanes of a deep solve, and the ends
+of a shallow scan, never build a small one.  The windows of a
 scan that share their ends (every caller's do) evaluate each shared
 end once.  _solve_array evaluates the same points and takes the same
 branches as _solve_one, and the evaluators return the float numbers
@@ -83,19 +88,62 @@ SCAN_SAMPLES = 9
 # Domain slack allowed when clamping arccos/arccosh arguments onto the comb.
 _CLAMP_TOL = 1e-12
 
-# A solve phase of this many lanes or more runs on _solve_array, and
-# _eval calls f on arrays from this many points on.  Measured per phase
-# (critical points, gap edges, Dirichlet roots) of structures 10-100
-# gaps deep at a = 0.9, process time, best of 5, 2-core machine, when
-# the threshold picked the scan too, the array engine (its last lanes
-# on floats) against the float lanes: for six potentials of 1-6 pieces,
-# medians 1.6-1.9x slower at 20-21 lanes, 0.95-1.08x at 40-41, 0.67-0.80x
-# at 60-61 and 0.48-0.63x at 100-101; for one 64-piece projection (one
-# run each) 1.1-2.5x at 20-21 lanes, 0.8-1.3x at 40-60, 0.4-0.75x at
-# 80-101.  So it breaks even near 40 lanes (1-6 pieces) and 50-60 lanes
-# (64 pieces); 60 puts every phase on the cheaper engine but those of
-# 40-59 lanes at 1-6 pieces, whose float lanes cost up to 1.35x.
+# The lane rule (_lockstep): a solve phase runs on _solve_array, and
+# _eval calls f on arrays, from _LOCKSTEP_GAPS lanes or points for a
+# potential of up to _BLOCK pieces, and from lanes * pieces >=
+# _LOCKSTEP_WORK beyond (evaluators that are no monodromy jet count as
+# one piece).
+#
+# Up to _BLOCK pieces the jet steps through every piece on an array
+# too, so an array call costs the per-piece numpy calls of the float
+# path's pieces, and the break-even lane count does not depend on the
+# count.
+# Measured per phase (critical points, gap edges, Dirichlet roots) of
+# structures 10-100 gaps deep at a = 0.9, process time, best of 5,
+# 2-core machine, when the threshold picked the scan too, the array
+# engine (its last lanes on floats) against the float lanes: for six
+# potentials of 1-6 pieces, medians 1.6-1.9x slower at 20-21 lanes,
+# 0.95-1.08x at 40-41, 0.67-0.80x at 60-61 and 0.48-0.63x at 100-101;
+# so it breaks even near 40 lanes, and 60 puts every phase on the
+# cheaper engine but those of 40-59 lanes, whose float lanes cost up to
+# 1.35x.
+#
+# Beyond 8 pieces the jet is a product of blocks of _BLOCK = 8 pieces,
+# which an array call takes in 8 steps and a few levels whatever the
+# count, while a float lane still pays every piece: the break-even lane
+# count falls as 1 / pieces.  Measured as a 20-gap band_structure with
+# flat bands plus effective_masses at a = 0.9 and at (a, N, j) =
+# (0.4, 4, 3), for projections of one smooth potential, process time,
+# best of 5, 2-core machine, with every phase sent to arrays from T
+# lanes; the T within 3% of the fastest, and the T of this rule:
+#
+#     pieces   fastest T (two runs)   rule
+#          9   24-32                    29
+#         12   24-32                    22
+#         16   8-16, 12-16              16
+#         24   6-16                     11
+#         32   6-16, 8-16                8
+#         48   4-16                      6
+#         64   3-8                       4
+#
+# At 64 pieces the rule builds the structure in 18.8 ms against 50.4
+# ms with every phase of it on floats (T = 60).  At 10 gaps (phases of
+# 10-22 lanes) the rule keeps 9 pieces on floats, the fastest, costs 9%
+# more than floats at 16 pieces, and is within 10% of the fastest T at
+# 32 and 64 pieces (8-12 and 6).
 _LOCKSTEP_GAPS = 60
+_LOCKSTEP_WORK = 256
+# monodromy.transfer multiplies a potential of more pieces than this as
+# a product of blocks of this many consecutive pieces
+_BLOCK = 8
+
+
+def _lockstep(points: int, pieces: int) -> bool:
+    """Whether `points` lanes or points of an evaluator over a potential
+    of `pieces` pieces go to the array engine (see above)."""
+    if pieces <= _BLOCK:
+        return points >= _LOCKSTEP_GAPS
+    return points * pieces >= _LOCKSTEP_WORK
 
 
 class RootBracketError(RuntimeError):
@@ -206,18 +254,19 @@ def expand_left(f: Callable[[float], float], start: float, step: float,
 
 
 def _solve_all(f: Callable, pick: Callable, lo, hi, flo, fhi, what: str,
-               index, start=None) -> np.ndarray:
+               index, start=None, pieces: int = 1) -> np.ndarray:
     """The zero of g_i in each bracket [lo[i], hi[i]] whose ends have the
     values flo[i], fhi[i] (float64 arrays), where pick(f(x), index[i]) is
     (g_i(x), g_i'(x)) for the int array index; solved as solve_bracketed
     does from start[i] (a float64 array, or None: every lane from its
-    midpoint), one lane at a time by _solve_one below _LOCKSTEP_GAPS
-    lanes and by _solve_array from there on.  A bracket without a sign
+    midpoint), one lane at a time by _solve_one where the lane rule
+    _lockstep leaves the lanes on floats for a potential of `pieces`
+    pieces, and by _solve_array otherwise.  A bracket without a sign
     change raises RootBracketError(what, index[i]) for the lowest such
     i."""
     if start is None:
         start = np.full(lo.shape, math.nan)
-    if lo.size < _LOCKSTEP_GAPS:
+    if not _lockstep(lo.size, pieces):
         return np.array([
             _solve_one(lambda x, i=i: pick(f(x), i), a, b, fa, fb, what, i, x0)
             for i, a, b, fa, fb, x0 in zip(*(v.tolist() for v in (
@@ -229,38 +278,38 @@ def _solve_all(f: Callable, pick: Callable, lo, hi, flo, fhi, what: str,
         raise RootBracketError(f"{what}: no sign change on "
                                f"[{float(lo[i])}, {float(hi[i])}]",
                                int(index[i]))
-    return _solve_array(f, pick, lo, hi, flo, fhi, index, start)
+    return _solve_array(f, pick, lo, hi, flo, fhi, index, start, pieces)
 
 
 def _roots_all(f: Callable, pick: Callable, lo, hi, prefer, what: str,
-               index) -> np.ndarray:
+               index, pieces: int = 1) -> np.ndarray:
     """The zero of g_i nearest prefer[i] in [lo[i], hi[i]] for each i
     (arguments as for _solve_all): _scan_array finds the brackets and
     _solve_all solves them, each lane from prefer[i] if that lies inside
     its bracket.  If the scans of some lanes fail, the lowest one's
     RootBracketError is raised."""
     *bracket, failed = _scan_array(f, lambda v, i: pick(v, i)[0], lo, hi,
-                                   prefer, index)
+                                   prefer, index, pieces)
     if failed.size:
         raise RootBracketError(what, int(index[failed[0]]))
-    return _solve_all(f, pick, *bracket, what, index, prefer)
+    return _solve_all(f, pick, *bracket, what, index, prefer, pieces)
 
 
 def _critical_all(f: Callable, fdf: Callable, lo, hi, prefer, what: str,
-                  index) -> tuple[np.ndarray, np.ndarray]:
+                  index, pieces: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """x and f(x) at the zero x of f' nearest prefer[i] in [lo[i], hi[i]]
     for each i (as _roots_all), for an evaluator f returning
     (f, f', f''); f(x) is read from fdf, which returns (f, f') alone."""
     xs = _roots_all(f, lambda v, i: (v[1], v[2]), lo, hi, prefer, what,
-                    index)
-    return xs, _eval(fdf, xs)[0]
+                    index, pieces)
+    return xs, _eval(fdf, xs, pieces)[0]
 
 
-def _eval(f, x):
+def _eval(f, x, pieces: int = 1):
     """f at the points of the float64 array x, as a tuple of arrays: one
-    float at a time below _LOCKSTEP_GAPS points, in one array call of f
-    from there on."""
-    if x.size < _LOCKSTEP_GAPS:
+    float at a time where the lane rule _lockstep says so for a
+    potential of `pieces` pieces, in one array call of f otherwise."""
+    if not _lockstep(x.size, pieces):
         return tuple(map(np.array, zip(*map(f, x.tolist()))))
     return f(x)
 
@@ -270,7 +319,7 @@ def _eval(f, x):
 _SAMPLE_STEPS = np.arange(SCAN_SAMPLES, dtype=float)
 
 
-def _scan_array(f, g, lo, hi, prefer, index):
+def _scan_array(f, g, lo, hi, prefer, index, pieces: int = 1):
     """A sign-change subinterval of g_i on [lo[i], hi[i]] for every lane
     i of the float64 arrays lo, hi, prefer at once, where g(f(x), index)
     is the scanned function.
@@ -285,14 +334,15 @@ def _scan_array(f, g, lo, hi, prefer, index):
     without a sign change in a second; later attempts take one call of
     all nine samples.  Contiguous windows, where each upper end equals
     the next lower end bit for bit (as from every caller of the
-    package), share their ends: n lanes evaluate n + 1 points.
+    package), share their ends: n lanes evaluate n + 1 points.  pieces
+    goes to _eval.
     """
     # the upper ends follow the lower ones, from offset 1 when shared
     # (bitwise: == would merge -0.0 and 0.0)
     n = lo.size
     top = 1 if np.array_equal(lo[1:].view(np.int64),
                               hi[:-1].view(np.int64)) else n
-    v = _eval(f, np.append(lo, hi[n - top:]))
+    v = _eval(f, np.append(lo, hi[n - top:]), pieces)
     # copies: the bracket values are written in place below
     flo, fhi = (np.array(g(tuple(col[i:i + n] for col in v), index))
                 for i in (0, top))
@@ -310,7 +360,7 @@ def _scan_array(f, g, lo, hi, prefer, index):
         if attempt:
             idx = np.concatenate((index[live], index[live], idx))
             pts = np.concatenate((a, b, pts))
-        v = g(_eval(f, pts), idx)
+        v = g(_eval(f, pts, pieces), idx)
         if attempt:
             ends, v = (v[:live.size], v[live.size:2 * live.size]), \
                 v[2 * live.size:]
@@ -333,19 +383,20 @@ def _scan_array(f, g, lo, hi, prefer, index):
     return (*out, live)
 
 
-def _solve_array(f, pick, lo, hi, flo, fhi, index, start):
+def _solve_array(f, pick, lo, hi, flo, fhi, index, start, pieces):
     """_solve_one for every lane of the float64 arrays lo, hi, flo, fhi
     at once (each bracket has a sign change or a zero end), where
     pick(f(x), index) is (g, g'): one float64 array per piece of solver
-    state, the same points and branches, one call of _eval per step for
-    every live lane, and numpy's elementwise + - * /, abs and
-    comparisons, which round as Python floats do.  A lane starts from
-    start where that lies strictly inside (lo, hi) and from the midpoint
-    elsewhere (nan for no start), and leaves the arrays when it
-    finishes.  Each lane's step counter k counts Newton/bisection steps
-    up to SOLVE_MAXITER and polish steps above it; a converged lane
-    jumps to SOLVE_MAXITER, or one past it when its converging step left
-    x in place and so took the first polish step too.  Divisions by
+    state, the same points and branches, one call of _eval (with
+    `pieces`) per step for every live lane, and numpy's elementwise
+    + - * /, abs and comparisons, which round as Python floats do.  A
+    lane starts from start where that lies strictly inside (lo, hi) and
+    from the midpoint elsewhere (nan for no start), and leaves the
+    arrays when it finishes.  Each lane's step counter k counts
+    Newton/bisection steps up to SOLVE_MAXITER and polish steps above
+    it; a converged lane jumps to SOLVE_MAXITER, or one past it when its
+    converging step left x in place and so took the first polish step
+    too.  Divisions by
     g' = 0 are masked where Python would not reach them, and overflow to
     inf or nan stays silent as with floats."""
     root = np.where(flo == 0.0, lo, hi)
@@ -355,7 +406,7 @@ def _solve_array(f, pick, lo, hi, flo, fhi, index, start):
     dx = dx_old = np.abs(b - a)
     k = np.zeros(live.size, dtype=np.intp)
     while live.size:
-        fx, dfx = pick(_eval(f, x), index[live])
+        fx, dfx = pick(_eval(f, x, pieces), index[live])
         main = k < SOLVE_MAXITER
         with np.errstate(over="ignore", invalid="ignore"):
             nz = dfx != 0.0
@@ -495,7 +546,7 @@ class CombRoots:
 
 def comb_roots(f: Callable, fdf: Callable, lo: np.ndarray, hi: np.ndarray,
                lambda0_seed: float, edge_seeds: np.ndarray | None = None,
-               what: str = "comb") -> CombRoots:
+               what: str = "comb", pieces: int = 1) -> CombRoots:
     """Compute edges/criticals of a comb discriminant.
 
     f(lam) returns (f, f', f''), on a float or a float64 array (see
@@ -513,13 +564,15 @@ def comb_roots(f: Callable, fdf: Callable, lo: np.ndarray, hi: np.ndarray,
     edges of gap n in row n - 1: each edge solve starts there when the
     guess lies inside its bracket [crit_{n-1}, crit_n] or [crit_n,
     crit_{n+1}], so it saves steps but cannot change which root is found.
+    pieces, the piece count of the potential behind f and fdf, goes to
+    the lane rule of every phase (_lockstep).
     """
     n_max = lo.size - 1
     # critical points for gaps 1 .. n_max+1, with f there: it sets the
     # heights and the bracket ends of the edges
     ns = np.arange(1, n_max + 2)
     crit, fcrit = _critical_all(f, fdf, lo, hi, 0.5 * (lo + hi),
-                                f"{what}: critical point", ns)
+                                f"{what}: critical point", ns, pieces)
 
     # lowest edge: f - 1 = 0 on (-inf, crit_1); a single scalar solve
     # from the point the expansion found and its value; its failures
@@ -556,7 +609,7 @@ def comb_roots(f: Callable, fdf: Callable, lo: np.ndarray, hi: np.ndarray,
             (below[0][g], crit[g]), (crit[g], crit[g + 1]),
             (t[g] * below[1][g] - 1.0, d[g]),
             (d[g], t[g] * fcrit[g + 1] - 1.0))),
-        f"{what}: gap edge", np.repeat(g + 1, 2), seeds)
+        f"{what}: gap edge", np.repeat(g + 1, 2), seeds, pieces)
     lo, hi = roots[0::2], roots[1::2]
     wide = ~(hi - lo < GAP_WIDTH_TOL * np.fmax(1.0, np.abs(lo)))
     escaped = wide & ~((lo - 1e-9 <= crit[g]) & (crit[g] <= hi + 1e-9))

@@ -94,7 +94,8 @@ def effective_masses(bs: BandStructure) -> MassTable:
     # 0.48 MB (512-edge pieces) to 0.72 MB (tracemalloc) and was no
     # slower (best of 9, process time: 2.0-2.8 ms against 2.6-4.0 ms)
     d1 = _eval(lambda x: _spec.F_with_derivs(q, x, 1),
-               np.concatenate(([bs.lambda0], edges.ravel())))[1]
+               np.concatenate(([bs.lambda0], edges.ravel())),
+               len(q.pieces))[1]
     mu = np.zeros((bs.n_max, 2))  # columns plus, minus
     mu[g] = -_parity(g + 1)[:, None] * d1[1:].reshape(-1, 2) / c
     ns = np.arange(1, bs.n_max + 1)

@@ -15,26 +15,49 @@ carried through the product exactly.
 returns the jet (P, P', P'') through `order`: order 0 builds P alone,
 order 1 adds P', order 2 (the default) adds P''.  Callers ask for the
 least they read: critical points need P'', edges, Dirichlet roots and
-masses P', quasimomentum values P.  Its body is one loop over the
-pieces that keeps the twelve entries of the jet in local variables and
-writes the steps P'' <- (T'' P + T P'') + 2 T' P', P' <- T' P + T P' and
-P <- T P out entry by entry, with the additions and multiplications of
-the 2x2 products in the order a product of tuples makes them
+masses P', quasimomentum values P.  The pieces are applied by one loop
+(`_fold`) that keeps the twelve entries of the jet in local variables
+and writes the steps P'' <- (T'' P + T P'') + 2 T' P', P' <- T' P + T P'
+and P <- T P out entry by entry, with the additions and multiplications
+of the 2x2 products in the order a product of tuples makes them
 (tests/oracles.py keeps that product as the reference).  So every order
 gives the entries it returns bit for bit as the full jet: the lower
-derivatives never read the higher ones, which are only skipped.
+derivatives never read the higher ones, which are only skipped.  For a
+potential of at most _BLOCK (8, kept in _rootfind beside the lane rule
+that depends on it) pieces the loop runs over all pieces from the
+identity.
+
+A longer potential (a projection onto DEFAULT_MESH = 64 pieces) is a
+product of blocks.  Its pieces are cut into blocks of _BLOCK consecutive
+pieces, the last one shorter when the count is no multiple of _BLOCK;
+the jet of each block is the same loop from the identity, and the
+block jets are multiplied in adjacent pairs, the later block on the
+left, in the same (T'' P + T P'') + 2 T' P' order (`_mul`), level by
+level until one is left (an odd block at the end of a level waits for
+the next).  On an array every block steps at once, as the rows of
+(blocks, lanes) arrays, and each level multiplies all its pairs at
+once: a 64-piece call makes 8 steps and 3 levels of numpy calls
+instead of 64 steps.  One lambda takes the same association.  _BLOCK
+is at least 6, so that the named potentials and every potential of 1-6
+pieces keep the bits of the product piece after piece, and 8 cuts the
+64 pieces of a projection into full blocks and levels without an odd
+block.  So potentials of at most 8 pieces keep their bits, and longer
+ones moved by about 1e-14 relative when blocks came in: against the
+exact product of the same float factors the blocked and the sequential
+products err by the same few 1e-15 (tests/test_jet.py).
 
 `transfer` takes one lambda or a float64 array of them; the root engine
-of `_rootfind` passes arrays of every live lane of a phase, from
-_LOCKSTEP_GAPS lambdas up, once per step of a scan or of a deep solve
-(fewer go one lambda at a time).  An array gives the same numbers as
-one lambda at a time, bit for bit: numpy's elementwise + - * / and sqrt
-round exactly like Python floats, both kinds share `_closed_form` and
-the loop of `transfer`, cos/sin/cosh/sinh go through `math` one lambda
-at a time (numpy's versions can differ from libm in the last bit), in
-one pass over the hyperbolic lanes (mu < 0) and one over the others,
-and lanes in the series window |mu| <= _SERIES_CUT are computed by
-`_factor` itself.
+of `_rootfind` passes arrays of every live lane of a phase once its
+lane rule `_lockstep` says so (from _LOCKSTEP_GAPS lambdas at up to 8
+pieces, from 256 / pieces lambdas beyond), once per step of a scan or
+of a deep solve (fewer go one lambda at a time).  An array gives the
+same numbers as one lambda at a time, bit for bit: numpy's elementwise
++ - * / and sqrt round exactly like Python floats, both kinds share
+`_closed_form`, the steps and the association, cos/sin/cosh/sinh go
+through `math` one lambda at a time (numpy's versions can differ from
+libm in the last bit), in one pass over the hyperbolic lanes (mu < 0)
+and one over the others, and lanes in the series window
+|mu| <= _SERIES_CUT are computed by `_factor` itself.
 """
 
 from __future__ import annotations
@@ -45,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rootfind
-from ._rootfind import CombRoots, comb_roots
+from ._rootfind import _BLOCK, CombRoots, comb_roots
 from .potential import PotentialSpec
 
 # Below this |mu| the closed forms for S and its mu-derivatives lose
@@ -56,6 +79,8 @@ Mat = tuple[float, float, float, float]  # row-major 2x2
 # C and S of one piece with their mu-derivatives, (C, S, C', S', C'', S''),
 # None beyond the order asked for
 Factor = tuple
+# (P, P', P'') of no piece: where every block starts
+_IDENTITY = ((1.0, 0.0, 0.0, 1.0), (0.0,) * 4, (0.0,) * 4)
 
 
 class _JetOverflowError(ValueError):
@@ -108,14 +133,16 @@ def _closed_form(w, mu, c, s, order: int) -> Factor:
     return c, s, c1, s1, c2, s2
 
 
-def _factor_batch(w: float, mu: np.ndarray, order: int = 2) -> Factor:
-    """_factor over a float64 array of mu, entry for entry the same numbers."""
+def _factor_batch(w, mu: np.ndarray, order: int = 2) -> Factor:
+    """_factor over a float64 array of mu, entry for entry the same
+    numbers; w is a float, or an array that broadcasts against mu (the
+    widths of one step of every block, as a column)."""
     hyp = mu < -_SERIES_CUT
     series = np.flatnonzero(np.abs(mu) <= _SERIES_CUT).tolist()
     exact = mu
     if series:
         mu = mu.copy()
-        mu[series] = 1.0  # any trigonometric lane; overwritten below
+        mu.flat[series] = 1.0  # any trigonometric lane; overwritten below
     r = np.sqrt(np.abs(mu))
     wr = w * r
     if hyp.any():
@@ -127,14 +154,17 @@ def _factor_batch(w: float, mu: np.ndarray, order: int = 2) -> Factor:
             c[lanes] = np.fromiter(map(cf, x), float, len(x))
             sn[lanes] = np.fromiter(map(sf, x), float, len(x))
     else:
-        x = wr.tolist()
-        c = np.fromiter(map(math.cos, x), float, len(x))
-        sn = np.fromiter(map(math.sin, x), float, len(x))
+        x = wr.ravel().tolist()
+        c = np.fromiter(map(math.cos, x), float, len(x)).reshape(wr.shape)
+        sn = np.fromiter(map(math.sin, x), float, len(x)).reshape(wr.shape)
     out = _closed_form(w, mu, c, sn / r, order)
+    if series:
+        ws = np.broadcast_to(w, wr.shape)
     for i in series:
-        for arr, v in zip(out, _factor(w, float(exact[i]), order)):
+        for arr, v in zip(out, _factor(float(ws.flat[i]),
+                                       float(exact.flat[i]), order)):
             if arr is not None:
-                arr[i] = v
+                arr.flat[i] = v
     return out
 
 
@@ -149,11 +179,27 @@ def transfer(q: PotentialSpec, lam: float | np.ndarray, order: int = 2
     _factor_batch for an array.  Where cosh of a piece overflows, both
     raise _JetOverflowError naming the lambda (for an array the lowest,
     which overflows first).
+
+    Up to _BLOCK pieces the jet is _fold from the identity, piece after
+    piece; beyond, _blocked multiplies it by blocks (see the module
+    docstring).
     """
+    pieces = q.pieces
+    if len(pieces) > _BLOCK:
+        return _blocked(pieces, lam, order)
+    return _fold(pieces, lam, order, _IDENTITY)[:order + 1]
+
+
+def _fold(pieces, lam, order: int, jet: tuple) -> tuple:
+    """`jet` (P, P', P'') with the factors of the (width, value) pieces
+    applied in turn: one loop that keeps the twelve entries of the jet
+    in local variables and writes each step out entry by entry.  Only
+    the matrices through `order` are read and updated; the others come
+    back as they came in.  Widths and values may be (blocks, 1) columns
+    against an array lam."""
     factor = _factor_batch if isinstance(lam, np.ndarray) else _factor
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0  # P, row-major
-    a1 = b1 = c1 = d1 = a2 = b2 = c2 = d2 = 0.0  # P', P''
-    for w, v in q.pieces:
+    (a, b, c, d), (a1, b1, c1, d1), (a2, b2, c2, d2) = jet
+    for w, v in pieces:
         mu = lam - v
         try:
             tc, ts, tc1, ts1, tc2, ts2 = factor(w, mu, order)
@@ -180,7 +226,80 @@ def transfer(q: PotentialSpec, lam: float | np.ndarray, order: int = 2
                 tm1 * b + tc1 * d + (tm * b1 + tc * d1))
         a, b, c, d = (tc * a + ts * c, tc * b + ts * d,
                       tm * a + tc * c, tm * b + tc * d)
-    return ((a, b, c, d), (a1, b1, c1, d1), (a2, b2, c2, d2))[:order + 1]
+    return (a, b, c, d), (a1, b1, c1, d1), (a2, b2, c2, d2)
+
+
+def _mul(later: tuple, earlier: tuple, order: int) -> tuple:
+    """The jet through `order` of two stretches in turn, `earlier`
+    first, from their jets (at least through `order`): the step of
+    _fold with the jet of `later` for (T, T', T''), in the same order of
+    additions and multiplications."""
+    (la, lb, lc, ld), (a, b, c, d) = later[0], earlier[0]
+    jet = ((la * a + lb * c, la * b + lb * d,
+            lc * a + ld * c, lc * b + ld * d),)
+    if order:
+        (la1, lb1, lc1, ld1), (a1, b1, c1, d1) = later[1], earlier[1]
+        jet += ((la1 * a + lb1 * c + (la * a1 + lb * c1),
+                 la1 * b + lb1 * d + (la * b1 + lb * d1),
+                 lc1 * a + ld1 * c + (lc * a1 + ld * c1),
+                 lc1 * b + ld1 * d + (lc * b1 + ld * d1)),)
+    if order == 2:
+        (la2, lb2, lc2, ld2), (a2, b2, c2, d2) = later[2], earlier[2]
+        jet += ((la2 * a + lb2 * c + (la * a2 + lb * c2)
+                 + 2.0 * (la1 * a1 + lb1 * c1),
+                 la2 * b + lb2 * d + (la * b2 + lb * d2)
+                 + 2.0 * (la1 * b1 + lb1 * d1),
+                 lc2 * a + ld2 * c + (lc * a2 + ld * c2)
+                 + 2.0 * (lc1 * a1 + ld1 * c1),
+                 lc2 * b + ld2 * d + (lc * b2 + ld * d2)
+                 + 2.0 * (lc1 * b1 + ld1 * d1)),)
+    return jet
+
+
+def _blocked(pieces, lam, order: int) -> tuple:
+    """transfer of more than _BLOCK pieces: the jets of the blocks, then
+    their products level by level.  On an array lam, step k takes piece
+    k of every block that has one, so every entry of the jet is a
+    (blocks, lanes) array, and the short last block drops out after its
+    last piece; each level multiplies all its pairs at once."""
+    if not isinstance(lam, np.ndarray):
+        jets = [_fold(pieces[i:i + _BLOCK], lam, order, _IDENTITY)
+                for i in range(0, len(pieces), _BLOCK)]
+        while len(jets) > 1:
+            jets = ([_mul(later, earlier, order)
+                     for earlier, later in zip(jets[::2], jets[1::2])]
+                    + jets[len(jets) - len(jets) % 2:])
+        return jets[0]
+    blocks = -(-len(pieces) // _BLOCK)
+    last = len(pieces) - (blocks - 1) * _BLOCK  # pieces of the last block
+    cols = np.array(pieces)[:, :, None]  # (pieces, 2, 1)
+    steps = [(cols[k::_BLOCK, 0], cols[k::_BLOCK, 1]) for k in range(_BLOCK)]
+    lanes = lam.ravel()
+    jet = _fold(steps[:last], lanes, order, _IDENTITY)[:order + 1]
+    if last < _BLOCK:
+        tail = _rows(jet, slice(blocks - 1, None))
+        head = _rows(jet, slice(0, blocks - 1)) + _IDENTITY[order + 1:]
+        jet = _stack(_fold(steps[last:], lanes, order, head)[:order + 1],
+                     tail)
+    while blocks > 1:
+        pairs = blocks // 2
+        level = _mul(_rows(jet, slice(1, 2 * pairs, 2)),
+                     _rows(jet, slice(0, 2 * pairs, 2)), order)
+        if blocks % 2:
+            level = _stack(level, _rows(jet, slice(blocks - 1, None)))
+        jet, blocks = level, pairs + blocks % 2
+    return tuple(tuple(e[0].reshape(lam.shape) for e in mat) for mat in jet)
+
+
+def _rows(jet: tuple, rows) -> tuple:
+    """A jet of (blocks, lanes) arrays at `rows`."""
+    return tuple(tuple(e[rows] for e in mat) for mat in jet)
+
+
+def _stack(top: tuple, bottom: tuple) -> tuple:
+    """The rows of two jets of (blocks, lanes) arrays, top first."""
+    return tuple(tuple(map(np.concatenate, zip(*mats)))
+                 for mats in zip(top, bottom))
 
 
 @dataclass(frozen=True)
@@ -265,7 +384,7 @@ def hill_spectrum(q: PotentialSpec, n_max: int) -> HillSpectrum:
         return tuple(0.5 * (p[0] + p[3]) for p in transfer(q, lam, order))
 
     roots = comb_roots(f, lambda lam: f(lam, 1), *_windows(q0, n_max + 1),
-                       q0, what="hill")
+                       q0, what="hill", pieces=len(q.pieces))
     return HillSpectrum(q=q, dirichlet=dirichlet_spectrum(q, n_max),
                         **vars(roots))
 
@@ -283,7 +402,7 @@ def dirichlet_spectrum(q: PotentialSpec, n_max: int) -> tuple[float, ...]:
     prefer = np.array([(math.pi * n) ** 2 + q0 for n in range(1, n_max + 1)])
     return tuple(_rootfind._roots_all(
         f, lambda v, n: v, *_windows(q0, n_max), prefer, "dirichlet root",
-        np.arange(1, n_max + 1)).tolist())
+        np.arange(1, n_max + 1), len(q.pieces)).tolist())
 
 
 def _windows(q0: float, count: int) -> tuple[np.ndarray, np.ndarray]:

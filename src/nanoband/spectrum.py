@@ -275,7 +275,8 @@ def band_structure(q: PotentialSpec, cfg: MagneticConfig, n_max: int,
     roots = comb_roots(lambda lam: _xi_eff(q, cfg, lam),
                        lambda lam: _xi_eff(q, cfg, lam, 1),
                        windows[:-1], windows[1:], float(zp[0] * zp[0] + q0),
-                       edges * edges + q0, what="band structure")
+                       edges * edges + q0, what="band structure",
+                       pieces=len(q.pieces))
     flats = monodromy.dirichlet_spectrum(q, n_max) if include_flat else ()
     return BandStructure(q=q, cfg=cfg, flat_bands=flats,
                          xi_sign=math.copysign(1.0, cfg.c_j), **vars(roots))
@@ -327,7 +328,7 @@ def flat_spectrum(q: PotentialSpec, cfg: MagneticConfig,
     prefer = np.array([(0.5 * math.pi * n) ** 2 + q0
                        for n in range(1, count + 1)])
     xs, fs = _critical_all(f, fdf, zl * zl + q0, zr * zr + q0, prefer,
-                           "flat locus critical", ns)
+                           "flat locus critical", ns, len(q.pieces))
     left, fleft = expand_left(lambda x: fdf(x)[0] + 1.0, float(xs[0]) - 0.25,
                               0.5, what="flat locus: leftmost root")
     xs = np.concatenate(([left], xs))
@@ -337,7 +338,7 @@ def flat_spectrum(q: PotentialSpec, cfg: MagneticConfig,
     lanes = np.flatnonzero((g[:-1] > 0) != (g[1:] > 0))
     roots = _solve_all(fdf, lambda v, i: (v[0] + 1.0, v[1]), xs[lanes],
                        xs[lanes + 1], g[lanes], g[lanes + 1],
-                       "flat locus root", lanes)
+                       "flat locus root", lanes, pieces=len(q.pieces))
     ceiling = diri[-1]
     return FlatSpectrum(dirichlet=diri,
                         f_locus=tuple(r for r in roots.tolist()

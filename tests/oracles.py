@@ -9,10 +9,12 @@ fits the dispersion curvature through the quasimomentum map alone.
 The three exceptions are bit-level references rather than independent
 oracles: `reference_jet`, the product of 2x2 tuples by `_mul`/`_add`
 that the fused loop of `monodromy.transfer` replaced, over the
-package's own per-piece factors; `reference_scan`, the sign-change
-scan of one bracket on floats that `_rootfind._scan_array` runs for
-every lane of a search phase at once; and `reference_json`, the
-standard library encoder that the CLI's JSON writer replaced.
+package's own per-piece factors, taken block by block as the jet takes
+it (`sequential_jet` is that product over one run of pieces);
+`reference_scan`, the sign-change scan of one bracket on floats that
+`_rootfind._scan_array` runs for every lane of a search phase at once;
+and `reference_json`, the standard library encoder that the CLI's JSON
+writer replaced.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from scipy.integrate import quad, solve_ivp
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import eigsh
 
-from nanoband._rootfind import MAX_DOUBLINGS, SCAN_SAMPLES, RootBracketError
+from nanoband._rootfind import (_BLOCK, MAX_DOUBLINGS, SCAN_SAMPLES,
+                                RootBracketError)
 from nanoband.cli import _fmt
 from nanoband.monodromy import _factor, _factor_batch
 from nanoband.potential import PotentialSpec
@@ -120,27 +123,43 @@ def _add(a, b):
 
 
 def reference_jet(q: PotentialSpec, lam):
-    """(P, P', P'') as a product of row-major 2x2 tuples: per piece the
-    factor T = [[C, S], [-mu S, C]] and its mu-derivatives, then
-    P'' <- (T'' P + T P'') + 2 T' P', P' <- T' P + T P', P <- T P.
-    A float or a float64 array lam, as monodromy.transfer."""
+    """(P, P', P'') as monodromy.transfer multiplies them: the
+    sequential_jet of each block of _rootfind._BLOCK consecutive pieces,
+    then the block jets multiplied in adjacent pairs, the later block as
+    T, level by level (an odd last block waits for the next level).  A
+    float or a float64 array lam, as monodromy.transfer."""
+    jets = [sequential_jet(q.pieces[i:i + _BLOCK], lam)
+            for i in range(0, len(q.pieces), _BLOCK)]
+    while len(jets) > 1:
+        jets = ([_jet_product(later, earlier)
+                 for earlier, later in zip(jets[::2], jets[1::2])]
+                + jets[len(jets) - len(jets) % 2:])
+    return jets[0]
+
+
+def sequential_jet(pieces, lam):
+    """(P, P', P'') of a run of (width, value) pieces as a product of
+    row-major 2x2 tuples, one piece after the other from the identity:
+    per piece the factor T = [[C, S], [-mu S, C]] and its
+    mu-derivatives, then P'' <- (T'' P + T P'') + 2 T' P',
+    P' <- T' P + T P', P <- T P."""
     factor = _factor_batch if isinstance(lam, np.ndarray) else _factor
-    p = (1.0, 0.0, 0.0, 1.0)
-    p1 = (0.0, 0.0, 0.0, 0.0)
-    p2 = (0.0, 0.0, 0.0, 0.0)
-    for w, v in q.pieces:
+    jet = ((1.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0))
+    for w, v in pieces:
         mu = lam - v
         c, s, c1, s1, c2, s2 = factor(w, mu)
-        t = (c, s, -mu * s, c)
-        t1 = (c1, s1, -s - mu * s1, c1)
-        t2 = (c2, s2, -2.0 * s1 - mu * s2, c2)
-        cross = _mul(t1, p1)
-        p2 = _add(_add(_mul(t2, p), _mul(t, p2)),
-                  (2.0 * cross[0], 2.0 * cross[1],
-                   2.0 * cross[2], 2.0 * cross[3]))
-        p1 = _add(_mul(t1, p), _mul(t, p1))
-        p = _mul(t, p)
-    return p, p1, p2
+        jet = _jet_product(((c, s, -mu * s, c), (c1, s1, -s - mu * s1, c1),
+                            (c2, s2, -2.0 * s1 - mu * s2, c2)), jet)
+    return jet
+
+
+def _jet_product(t, p):
+    """The jet of T P from the jets (T, T', T'') and (P, P', P'')."""
+    cross = _mul(t[1], p[1])
+    return (_mul(t[0], p[0]), _add(_mul(t[1], p[0]), _mul(t[0], p[1])),
+            _add(_add(_mul(t[2], p[0]), _mul(t[0], p[2])),
+                 (2.0 * cross[0], 2.0 * cross[1],
+                  2.0 * cross[2], 2.0 * cross[3])))
 
 
 def reference_scan(g, lo: float, hi: float, prefer: float, what: str, index):

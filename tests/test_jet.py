@@ -1,26 +1,31 @@
 """The fused, order-aware monodromy jet against the tuple product it
-replaced (`reference_jet` in tests/oracles.py): `transfer(q, lam, order)`
-is the first order + 1 matrices of the reference bit for bit (`repr`),
-on floats and on arrays.  Structures whose edges are solved with the
-order-1 evaluator `fdf` equal those solved with the full jet; f at the
-critical points comes from `fdf` too, and the point where the leftward
-expansion stops reaches the jet once."""
+replaced (`reference_jet` in tests/oracles.py, blocked as the jet is):
+`transfer(q, lam, order)` is the first order + 1 matrices of the
+reference bit for bit (`repr`), on floats and on arrays, also for piece
+counts that leave a short last block.  Against the exact product of the
+same float factors, the blocked product of a long potential errs on the
+scale of the sequential one, below the solver's step tolerance.
+Structures whose edges are solved
+with the order-1 evaluator `fdf` equal those solved with the full jet;
+f at the critical points comes from `fdf` too, and the point where the
+leftward expansion stops reaches the jet once."""
 
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from nanoband import _rootfind, monodromy, spectrum
-from nanoband._rootfind import _LOCKSTEP_GAPS, comb_roots
+from nanoband._rootfind import _BLOCK, _LOCKSTEP_GAPS, comb_roots
 from nanoband.monodromy import hill_spectrum, transfer
 from nanoband.potential import make_potential
 from nanoband.quasimomentum import (k_eval, verify_deep_asymptotics,
                                     verify_kprime_squared)
 from nanoband.spectrum import MagneticConfig, band_structure
-from oracles import reference_jet
+from oracles import reference_jet, sequential_jet
 
 
 def _bits(jet):
@@ -41,7 +46,9 @@ def _lams(q, rng):
             + [-1e4, -1e3, deep])
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 6, 64])
+# 7 .. 9, 17 and 65 pieces end in a short block (of 7 pieces for 7,
+# which is one block, and of 1 piece for the others)
+@pytest.mark.parametrize("m", [1, 2, 3, 6, 7, 8, 9, 17, 64, 65])
 def test_transfer_equals_reference_jet(m):
     rng = random.Random(m)
     q = make_potential([(rng.uniform(0.1, 1.0), rng.uniform(-30.0, 30.0))
@@ -63,17 +70,93 @@ def test_transfer_equals_reference_jet(m):
             assert _bits(got) == _bits(want[:order + 1]), (m, order)
 
 
+def test_at_most_one_block_keeps_the_sequential_product():
+    # the piece counts above leave short blocks for blocks of 8, and a
+    # potential of up to 8 pieces keeps the bits of the jet before blocks
+    assert _BLOCK == 8
+    rng = random.Random(8)
+    q = make_potential([(0.125, rng.uniform(-30.0, 30.0)) for _ in range(8)])
+    lams = _lams(q, rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lam in (*lams, np.array(lams)):
+            assert _bits(transfer(q, lam)) \
+                == _bits(sequential_jet(q.pieces, lam))
+
+
 def test_transfer_at_signed_zero():
-    # a piece at v = 0 puts mu = +0.0 or -0.0 into the series window
+    # a piece at v = 0 puts mu = +0.0 or -0.0 into the series window: in
+    # the one block of one or two pieces, and in full and short blocks
+    # of 9 and 65
+    rng = random.Random(0)
+    blocked = [make_potential([(1.0 / m, 0.0 if i % 8 == 0 else
+                                rng.uniform(-5.0, 5.0)) for i in range(m)])
+               for m in (9, 65)]
     for q in (make_potential("zero"), make_potential([(0.5, 0.0),
-                                                      (0.5, 2.0)])):
+                                                      (0.5, 2.0)]),
+              *blocked):
         for lam in (0.0, -0.0):
             want = reference_jet(q, lam)
             for order in (0, 1, 2):
                 assert _bits(transfer(q, lam, order)) \
                     == _bits(want[:order + 1])
         arr = np.array([0.0, -0.0, 2.0])
-        assert _bits(transfer(q, arr)) == _bits(reference_jet(q, arr))
+        for order in (0, 1, 2):
+            assert _bits(transfer(q, arr, order)) \
+                == _bits(reference_jet(q, arr)[:order + 1])
+
+
+def _exact_jet(q, lam):
+    """(P, P', P'') of the float factors that the jet multiplies at the
+    float lam (C, S and their derivatives from monodromy._factor, and
+    -mu S and its derivatives rounded as the jet rounds them), multiplied
+    without rounding."""
+    one, zero = Fraction(1), Fraction(0)
+    p, p1, p2 = (one, zero, zero, one), (zero,) * 4, (zero,) * 4
+    for w, v in q.pieces:
+        mu = lam - v
+        c, s, c1, s1, c2, s2 = monodromy._factor(w, mu)
+        t, t1, t2 = ((Fraction(x) for x in row) for row in (
+            (c, s, -mu * s, c), (c1, s1, -s - mu * s1, c1),
+            (c2, s2, -2.0 * s1 - mu * s2, c2)))
+        t, t1, t2 = tuple(t), tuple(t1), tuple(t2)
+
+        def mul(a, b):
+            return (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+                    a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
+
+        cross = mul(t1, p1)
+        p2 = tuple(x + y + 2 * z for x, y, z in zip(mul(t2, p), mul(t, p2),
+                                                    cross))
+        p1 = tuple(x + y for x, y in zip(mul(t1, p), mul(t, p1)))
+        p = mul(t, p)
+    return p, p1, p2
+
+
+def _worst_error(jet, exact):
+    """The largest normwise relative error of the three matrices."""
+    return max(float(max(abs(Fraction(x) - y) for x, y in zip(got, want))
+                     / max(abs(y) for y in want))
+               for got, want in zip(jet, exact))
+
+
+def test_blocked_and_sequential_jets_against_the_exact_product():
+    # against the exact product of the same float factors, the blocked
+    # jet and the sequential product (the jet before blocks) err by
+    # worst errors of one size (4.0e-15 and 3.1e-15 here), and neither
+    # is always the smaller: the blocked one stays within twice the
+    # sequential one and below the 1e-14 relative that README names
+    q = make_potential(lambda t: 3.0 * math.cos(2.0 * math.pi * t)
+                       + math.sin(6.0 * math.pi * t) + t, mesh=64)
+    rng = random.Random(64)
+    blocked = sequential = 0.0
+    for lam in [rng.uniform(-40.0, 3000.0) for _ in range(12)]:
+        exact = _exact_jet(q, lam)
+        blocked = max(blocked, _worst_error(transfer(q, lam), exact))
+        sequential = max(sequential, _worst_error(
+            sequential_jet(q.pieces, lam), exact))
+    assert 0.0 < sequential
+    assert 0.0 < blocked <= 2.0 * sequential
+    assert blocked < 1e-14
 
 
 @pytest.mark.parametrize("mu", [
@@ -114,7 +197,8 @@ def _f_as_fdf(f, fdf, *args, **kwargs):
 
 @pytest.mark.parametrize("depth", [20, 100])
 def test_edges_from_order_one_equal_full_jet(depth, monkeypatch):
-    # 20 gaps run one lane at a time, 100 gaps on the array-state engine
+    # 20 gaps run one lane at a time (but the 64-piece projection), 100
+    # gaps on the array-state engine
     assert (depth < _LOCKSTEP_GAPS) == (depth == 20)
     proj = make_potential(lambda t: 3.0 * math.cos(2.0 * math.pi * t)
                           + math.sin(6.0 * math.pi * t), mesh=64)
@@ -154,9 +238,9 @@ def test_the_first_scan_attempt_evaluates_each_window_end_once(
     calls = []
     evaluate = _rootfind._eval
 
-    def recorded(f, x):
+    def recorded(f, x, pieces):
         calls.append(x.tolist())
-        return evaluate(f, x)
+        return evaluate(f, x, pieces)
 
     monkeypatch.setattr(_rootfind, "_eval", recorded)
     band_structure(make_potential("two-step"), MagneticConfig(a=0.9), depth,

@@ -1,11 +1,13 @@
-"""The array-state engine against the float lanes it replaces from
-_LOCKSTEP_GAPS lanes on: `transfer` on an array equals `transfer` at
-each entry exactly, and structures, flat bands, Dirichlet roots, Hill
-combs, flat spectra and masses built on arrays equal a shallow float
-build gap for gap, and a float build of the same depth entry for entry
-(`==`, not a tolerance), with the same errors.  Shallow structures and
-short evaluations never reach the array jet.  The scan runs on arrays at
-every size and equals the float reference `reference_scan` of
+"""The array-state engine against the float lanes it replaces where the
+lane rule `_rootfind._lockstep` says so (from _LOCKSTEP_GAPS lanes up
+to 8 pieces, from 256 / pieces beyond): `transfer` on an array equals
+`transfer` at each entry exactly, and structures, flat bands, Dirichlet
+roots, Hill combs, flat spectra and masses built on arrays equal a
+shallow float build gap for gap, and a float build of the same depth
+entry for entry (`==`, not a tolerance), with the same errors, 64-piece
+structures included.  Shallow structures and short evaluations of a
+potential of few pieces never reach the array jet.  The scan runs on
+arrays at every size and equals the float reference `reference_scan` of
 tests/oracles.py lane for lane."""
 
 import math
@@ -15,8 +17,9 @@ import numpy as np
 import pytest
 
 from nanoband import _rootfind, monodromy
-from nanoband._rootfind import (_LOCKSTEP_GAPS, RootBracketError,
-                                _roots_all, _solve_all, comb_roots)
+from nanoband._rootfind import (_LOCKSTEP_GAPS, _LOCKSTEP_WORK,
+                                RootBracketError, _roots_all, _solve_all,
+                                comb_roots)
 from nanoband.masses import effective_masses
 from nanoband.monodromy import dirichlet_spectrum, hill_spectrum, transfer
 from nanoband.potential import make_potential
@@ -53,6 +56,11 @@ def test_batched_jet_equals_transfer(m):
             want = transfer(q, lam)
             assert [[e[k] for e in mat] for mat in got] \
                 == [list(mat) for mat in want], (m, lam)
+    # an array of any shape gives entries of its shape
+    grid = np.array(lams[:6]).reshape(2, 3)
+    assert [[e.tolist() for e in mat] for mat in transfer(q, grid)] \
+        == [[e.reshape(2, 3).tolist() for e in mat]
+            for mat in transfer(q, grid.ravel())]
 
 
 def _sectors(rng):
@@ -150,14 +158,15 @@ def test_mislabelled_critical_fails_the_gap_below_it():
 
 def _scalar(monkeypatch):
     """Make every solve run one lane at a time and every evaluation on
-    floats."""
-    monkeypatch.setattr(_rootfind, "_LOCKSTEP_GAPS", 10 ** 9)
+    floats, whatever the piece count."""
+    monkeypatch.setattr(_rootfind, "_lockstep", lambda points, pieces: False)
 
 
 def _arrays(monkeypatch):
     """Make every search of one lane or more run on the array-state
-    engine, and every evaluation on arrays."""
-    monkeypatch.setattr(_rootfind, "_LOCKSTEP_GAPS", 1)
+    engine, and every evaluation on arrays, whatever the piece count."""
+    monkeypatch.setattr(_rootfind, "_lockstep",
+                        lambda points, pieces: points >= 1)
 
 
 def _line(x):
@@ -516,19 +525,92 @@ def test_masked_branches_stay_silent_and_exact(monkeypatch):
                          ids=["1-piece", "64-piece"])
 def test_shallow_structures_never_build_an_array_jet(q, monkeypatch):
     # every phase of a 20-gap structure and its masses has fewer lanes
-    # and points than _LOCKSTEP_GAPS, so the jet only ever sees floats
-    kinds = set()
+    # and points than _LOCKSTEP_GAPS, so at one piece the jet only ever
+    # sees floats; at 64 pieces a phase goes to arrays from 256 / 64 = 4
+    # lanes or points, so the jet sees arrays of 4 or more and floats
+    # only below that (the last lanes of a solve, the lowest edge)
+    sizes = []
     jet = monodromy.transfer
 
     def recorded(q, lam, order=2):
-        kinds.add(type(lam))
+        sizes.append(lam.size if isinstance(lam, np.ndarray) else None)
         return jet(q, lam, order)
 
     monkeypatch.setattr(monodromy, "transfer", recorded)
     for cfg in (MagneticConfig(a=0.9), MagneticConfig(a=2.2)):
         effective_masses(band_structure(q, cfg, SHALLOW))
     flat_spectrum(q, MagneticConfig(a=math.pi / 2), SHALLOW)
-    assert kinds == {float}
+    arrays = [n for n in sizes if n is not None]
+    if len(q.pieces) == 1:
+        assert not arrays
+    else:
+        assert min(arrays) * len(q.pieces) >= _LOCKSTEP_WORK
+        # the critical phase of each structure and of the flat locus
+        assert arrays.count(SHALLOW + 2) == 2
+        assert arrays.count(2 * SHALLOW + 2) == 1
+        assert None in sizes
+
+
+def test_the_lane_rule_counts_pieces():
+    # up to 8 pieces a phase goes to arrays from _LOCKSTEP_GAPS lanes;
+    # beyond, the blocked jet costs about as much per call at any piece
+    # count, and a phase goes to arrays from lanes * pieces >= 256
+    for pieces in (1, 3, 6, 8):
+        assert not _rootfind._lockstep(_LOCKSTEP_GAPS - 1, pieces)
+        assert _rootfind._lockstep(_LOCKSTEP_GAPS, pieces)
+    for pieces, lanes in ((9, 29), (16, 16), (32, 8), (64, 4), (65, 4)):
+        assert not _rootfind._lockstep(lanes - 1, pieces)
+        assert _rootfind._lockstep(lanes, pieces)
+
+
+@pytest.mark.parametrize("force", [_scalar, _arrays])
+def test_the_forcing_helpers_force_every_phase(force, monkeypatch):
+    # _scalar: the 64-piece jet sees floats alone; _arrays: floats only
+    # in the solve of the lowest edge and the expansion before it
+    sizes = []
+    jet = monodromy.transfer
+    scalar_steps = []
+
+    def recorded(q, lam, order=2):
+        if not scalar_steps:
+            sizes.append(lam.size if isinstance(lam, np.ndarray) else None)
+        return jet(q, lam, order)
+
+    def scalar(fn):
+        def wrapped(*args, **kwargs):
+            scalar_steps.append(fn)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                scalar_steps.pop()
+        return wrapped
+
+    force(monkeypatch)
+    monkeypatch.setattr(monodromy, "transfer", recorded)
+    for name in ("expand_left", "solve_bracketed"):
+        monkeypatch.setattr(_rootfind, name,
+                            scalar(getattr(_rootfind, name)))
+    effective_masses(band_structure(_projection(), MagneticConfig(a=0.9),
+                                    SHALLOW))
+    if force is _scalar:
+        assert set(sizes) == {None}
+    else:
+        assert None not in sizes and min(sizes) == 1
+
+
+def test_a_64_piece_structure_is_the_same_on_both_engines(monkeypatch):
+    # a 20-gap structure, its masses, its Dirichlet roots and its flat
+    # locus, on arrays and one lane at a time
+    q = _projection()
+
+    def build():
+        bs = band_structure(q, MagneticConfig(a=0.4, N=4, j=3), SHALLOW)
+        return (bs, effective_masses(bs), dirichlet_spectrum(q, SHALLOW),
+                flat_spectrum(q, MagneticConfig(a=math.pi / 2), SHALLOW))
+
+    deep, scalar = _both(monkeypatch, build)
+    assert repr(deep) == repr(scalar)
+    assert not deep[0].anomalies
 
 
 @pytest.mark.parametrize("size", [1, _LOCKSTEP_GAPS - 1, _LOCKSTEP_GAPS,
