@@ -1,13 +1,13 @@
-"""Bracketed root finding and the comb structure shared by both discriminants.
+"""Bracketed root finding and the comb structure of the modified discriminant.
 
 Everything that turns a discriminant-like function f (with f(band edges)
 alternating between +1 and -1) into labeled edges, critical points and
-slit heights lives here.  Both the Hill discriminant and the nanotube's
-modified discriminant reuse the same machinery; only the seed positions
-differ.  The result type CombRoots carries the band/gap bookkeeping and
-is subclassed by monodromy.HillSpectrum and spectrum.BandStructure;
-_comb_k maps a discriminant value onto the comb (the quasimomentum
-branch) and _depth_for says how many gaps cover a given lambda.
+slit heights lives here; the nanotube's band structure (spectrum.py) is
+its one comb, and the Dirichlet roots and the flat locus share its
+scans and solves.  The result type CombRoots carries the band/gap
+bookkeeping and is subclassed by spectrum.BandStructure; _comb_k maps a
+discriminant value onto the comb (the quasimomentum branch) and
+_depth_for says how many gaps cover a given lambda.
 
 The two control algorithms exist once each.  The solve is rtsafe
 (Numerical Recipes 9.4): Newton steps that land in the closed bracket,
@@ -48,7 +48,7 @@ bit for bit on arrays, so both ways give identical structures and
 raise the same RootBracketError, that of the lowest failing lane.
 
 comb_roots takes its inputs as arrays: the critical windows of every
-gap and, optionally, a start for every gap-edge solve.  It reads f''
+gap and a start for every gap-edge solve.  It reads f''
 only in the solve for the critical points; its edge evaluator fdf
 returns (f, f') alone, the same numbers as the first two of f, and
 serves f at the critical points, the lowest edge and the gap edges, so
@@ -545,7 +545,7 @@ class CombRoots:
 
 
 def comb_roots(f: Callable, fdf: Callable, lo: np.ndarray, hi: np.ndarray,
-               lambda0_seed: float, edge_seeds: np.ndarray | None = None,
+               lambda0_seed: float, edge_seeds: np.ndarray,
                what: str = "comb", pieces: int = 1) -> CombRoots:
     """Compute edges/criticals of a comb discriminant.
 
@@ -559,11 +559,12 @@ def comb_roots(f: Callable, fdf: Callable, lo: np.ndarray, hi: np.ndarray,
     first, then the lowest edge, then both edges of every open gap
     together.  The edges read only (f, f'): fdf returns those two (the
     same numbers as the first two of f) and serves every edge
-    evaluation, so an evaluator can skip f'' there.  edge_seeds, if
-    given, is an (n_max, 2) array of guesses (minus_n, plus_n) at the
-    edges of gap n in row n - 1: each edge solve starts there when the
-    guess lies inside its bracket [crit_{n-1}, crit_n] or [crit_n,
-    crit_{n+1}], so it saves steps but cannot change which root is found.
+    evaluation, so an evaluator can skip f'' there.  edge_seeds is an
+    (n_max, 2) array of guesses (minus_n, plus_n) at the edges of gap n
+    in row n - 1: each edge solve starts there when the guess lies
+    inside its bracket [crit_{n-1}, crit_n] or [crit_n, crit_{n+1}] and
+    at its midpoint otherwise (a nan guess: always the midpoint), so it
+    saves steps but cannot change which root is found.
     pieces, the piece count of the potential behind f and fdf, goes to
     the lane rule of every phase (_lockstep).
     """
@@ -602,14 +603,14 @@ def comb_roots(f: Callable, fdf: Callable, lo: np.ndarray, hi: np.ndarray,
     # rounding, and the solvers read only the sign of -f(lam0) - 1 and
     # whether it is zero
     below = np.concatenate(([lam0], crit)), np.concatenate(([1.0], fcrit))
-    seeds = None if edge_seeds is None else edge_seeds[g].ravel()
     roots = _solve_all(
         fdf, lambda v, n: (_parity(n) * v[0] - 1.0, _parity(n) * v[1]),
         *(np.column_stack(pair).ravel() for pair in (
             (below[0][g], crit[g]), (crit[g], crit[g + 1]),
             (t[g] * below[1][g] - 1.0, d[g]),
             (d[g], t[g] * fcrit[g + 1] - 1.0))),
-        f"{what}: gap edge", np.repeat(g + 1, 2), seeds, pieces)
+        f"{what}: gap edge", np.repeat(g + 1, 2), edge_seeds[g].ravel(),
+        pieces)
     lo, hi = roots[0::2], roots[1::2]
     wide = ~(hi - lo < GAP_WIDTH_TOL * np.fmax(1.0, np.abs(lo)))
     escaped = wide & ~((lo - 1e-9 <= crit[g]) & (crit[g] <= hi + 1e-9))
@@ -671,7 +672,6 @@ def _edge_slack(lam: float, df: float) -> float:
 
 def _depth_for(lam: float, q0: float) -> int:
     """Gap count whose structure reaches past lam (nanotube gaps sit near
-    z = pi n / 2 with z = sqrt(lambda - q0); Hill gaps are twice as sparse,
-    so the same count covers them too)."""
+    z = pi n / 2 with z = sqrt(lambda - q0))."""
     z = math.sqrt(max(lam - q0, 1.0))
     return max(2, int(math.ceil(2.0 * z / math.pi)) + 3)

@@ -63,12 +63,10 @@ and one over the others, and lanes in the series window
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import _rootfind
-from ._rootfind import _BLOCK, CombRoots, comb_roots
+from ._rootfind import _BLOCK, _roots_all
 from .potential import PotentialSpec
 
 # Below this |mu| the closed forms for S and its mu-derivatives lose
@@ -170,7 +168,7 @@ def _factor_batch(w, mu: np.ndarray, order: int = 2) -> Factor:
 
 def transfer(q: PotentialSpec, lam: float | np.ndarray, order: int = 2
              ) -> tuple[Mat, ...]:
-    """Monodromy matrix over one period with its lambda-derivatives.
+    """The monodromy matrix over one period with its lambda-derivatives.
 
     Returns the jet through `order` (0, 1 or 2): (P,), (P, dP) or
     (P, dP, d2P), each row-major (theta1, phi1, theta1', phi1').  For a
@@ -302,95 +300,10 @@ def _stack(top: tuple, bottom: tuple) -> tuple:
                  for mats in zip(top, bottom))
 
 
-@dataclass(frozen=True)
-class Monodromy:
-    """Values of the fundamental solutions at x=1 for one lambda.
-
-    theta1, dtheta1, phi1, dphi1 are theta(1), theta'(1), phi(1), phi'(1)
-    (primes = x-derivatives); d_lam and d2_lam hold their lambda-
-    derivatives in the same order.
-    """
-
-    lam: float
-    theta1: float
-    dtheta1: float
-    phi1: float
-    dphi1: float
-    d_lam: tuple[float, float, float, float]
-    d2_lam: tuple[float, float, float, float]
-
-    @property
-    def Delta(self) -> float:
-        """Discriminant (half-trace of the monodromy matrix)."""
-        return 0.5 * (self.theta1 + self.dphi1)
-
-    @property
-    def DeltaMinus(self) -> float:
-        """Anti-trace (phi'(1) - theta(1)) / 2."""
-        return 0.5 * (self.dphi1 - self.theta1)
-
-    @property
-    def dDelta(self) -> float:
-        return 0.5 * (self.d_lam[0] + self.d_lam[3])
-
-    @property
-    def dDeltaMinus(self) -> float:
-        return 0.5 * (self.d_lam[3] - self.d_lam[0])
-
-    @property
-    def d2Delta(self) -> float:
-        return 0.5 * (self.d2_lam[0] + self.d2_lam[3])
-
-    @property
-    def d2DeltaMinus(self) -> float:
-        return 0.5 * (self.d2_lam[3] - self.d2_lam[0])
-
-    @property
-    def wronskian(self) -> float:
-        return self.theta1 * self.dphi1 - self.dtheta1 * self.phi1
-
-
-def evaluate(q: PotentialSpec, lam: float) -> Monodromy:
-    """Monodromy data at spectral parameter lam (any sign, finite)."""
-    p, p1, p2 = transfer(q, lam)
-    return Monodromy(lam=lam,
-                     theta1=p[0], phi1=p[1], dtheta1=p[2], dphi1=p[3],
-                     d_lam=(p1[0], p1[2], p1[1], p1[3]),
-                     d2_lam=(p2[0], p2[2], p2[1], p2[3]))
-
-
-@dataclass(frozen=True)
-class HillSpectrum(CombRoots):
-    """2-periodic spectrum of -y'' + q y: the Hill comb plus Dirichlet points.
-
-    edges interlace lam0 < minus_1 <= plus_1 < minus_2 <= ...; dirichlet
-    holds the zeros of phi(1, .) (one per closed gap); heights are the
-    slit heights of the Hill quasimomentum.
-    """
-
-    q: PotentialSpec
-    dirichlet: tuple[float, ...]
-
-
-def hill_spectrum(q: PotentialSpec, n_max: int) -> HillSpectrum:
-    """Edges of the Hill 2-periodic spectrum up to gap n_max, plus the
-    Dirichlet spectrum; raises RootBracketError with the offending index
-    if any bracket cannot be established."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    q0 = q.q0
-
-    def f(lam, order=2):
-        return tuple(0.5 * (p[0] + p[3]) for p in transfer(q, lam, order))
-
-    roots = comb_roots(f, lambda lam: f(lam, 1), *_windows(q0, n_max + 1),
-                       q0, what="hill", pieces=len(q.pieces))
-    return HillSpectrum(q=q, dirichlet=dirichlet_spectrum(q, n_max),
-                        **vars(roots))
-
-
 def dirichlet_spectrum(q: PotentialSpec, n_max: int) -> tuple[float, ...]:
-    """Zeros of phi(1, .) with index 1..n_max (guesses near (pi n)^2 + q0)."""
+    """Zeros of phi(1, .) with index 1..n_max (guesses near (pi n)^2 + q0),
+    root n sought in the window ((pi (n - 1/2))^2 + q0, (pi (n + 1/2))^2
+    + q0) around its guess."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     q0 = q.q0
@@ -399,30 +312,9 @@ def dirichlet_spectrum(q: PotentialSpec, n_max: int) -> tuple[float, ...]:
         p, p1 = transfer(q, lam, 1)
         return p[1], p1[1]
 
-    prefer = np.array([(math.pi * n) ** 2 + q0 for n in range(1, n_max + 1)])
-    return tuple(_rootfind._roots_all(
-        f, lambda v, n: v, *_windows(q0, n_max), prefer, "dirichlet root",
-        np.arange(1, n_max + 1), len(q.pieces)).tolist())
-
-
-def _windows(q0: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The windows ((pi (n - 1/2))^2 + q0, (pi (n + 1/2))^2 + q0) around
-    (pi n)^2 + q0 for n = 1 .. count, as two float64 arrays: Hill gap n
-    and Dirichlet root n lie in window n."""
-    z = math.pi * (np.arange(1, count + 2) - 0.5)
+    z = math.pi * (np.arange(1, n_max + 2) - 0.5)
     w = z * z + q0
-    return w[:-1], w[1:]
-
-
-def hill_quasimomentum(q: PotentialSpec, lam: float,
-                       spectrum: HillSpectrum | None = None) -> complex:
-    """Hill quasimomentum arccos Delta with the comb branch convention.
-
-    Real and increasing from pi(n-1) to pi n across band n; pi n + i h on
-    gap n; purely imaginary on (-inf, lowest edge).  Raises ValueError if
-    Delta lies off that branch by more than the clamp tolerance.
-    """
-    if spectrum is None:
-        spectrum = hill_spectrum(q, _rootfind._depth_for(lam, q.q0))
-    (p,) = transfer(q, lam, 0)
-    return _rootfind._comb_k(*spectrum.locate(lam), 0.5 * (p[0] + p[3]))
+    prefer = np.array([(math.pi * n) ** 2 + q0 for n in range(1, n_max + 1)])
+    return tuple(_roots_all(f, lambda v, n: v, w[:-1], w[1:], prefer,
+                            "dirichlet root", np.arange(1, n_max + 1),
+                            len(q.pieces)).tolist())

@@ -3,12 +3,11 @@
 k is represented by (band index, in-band phase) rather than a bare
 arccos call: band n maps onto [pi(n-1), pi n] increasing, gap n onto the
 vertical slit pi n + i [0, h_n], and the ray below the spectrum onto the
-positive imaginary axis.  The branch is the one shared with the Hill
-quasimomentum (_rootfind._comb_k): arccos/arccosh arguments are clamped
-to their domains, and a clamp beyond 1e-12 plus the edge resolution
-|xi'| * SOLVE_XTOL * max(1, |lambda|) raises ValueError (near pure point
-xi ~ 1/c is steep, and the structure's own edges sit that far off the
-comb).  k_eval takes one lambda or a float64 array of them; an array
+positive imaginary axis.  The branch is _rootfind._comb_k's: arccos/
+arccosh arguments are clamped to their domains, and a clamp beyond
+1e-12 plus the edge resolution |xi'| * SOLVE_XTOL * max(1, |lambda|)
+raises ValueError (near pure point xi ~ 1/c is steep, and the
+structure's own edges sit that far off the comb).  k_eval takes one lambda or a float64 array of them; an array
 costs one jet call of order 1 (see monodromy) and then the branch point
 by point, and gives the same numbers bit for bit.  The two asymptotics
 checks below likewise evaluate xi at all their points with one array

@@ -62,6 +62,8 @@ class MagneticConfig:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("N must be a positive integer")
+        if not math.isfinite(self.a):
+            raise ValueError(f"magnetic phase a must be finite, got {self.a}")
 
     @classmethod
     def from_field(cls, B: float, N: int, j: int = 0) -> "MagneticConfig":

@@ -14,13 +14,16 @@ it (`sequential_jet` is that product over one run of pieces);
 `reference_scan`, the sign-change scan of one bracket on floats that
 `_rootfind._scan_array` runs for every lane of a search phase at once;
 and `reference_json`, the standard library encoder that the CLI's JSON
-writer replaced.
+writer replaced.  `evaluate` is no oracle either: it reads the
+package's jet at one lambda through the named fields of `Monodromy`,
+the view the tests check against the oracles and the identities.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -30,7 +33,7 @@ from scipy.sparse.linalg import eigsh
 from nanoband._rootfind import (_BLOCK, MAX_DOUBLINGS, SCAN_SAMPLES,
                                 RootBracketError)
 from nanoband.cli import _fmt
-from nanoband.monodromy import _factor, _factor_batch
+from nanoband.monodromy import _factor, _factor_batch, transfer
 from nanoband.potential import PotentialSpec
 from nanoband.quasimomentum import k_eval
 
@@ -51,6 +54,56 @@ def ode_monodromy(q: PotentialSpec, lam: float,
                         rtol=rtol, atol=atol, dense_output=False)
         y = sol.y[:, -1]
     return y[0], y[1], y[2], y[3]
+
+
+@dataclass(frozen=True)
+class Monodromy:
+    """Values of the fundamental solutions at x=1 for one lambda.
+
+    theta1, dtheta1, phi1, dphi1 are theta(1), theta'(1), phi(1), phi'(1)
+    (primes = x-derivatives); d_lam and d2_lam hold their lambda-
+    derivatives in the same order.
+    """
+
+    lam: float
+    theta1: float
+    dtheta1: float
+    phi1: float
+    dphi1: float
+    d_lam: tuple[float, float, float, float]
+    d2_lam: tuple[float, float, float, float]
+
+    @property
+    def Delta(self) -> float:
+        """Discriminant (half-trace of the monodromy matrix)."""
+        return 0.5 * (self.theta1 + self.dphi1)
+
+    @property
+    def DeltaMinus(self) -> float:
+        """Anti-trace (phi'(1) - theta(1)) / 2."""
+        return 0.5 * (self.dphi1 - self.theta1)
+
+    @property
+    def dDelta(self) -> float:
+        return 0.5 * (self.d_lam[0] + self.d_lam[3])
+
+    @property
+    def d2Delta(self) -> float:
+        return 0.5 * (self.d2_lam[0] + self.d2_lam[3])
+
+    @property
+    def wronskian(self) -> float:
+        return self.theta1 * self.dphi1 - self.dtheta1 * self.phi1
+
+
+def evaluate(q: PotentialSpec, lam: float) -> Monodromy:
+    """The jet of monodromy.transfer at lam (any sign, finite) as a
+    Monodromy."""
+    p, p1, p2 = transfer(q, lam)
+    return Monodromy(lam=lam,
+                     theta1=p[0], phi1=p[1], dtheta1=p[2], dphi1=p[3],
+                     d_lam=(p1[0], p1[2], p1[1], p1[3]),
+                     d2_lam=(p2[0], p2[2], p2[1], p2[3]))
 
 
 def fd_periodic_eigenvalues(q: PotentialSpec, mesh: int = 4096,

@@ -12,12 +12,12 @@ import numpy as np
 from nanoband.floquet_oracle import cross_validate
 from nanoband.masses import (bare_mass, verify_mass_series,
                              verify_partial_fraction, verify_trace_identity)
-from nanoband.monodromy import evaluate
 from nanoband.potential import make_potential
 from nanoband.quasimomentum import verify_deep_asymptotics, verify_kprime_squared
 from nanoband.spectrum import (MagneticConfig, bare_cosh_heights, bare_edge)
 from nanoband.verifier import (check_comb_comparison, check_height_mass_gap,
                                check_merged_band_bound, check_monotonicity)
+from oracles import evaluate
 
 A_VALUES_CLOSED_FORMS = (0.0, math.pi / 5, math.pi / 3, 0.45 * math.pi)
 

@@ -119,6 +119,13 @@ def test_missing_magnetic_input_usage_error(capsys):
      {"potential": "zero", "magnetic": {"a": 0.9}, "n_max": 7.9}),
     ("bands --config run.json",
      {"potential": "zero", "magnetic": {"a": "0.9"}}),
+    ("bands --q two-step --a nan --n-max 3", None),
+    ("bands --q two-step --a inf", None),
+    ("bands --q two-step --B nan --N 2 --n-max 3", None),
+    ("masses --q two-step --B=-inf --N 2", None),
+    # json.load reads NaN
+    ("bands --config run.json",
+     {"potential": "two-step", "magnetic": {"a": math.nan}}),
 ])
 def test_malformed_input_is_a_usage_error(argv, config, tmp_path, capsys,
                                           monkeypatch):

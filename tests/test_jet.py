@@ -20,7 +20,7 @@ import pytest
 
 from nanoband import _rootfind, monodromy, spectrum
 from nanoband._rootfind import _BLOCK, _LOCKSTEP_GAPS, comb_roots
-from nanoband.monodromy import hill_spectrum, transfer
+from nanoband.monodromy import transfer
 from nanoband.potential import make_potential
 from nanoband.quasimomentum import (k_eval, verify_deep_asymptotics,
                                     verify_kprime_squared)
@@ -215,14 +215,12 @@ def test_edges_from_order_one_equal_full_jet(depth, monkeypatch):
 
     def build():
         orders.clear()
-        return ([repr(band_structure(q, cfg, depth)) for q, cfg in cases]
-                + [repr(hill_spectrum(q, depth)) for q, _ in cases],
+        return ([repr(band_structure(q, cfg, depth)) for q, cfg in cases],
                 orders.count(1), orders.count(2))
 
     monkeypatch.setattr(monodromy, "transfer", counted)
     with_fdf, order1, order2 = build()
     monkeypatch.setattr(spectrum, "comb_roots", _f_as_fdf)
-    monkeypatch.setattr(monodromy, "comb_roots", _f_as_fdf)
     without, order1_all, order2_all = build()
     assert with_fdf == without
     # the edges moved from the full jet to order 1, call for call

@@ -2,7 +2,7 @@
 lane rule `_rootfind._lockstep` says so (from _LOCKSTEP_GAPS lanes up
 to 8 pieces, from 256 / pieces beyond): `transfer` on an array equals
 `transfer` at each entry exactly, and structures, flat bands, Dirichlet
-roots, Hill combs, flat spectra and masses built on arrays equal a
+roots, flat spectra and masses built on arrays equal a
 shallow float build gap for gap, and a float build of the same depth
 entry for entry (`==`, not a tolerance), with the same errors, 64-piece
 structures included.  Shallow structures and short evaluations of a
@@ -21,7 +21,7 @@ from nanoband._rootfind import (_LOCKSTEP_GAPS, _LOCKSTEP_WORK,
                                 RootBracketError, _roots_all, _solve_all,
                                 comb_roots)
 from nanoband.masses import effective_masses
-from nanoband.monodromy import dirichlet_spectrum, hill_spectrum, transfer
+from nanoband.monodromy import dirichlet_spectrum, transfer
 from nanoband.potential import make_potential
 from nanoband.spectrum import (F_with_derivs, MagneticConfig, band_structure,
                                flat_spectrum)
@@ -115,8 +115,9 @@ def _windows(depth, bad=(), shift=None):
 
 def _comb(f, windows):
     """comb_roots of f, with f as its edge evaluator too, on the
-    windows (lo, hi)."""
-    return comb_roots(f, f, *windows, 0.0)
+    windows (lo, hi), every edge solve from its midpoint."""
+    return comb_roots(f, f, *windows, 0.0,
+                      np.full((windows[0].size - 1, 2), math.nan))
 
 
 def _index_raised(windows):
@@ -389,17 +390,6 @@ def test_scans_take_the_sign_change_nearest_the_guess(monkeypatch):
     assert len({round(x / math.pi) for x in deep}) >= 4
 
 
-def test_hill_spectrum_lockstep_and_sequential_paths_agree():
-    q = _random_potential(random.Random(3), 3)
-    deep = hill_spectrum(q, DEEP)
-    shallow = hill_spectrum(q, SHALLOW)
-    assert deep.lambda0 == shallow.lambda0
-    for field in ("minus", "plus", "critical", "degenerate", "heights",
-                  "dirichlet"):
-        assert getattr(deep, field)[:SHALLOW] == getattr(shallow, field)
-    assert deep.anomalies == shallow.anomalies == ()
-
-
 def test_flat_spectrum_lockstep_and_sequential_paths_agree():
     # 2 n_max + 1 critical lanes: 121 run in lockstep, 41 one at a time
     rng = random.Random(4)
@@ -467,8 +457,7 @@ def test_array_engine_equals_scalar_lanes_at_equal_depth(monkeypatch, seed):
         deep, scalar = _both(monkeypatch, build)
         assert repr(deep) == repr(scalar), (seed, k)
     q = potentials[2]
-    for build in (lambda: hill_spectrum(q, DEEP),
-                  lambda: dirichlet_spectrum(q, DEEP),
+    for build in (lambda: dirichlet_spectrum(q, DEEP),
                   lambda: flat_spectrum(q, MagneticConfig(a=math.pi / 2),
                                         60)):
         deep, scalar = _both(monkeypatch, build)

@@ -2,10 +2,9 @@ import math
 
 import pytest
 
-from nanoband.monodromy import (dirichlet_spectrum, evaluate, hill_quasimomentum,
-                                hill_spectrum)
+from nanoband.monodromy import dirichlet_spectrum
 from nanoband.potential import make_potential
-from oracles import fd_periodic_eigenvalues, ode_monodromy
+from oracles import evaluate, fd_periodic_eigenvalues, ode_monodromy
 
 
 def test_free_discriminant_at_pi_squared():
@@ -102,38 +101,24 @@ def test_second_derivative_against_finite_differences(two_step):
         assert abs(m.d2Delta - num) <= 1e-5 * max(1.0, abs(m.d2Delta))
 
 
-def test_free_hill_spectrum_collapses_all_gaps(zero_q):
-    hs = hill_spectrum(zero_q, 4)
-    for n in range(1, 5):
-        ref = (math.pi * n) ** 2
-        assert abs(hs.minus[n - 1] - ref) < 1e-8
-        assert abs(hs.plus[n - 1] - ref) < 1e-8
-        assert hs.degenerate[n - 1]
-        assert abs(hs.dirichlet[n - 1] - ref) < 1e-10
-    assert abs(hs.lambda0) < 1e-12
-
-
 def test_hill_edges_against_finite_difference_oracle(two_step):
-    hs = hill_spectrum(two_step, 2)
-    eigs = fd_periodic_eigenvalues(two_step, mesh=4096, k=5)
-    assert abs(hs.lambda0 - eigs[0]) < 1e-4
-    assert abs(hs.minus[0] - eigs[1]) < 1e-4
-    assert abs(hs.plus[0] - eigs[2]) < 1e-4
+    # the periodic eigenvalues on [0, 2] are the Hill edges, where
+    # Delta^2 = 1: a 1e-4 error in an eigenvalue moves Delta^2 by at most
+    # 1e-4 |d(Delta^2)/dlambda| there
+    for e in fd_periodic_eigenvalues(two_step, mesh=4096, k=5).tolist():
+        m = evaluate(two_step, e)
+        assert abs(m.Delta ** 2 - 1.0) <= 1e-4 * abs(2.0 * m.Delta * m.dDelta)
 
 
-def test_hill_labeling_and_interlacing(two_step):
-    hs = hill_spectrum(two_step, 6)
-    seq = [hs.lambda0]
-    for n in range(1, 7):
-        seq += [hs.minus[n - 1], hs.plus[n - 1]]
-    assert all(a <= b + 1e-12 for a, b in zip(seq, seq[1:]))
-    for n in range(1, 7):
-        d = evaluate(two_step, hs.minus[n - 1]).Delta
-        assert abs(d - (-1.0) ** n) < 1e-10
-        assert hs.minus[n - 1] - 1e-10 <= hs.dirichlet[n - 1] \
-            <= hs.plus[n - 1] + 1e-10
-        assert hs.minus[n - 1] - 1e-10 <= hs.critical[n - 1] \
-            <= hs.plus[n - 1] + 1e-10
+@pytest.mark.parametrize("q", [
+    make_potential("two-step"),
+    make_potential(lambda t: 5.0 * math.cos(2.0 * math.pi * t) + 2.0 * t,
+                   mesh=64)], ids=["two-step", "projection-64"])
+def test_dirichlet_roots_lie_in_closed_hill_gaps(q):
+    # phi(1) = 0 makes theta(1) phi'(1) = 1, so |Delta| >= 1 there, with
+    # the sign (-1)^n of gap n
+    for n, d in enumerate(dirichlet_spectrum(q, 6), start=1):
+        assert (-1.0) ** n * evaluate(q, d).Delta >= 1.0 - 1e-10
 
 
 def test_dirichlet_spectrum_free_case(zero_q):
@@ -141,54 +126,22 @@ def test_dirichlet_spectrum_free_case(zero_q):
         assert abs(mu - (math.pi * n) ** 2) < 1e-10
 
 
-def test_hill_quasimomentum_free_values(zero_q):
-    k = hill_quasimomentum(zero_q, (math.pi / 2) ** 2)
-    assert abs(k - math.pi / 2) < 1e-12
-    for y in (0.5, 2.0, 7.0):
-        k = hill_quasimomentum(zero_q, -y * y)
-        assert abs(k.real) < 1e-12
-        assert abs(k.imag - y) < 1e-10
+def test_hill_deep_asymptotics_half_coefficient(two_step_mean_one):
+    # far below the spectrum arccosh Delta(-y^2) ~ y + q0 / (2 y): the
+    # 1/y coefficient recovers q0 / 2, not q0, and the residual decays at
+    # least like 1/y.  On the two-step of mean 1: the plain two-step has
+    # q0 = 0, where both readings agree.
+    q = two_step_mean_one
+    q0 = q.q0
 
+    def im_k(y):
+        return math.acosh(evaluate(q, -y * y).Delta)
 
-def test_hill_quasimomentum_band_and_gap_branches(two_step):
-    hs = hill_spectrum(two_step, 3)
-    k_edge = hill_quasimomentum(two_step, hs.minus[0], spectrum=hs)
-    assert abs(k_edge - math.pi) < 1e-6
-    k_gap = hill_quasimomentum(two_step, hs.critical[0], spectrum=hs)
-    assert abs(k_gap.real - math.pi) < 1e-12
-    assert abs(k_gap.imag - hs.heights[0]) < 1e-12
-
-
-def test_hill_deep_asymptotics_half_coefficient(two_step):
-    # after normalizing the lowest edge to 0, the quasimomentum on the
-    # negative axis satisfies Im k ~ y + q0 / (2 y): the 1/y coefficient
-    # recovers q0 / 2, not q0, and the residual decays at least like 1/y
-    hs = hill_spectrum(two_step, 1)
-    qn = two_step.shifted(-hs.lambda0)
-    q0 = qn.q0
-    resid = []
-    for y in (10.0, 31.6, 100.0):
-        k = hill_quasimomentum(qn, -y * y)
-        resid.append(abs(k.imag - (y + q0 / (2.0 * y))))
+    resid = [abs(im_k(y) - (y + q0 / (2.0 * y))) for y in (10.0, 31.6, 100.0)]
     assert resid[0] > resid[1] > resid[2]
     slope = (math.log(resid[2]) - math.log(resid[0])) \
         / (math.log(100.0) - math.log(10.0))
     assert slope <= -1.0
     # the full-coefficient reading q0 / y is refuted numerically
     y = 100.0
-    k = hill_quasimomentum(qn, -y * y)
-    assert abs(k.imag - (y + q0 / y)) > 10 * abs(k.imag - (y + q0 / (2 * y)))
-
-
-def test_hill_heights_decay(two_step):
-    # Hill slit heights vanish at large n: n*h_n decays and n^2*h_n stays
-    # bounded (for this potential it tends to 2/pi^2 on the odd gaps, set
-    # by the 1/n Fourier tail of the steps).  The nanotube comb keeps
-    # order-one heights instead; that contrast lives in
-    # test_quasimomentum.
-    hs = hill_spectrum(two_step, 40)
-    n1h = [n * hs.heights[n - 1] for n in range(1, 41)]
-    n2h = [n * n * hs.heights[n - 1] for n in range(1, 41)]
-    assert max(n1h[29:]) < 0.5 * max(n1h[:10])
-    assert max(n2h) < 1.2 * max(n2h[:10])
-    assert abs(n2h[38] - 2.0 / math.pi ** 2) < 0.02  # n=39, odd
+    assert abs(im_k(y) - (y + q0 / y)) > 10 * abs(im_k(y) - (y + q0 / (2 * y)))

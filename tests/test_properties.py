@@ -4,9 +4,9 @@ hygiene requirements plus hypothesis-driven structural properties."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from nanoband.monodromy import evaluate
 from nanoband.potential import fourier_coeffs, make_potential
 from nanoband.spectrum import MagneticConfig, xi
+from oracles import evaluate
 
 RNG_SEED = 20240817
 

@@ -17,6 +17,17 @@ def test_magnetic_config_basics():
         MagneticConfig(a=0.1, N=0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: MagneticConfig(a=math.nan), lambda: MagneticConfig(a=math.inf),
+    lambda: MagneticConfig(a=-math.inf, N=3, j=1),
+    lambda: MagneticConfig.from_field(math.nan, 2),
+    lambda: MagneticConfig.from_field(math.inf, 4, 1)],
+    ids=["a=nan", "a=inf", "a=-inf", "B=nan", "B=inf"])
+def test_non_finite_phase_is_rejected(make):
+    with pytest.raises(ValueError, match="magnetic phase a must be finite"):
+        make()
+
+
 def test_magnetic_config_phase_is_cached_outside_the_fields():
     cfg = MagneticConfig(a=2.2, N=3, j=1)
     fresh = MagneticConfig(a=2.2, N=3, j=1)
