@@ -14,15 +14,14 @@ The two control algorithms exist once each.  The solve is rtsafe
 so a converged iterate, which is itself a bracket end, ends the solve
 instead of being bisected away, and bisection otherwise.  It starts
 from a given point when that lies strictly inside the bracket and from
-the midpoint otherwise; _solve_one runs it on floats (solve_bracketed
-is a call of it).  The scan looks for a sign change at the ends of a
-window, then at samples across it, then in windows widened around a
-preferred point.  A structure describes each phase of its search as
-arrays of brackets, one lane per gap or edge, for one evaluator f that
-maps a float to a tuple of floats and a float64 array to a tuple of
-arrays: _critical_all (critical points), _roots_all (the zero nearest a
-guess, solved from the guess) and _solve_all (zeros on known brackets,
-from optional starts).
+the midpoint otherwise; _solve_one runs it on floats.  The scan looks
+for a sign change at the ends of a window, then at samples across it,
+then in windows widened around a preferred point.  A structure
+describes each phase of its search as arrays of brackets, one lane per
+gap or edge, for one evaluator f that maps a float to a tuple of floats
+and a float64 array to a tuple of arrays: _critical_all (critical
+points), _roots_all (the zero nearest a guess, solved from the guess)
+and _solve_all (zeros on known brackets, from optional starts).
 
 Every scan runs all lanes of its phase at once on arrays (_scan_array).
 One rule, _lockstep, picks floats or arrays for the rest, from the
@@ -48,14 +47,17 @@ bit for bit on arrays, so both ways give identical structures and
 raise the same RootBracketError, that of the lowest failing lane.
 
 comb_roots takes its inputs as arrays: the critical windows of every
-gap and a start for every gap-edge solve.  It reads f''
+gap and a start for every gap-edge solve.  Every root it returns
+leaves through _solve_all: the critical points, the lowest edge (a
+phase of one lane, index 0) and the gap edges, whose solves share one
+edge function, _edge.  It reads f''
 only in the solve for the critical points; its edge evaluator fdf
 returns (f, f') alone, the same numbers as the first two of f, and
 serves f at the critical points, the lowest edge and the gap edges, so
 the structures ask the monodromy jet for order 1 there and skip its
 second derivative.  The point where the leftward expansion for the
-lowest edge stops is evaluated once: its value is a bracket end of the
-solve.  band_structure passes the zero-potential edges shifted by q0 as
+lowest edge stops is evaluated once: its value is a bracket end of its
+phase.  band_structure passes the zero-potential edges shifted by q0 as
 starts, which lie O(1/n) from the edges, so a deep edge takes 3-4
 evaluations.
 """
@@ -77,8 +79,8 @@ import numpy as np
 DEGENERACY_TOL = 1e-12
 GAP_WIDTH_TOL = 1e-9
 MAX_DOUBLINGS = 8
-# solve_bracketed: relative step tolerance, iteration cap and the number
-# of unguarded Newton steps that polish a converged root
+# _solve_one and _solve_array: relative step tolerance, iteration cap
+# and the number of unguarded Newton steps that polish a converged root
 SOLVE_XTOL = 1e-13
 SOLVE_MAXITER = 100
 POLISH_STEPS = 2
@@ -156,40 +158,25 @@ class RootBracketError(RuntimeError):
         super().__init__(msg)
 
 
-def solve_bracketed(fdf: Callable[[float], tuple[float, float | None]],
-                    lo: float, hi: float,
-                    flo: float | None = None,
-                    fhi: float | None = None) -> float:
-    """Safeguarded Newton/bisection solve of f(x)=0 on a sign-change bracket.
-
-    fdf(x) returns (f(x), f'(x)); the derivative may be None, in which
-    case the solve is pure bisection.  It starts at the midpoint (the
-    structures' lanes start at a guess inside the bracket instead, see
-    _solve_one).  As in rtsafe (Numerical Recipes 9.4), a Newton step
-    is taken when it lands in the closed current bracket [lo, hi] and
-    makes decent progress, with bisection as the fallback.  The iterate
-    itself is a bracket end, so a Newton step that rounds back onto it
-    (a converged root) is accepted, not bisected away.  The main loop
-    ends when the step drops below the relative tolerance SOLVE_XTOL,
-    after which up to POLISH_STEPS unguarded Newton steps push the root
-    to machine accuracy, stopping at a step that no longer moves it.
-    No point is evaluated twice in a row: the first polish step reads
-    the values at the last iterate, and the last one evaluates nothing.
-    The bracket sign invariant is maintained
-    throughout the main loop.
-    """
-    return _solve_one(fdf, lo, hi, flo, fhi, "bracketed solve", None, math.nan)
-
-
 def _solve_one(g, lo, hi, flo, fhi, what, index, start):
-    """solve_bracketed of g, where g(x) is (g(x), g'(x)) for a float x,
-    starting at `start` if it lies strictly inside (lo, hi) and at the
-    midpoint otherwise (nan: always the midpoint).  A bracket without a
-    sign change raises RootBracketError(what, index)."""
-    if flo is None:
-        flo = g(lo)[0]
-    if fhi is None:
-        fhi = g(hi)[0]
+    """Safeguarded Newton/bisection solve of g(x) = 0 on [lo, hi], whose
+    ends have the values flo, fhi, where g(x) is (g(x), g'(x)) for a
+    float x (g' may be None: pure bisection).
+
+    The solve starts at `start` if it lies strictly inside (lo, hi) and
+    at the midpoint otherwise (nan: always the midpoint).  As in rtsafe
+    (Numerical Recipes 9.4), a Newton step is taken when it lands in the
+    closed current bracket [lo, hi] and makes decent progress, with
+    bisection as the fallback.  The iterate itself is a bracket end, so
+    a Newton step that rounds back onto it (a converged root) is
+    accepted, not bisected away.  The main loop ends when the step drops
+    below the relative tolerance SOLVE_XTOL, after which up to
+    POLISH_STEPS unguarded Newton steps push the root to machine
+    accuracy, stopping at a step that no longer moves it.  No point is
+    evaluated twice in a row: the first polish step reads the values at
+    the last iterate, and the last one evaluates nothing.  The bracket
+    sign invariant is maintained throughout the main loop.  A bracket
+    without a sign change raises RootBracketError(what, index)."""
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -257,7 +244,7 @@ def _solve_all(f: Callable, pick: Callable, lo, hi, flo, fhi, what: str,
                index, start=None, pieces: int = 1) -> np.ndarray:
     """The zero of g_i in each bracket [lo[i], hi[i]] whose ends have the
     values flo[i], fhi[i] (float64 arrays), where pick(f(x), index[i]) is
-    (g_i(x), g_i'(x)) for the int array index; solved as solve_bracketed
+    (g_i(x), g_i'(x)) for the int array index; solved as _solve_one
     does from start[i] (a float64 array, or None: every lane from its
     midpoint), one lane at a time by _solve_one where the lane rule
     _lockstep leaves the lanes on floats for a potential of `pieces`
@@ -575,21 +562,16 @@ def comb_roots(f: Callable, fdf: Callable, lo: np.ndarray, hi: np.ndarray,
     crit, fcrit = _critical_all(f, fdf, lo, hi, 0.5 * (lo + hi),
                                 f"{what}: critical point", ns, pieces)
 
-    # lowest edge: f - 1 = 0 on (-inf, crit_1); a single scalar solve
-    # from the point the expansion found and its value; its failures
-    # name index 0
-    def bottom(x: float) -> tuple[float, float]:
-        v = fdf(x)
-        return v[0] - 1.0, v[1]
-
-    left, fleft = expand_left(lambda x: bottom(x)[0],
+    # lowest edge: the edge function at n = 0, f - 1, is zero on
+    # (-inf, crit_1); a one-lane phase from the point the expansion found
+    # and its value; its failures name index 0
+    left, fleft = expand_left(lambda x: fdf(x)[0] - 1.0,
                               min(lambda0_seed, float(crit[0])) - 0.25, 0.5,
                               what=f"{what}: lowest edge")
-    try:
-        lam0 = solve_bracketed(bottom, left, float(crit[0]), fleft,
-                               float(fcrit[0]) - 1.0)
-    except RootBracketError as exc:
-        raise RootBracketError(f"{what}: lowest edge: {exc.what}", 0) from None
+    lam0 = float(_solve_all(fdf, _edge, np.array([left]), crit[:1],
+                            np.array([fleft]), fcrit[:1] - 1.0,
+                            f"{what}: lowest edge", np.zeros(1, dtype=int),
+                            None, pieces)[0])
 
     # heights and degeneracy from d_n = (-1)^n f(crit_n) - 1
     t = _parity(ns)
@@ -604,8 +586,7 @@ def comb_roots(f: Callable, fdf: Callable, lo: np.ndarray, hi: np.ndarray,
     # whether it is zero
     below = np.concatenate(([lam0], crit)), np.concatenate(([1.0], fcrit))
     roots = _solve_all(
-        fdf, lambda v, n: (_parity(n) * v[0] - 1.0, _parity(n) * v[1]),
-        *(np.column_stack(pair).ravel() for pair in (
+        fdf, _edge, *(np.column_stack(pair).ravel() for pair in (
             (below[0][g], crit[g]), (crit[g], crit[g + 1]),
             (t[g] * below[1][g] - 1.0, d[g]),
             (d[g], t[g] * fcrit[g + 1] - 1.0))),
@@ -633,6 +614,14 @@ def comb_roots(f: Callable, fdf: Callable, lo: np.ndarray, hi: np.ndarray,
 def _parity(n):
     """(-1)^n as a float, for an int or elementwise for an int array."""
     return 1.0 - 2.0 * (n % 2)
+
+
+def _edge(v, n):
+    """(g, g') of the edge function g = (-1)^n f - 1 of edge index n (an
+    int or an int array) from the evaluator's values v = (f, f', ...);
+    at n = 0 it is f - 1 bit for bit."""
+    t = _parity(n)
+    return t * v[0] - 1.0, t * v[1]
 
 
 def _comb_k(where: str, n: int, f: float, slack: float = 0.0) -> complex:

@@ -45,27 +45,14 @@ SCHEMA_VERSION = "nanoband/1"
 OUTPUT_DIR_ENV = "NANOBAND_OUT_DIR"
 
 
-def _fmt(x: Any) -> Any:
-    """JSON projection for the CSV comment lines: nan and infinities as
-    strings; finite floats as they are (json writes the shortest repr
-    that reads back to the same float)."""
-    if isinstance(x, float) and not math.isfinite(x):
-        return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
-    if isinstance(x, dict):
-        return {k: _fmt(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_fmt(v) for v in x]
-    return x
-
-
 _ENCODE = json.encoder.encode_basestring_ascii
 _NONFINITE = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
 _CONTAINERS = (dict, list, tuple)
 
 
 def _scalar(v) -> str:
-    """One JSON value that is not a container, as json.dumps writes it
-    after _fmt: nan and infinities as the strings "nan", "inf", "-inf"."""
+    """One JSON value that is not a container, as json.dumps writes it,
+    but nan and infinities as the strings "nan", "inf", "-inf"."""
     if isinstance(v, str):
         return _ENCODE(v)
     if v is None:
@@ -120,27 +107,26 @@ def _table(rows: list, nl: str) -> str | None:
     return template % tuple([c for cells in zip(*cols) for c in cells])
 
 
-def _to_json(x: Any, nl: str = "\n") -> str:
-    """The JSON text of x, byte for byte as json.dumps(_fmt(x),
-    sort_keys=True, indent=1) writes it; nl is a newline and the
-    indentation of x's own line."""
+def _to_json(x: Any, nl: str | None = "\n") -> str:
+    """The JSON text of x, byte for byte as json.dumps writes it with
+    sort_keys=True and indent=1, but nan and infinities as the strings
+    "nan", "inf", "-inf" (_scalar); nl is a newline and the indentation
+    of x's own line, or None for json.dumps's one-line form (no indent,
+    ", " and ": " between items)."""
+    if not isinstance(x, _CONTAINERS):
+        return _scalar(x)
+    if not x:
+        return "{}" if isinstance(x, dict) else "[]"
+    table = None if nl is None or isinstance(x, dict) else _table(x, nl)
+    if table is not None:
+        return table
+    inner = None if nl is None else nl + " "
+    lead, sep, end = ("", ", ", "") if nl is None else (inner, ",", nl)
     if isinstance(x, dict):
-        if not x:
-            return "{}"
-        inner = nl + " "
-        items = [inner + _ENCODE(k) + ": " + _to_json(v, inner)
+        items = [lead + _ENCODE(k) + ": " + _to_json(v, inner)
                  for k, v in sorted(x.items())]
-        return "{" + ",".join(items) + nl + "}"
-    if isinstance(x, (list, tuple)):
-        if not x:
-            return "[]"
-        table = _table(x, nl)
-        if table is not None:
-            return table
-        inner = nl + " "
-        items = [inner + _to_json(v, inner) for v in x]
-        return "[" + ",".join(items) + nl + "]"
-    return _scalar(x)
+        return "{" + sep.join(items) + end + "}"
+    return "[" + sep.join([lead + _to_json(v, inner) for v in x]) + end + "]"
 
 
 def _parse_grid(text) -> list[float]:
@@ -236,11 +222,10 @@ def _emit(args: argparse.Namespace, echo: dict, result: dict, table,
     columns, after the resolved config (and the summary, if any) in #
     comment lines."""
     if args.format == "csv":
-        lines = [f"# {k}={json.dumps(_fmt(v), sort_keys=True)}"
-                 for k, v in echo.items()]
+        lines = [f"# {k}={_to_json(v, None)}" for k, v in echo.items()]
         lines.append(f"# schema_version={SCHEMA_VERSION}")
         for k, v in (summary or {}).items():
-            lines.append(f"# {k}={json.dumps(_fmt(v), sort_keys=True)}")
+            lines.append(f"# {k}={_to_json(v, None)}")
         lines.append(",".join(columns))
         for row in table:
             lines.append(",".join(
@@ -411,7 +396,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--j", type=int, help="sector index")
         p.add_argument("--n-max", dest="n_max", type=int,
                        help="highest gap index (default 10)")
-        p.add_argument("--grid", help="lambda grid lo:hi:count")
+        p.add_argument("--grid", help="lambda grid lo:hi:count (a negative "
+                                      "lo needs the = form: --grid=-5:0:3)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", help="output file (default stdout; "
                                         f"${OUTPUT_DIR_ENV} sets the "

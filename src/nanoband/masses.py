@@ -186,12 +186,17 @@ def verify_partial_fraction(q: PotentialSpec, cfg: MagneticConfig,
     """Compare k'(lambda)^2 = xi'^2 / (1 - xi^2) against the paired
     partial-fraction series over gap edges, with tail extrapolation.
 
-    Test points must keep distance >= 0.1 from every computed edge.
+    Test points must keep distance >= 0.1 from every computed edge.  A
+    given bs must be the n_max-gap structure of (q, cfg), and a given mt
+    a mass table of its depth; ValueError otherwise.
     """
     if bs is None:
         bs = _spec.band_structure(q, cfg, n_max, include_flat=False)
     if mt is None:
         mt = effective_masses(bs)
+    if (bs.n_max, bs.q, bs.cfg, mt.n_max) != (n_max, q, cfg, n_max):
+        raise ValueError(f"bs and mt must be the {n_max}-gap structure of "
+                         "(q, cfg) and its mass table")
     edges = (bs.lambda0,) + bs.minus + bs.plus
     sp, sm, lp, lm = map(np.array, (mt.plus, mt.minus, bs.plus, bs.minus))
     out = []

@@ -1,11 +1,20 @@
 """Sweep checks for every inequality and monotonicity statement.
 
-Each check is a falsifiable assertion about the computed structure: the
-inequalities hold unconditionally for the class of operators handled
-here, so a failure signals a bug in edges, masses or heights, not new
-mathematics.  Comparisons use a relative guard band of 1e-9 so that true
+Each check is a falsifiable assertion about the computed structure: an
+inequality of the paper evaluated on the computed edges, masses and
+heights.  Comparisons use a relative guard band of 1e-9 so that true
 equalities (degenerate cases) pass; a failure becomes a report record,
 never an exception or a silent drop.
+
+Whether every failure signals a bug is not settled.  Of the 450 probe
+sectors of perfbench/workloads.py (seeds 1-3, n_max 20), 72 pass the
+labelling test and fail a check: 65 at c = 1e-4 fail the merged-band
+estimates (both `span` records), 6 at small c (0.0057-0.037) fail the
+lowest-band record `mu+ * span <= 16*(n1-n)^2*(lam+ + lam1-)`, which
+with lambda measured from lambda0 reads mu0 <= 16, and 1 at c = 1 fails
+`degenerate gap: all quantities vanish`.  Open item 4 of ROADMAP.md
+owns the verdict: the lambda normalisation, a missing hypothesis or the
+estimate itself.
 
 Gap positions enter several bounds through sqrt(lambda); those checks
 are stated for structures with the spectral bottom at 0, so the lambda

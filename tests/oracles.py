@@ -14,9 +14,10 @@ it (`sequential_jet` is that product over one run of pieces);
 `reference_scan`, the sign-change scan of one bracket on floats that
 `_rootfind._scan_array` runs for every lane of a search phase at once;
 and `reference_json`, the standard library encoder that the CLI's JSON
-writer replaced.  `evaluate` is no oracle either: it reads the
-package's jet at one lambda through the named fields of `Monodromy`,
-the view the tests check against the oracles and the identities.
+writer replaced, with its own projection of nan and infinities.
+`evaluate` is no oracle either: it reads the package's jet at one
+lambda through the named fields of `Monodromy`, the view the tests
+check against the oracles and the identities.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
-from scipy.sparse import csc_matrix
+from scipy.sparse import diags
 from scipy.sparse.linalg import eigsh
 
 from nanoband._rootfind import (_BLOCK, MAX_DOUBLINGS, SCAN_SAMPLES,
                                 RootBracketError)
-from nanoband.cli import _fmt
 from nanoband.monodromy import _factor, _factor_batch, transfer
 from nanoband.potential import PotentialSpec
 from nanoband.quasimomentum import k_eval
@@ -106,20 +106,30 @@ def evaluate(q: PotentialSpec, lam: float) -> Monodromy:
                      d2_lam=(p2[0], p2[2], p2[1], p2[3]))
 
 
+def fd_periodic_matrix(qv: np.ndarray):
+    """-y'' + q y on [0, 2] with periodic boundary conditions by
+    second-order central differences on a mesh of qv.size >= 3 cells,
+    whose midpoints carry the potential values qv: a sparse CSC matrix
+    built from its three diagonals and its two periodic corner entries,
+    without a dense one."""
+    mesh = qv.size
+    h = 2.0 / mesh
+    off = -1.0 / h ** 2
+    return diags([2.0 / h ** 2 + qv, off, off, off, off],
+                 [0, 1, -1, mesh - 1, 1 - mesh], shape=(mesh, mesh),
+                 format="csc")
+
+
 def fd_periodic_eigenvalues(q: PotentialSpec, mesh: int = 4096,
                             k: int = 6) -> np.ndarray:
     """Lowest k eigenvalues of -y'' + q y on [0, 2] with periodic
-    boundary conditions, second-order central differences."""
+    boundary conditions, second-order central differences
+    (fd_periodic_matrix)."""
     h = 2.0 / mesh
     t = (np.arange(mesh) + 0.5) * h
     qv = np.array([q.value_at(x) for x in t])
-    main = 2.0 / h ** 2 + qv
-    off = -np.ones(mesh - 1) / h ** 2
-    a = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
-    a[0, -1] = a[-1, 0] = -1.0 / h ** 2
-    a_sp = csc_matrix(a)
     sigma = float(qv.min()) - 1.0
-    vals = eigsh(a_sp, k=k, sigma=sigma, which="LM",
+    vals = eigsh(fd_periodic_matrix(qv), k=k, sigma=sigma, which="LM",
                  return_eigenvectors=False)
     return np.sort(vals)
 
@@ -249,8 +259,22 @@ def reference_scan(g, lo: float, hi: float, prefer: float, what: str, index):
     raise RootBracketError(what, index)
 
 
-def reference_json(x) -> str:
+def _projected(x):
+    """x with nan and infinities as the strings "nan", "inf", "-inf" and
+    tuples as lists, the values the CLI writes in their place."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
+    if isinstance(x, dict):
+        return {k: _projected(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_projected(v) for v in x]
+    return x
+
+
+def reference_json(x, indent: int | None = 1) -> str:
     """The JSON text of a CLI payload as the standard library writes it
-    after cli._fmt (nan and infinities as strings), with sorted keys and
-    an indent of 1: the bytes `cli._to_json` must reproduce."""
-    return json.dumps(_fmt(x), sort_keys=True, indent=1)
+    after the projection of nan and infinities to strings, with sorted
+    keys and an indent of `indent` (None: the one-line form of the CSV
+    comment lines): the bytes `cli._to_json(x, nl)` must reproduce, nl
+    "\n" for indent 1 and None for None."""
+    return json.dumps(_projected(x), sort_keys=True, indent=indent)

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nanoband.cli import _to_json, main
 from oracles import reference_json
@@ -412,3 +412,17 @@ _PAYLOADS = st.recursive(
 @given(_PAYLOADS)
 def test_json_writer_matches_the_standard_encoder(payload):
     assert _to_json(payload) == reference_json(payload)
+
+
+# every kind of value the CSV comment lines can hold, nested
+_NESTED = {"b": {"t": (1, (2.5, ())), "e": {}, "l": []},
+           "a": [True, False, None, {"z": -3, "y": {"x": [math.nan]}}],
+           "inf": (math.inf, -math.inf), "big": 2 ** 70, "": "%s"}
+
+
+@settings(max_examples=400, deadline=None)
+@given(_PAYLOADS)
+@example(_NESTED)
+def test_one_line_json_matches_the_standard_encoder(payload):
+    # the form of the CSV comment lines: json.dumps without an indent
+    assert _to_json(payload, None) == reference_json(payload, None)

@@ -300,20 +300,21 @@ def test_lambda0_does_not_reach_the_jet_after_its_solve(depth, monkeypatch):
     # needs no jet call at lambda0
     lams = []
     jet = monodromy.transfer
-    solve = _rootfind.solve_bracketed
+    solve = _rootfind._solve_all
     solved = []
 
     def recorded(q, lam, order=2):
         lams.extend(np.atleast_1d(lam).tolist())
         return jet(q, lam, order)
 
-    def solve_bracketed(*args, **kwargs):
-        out = solve(*args, **kwargs)
-        solved.append(len(lams))
+    def solve_all(f, pick, lo, hi, flo, fhi, what, *args, **kwargs):
+        out = solve(f, pick, lo, hi, flo, fhi, what, *args, **kwargs)
+        if what.endswith(": lowest edge"):  # where lambda0 is known
+            solved.append(len(lams))
         return out
 
     monkeypatch.setattr(monodromy, "transfer", recorded)
-    monkeypatch.setattr(_rootfind, "solve_bracketed", solve_bracketed)
+    monkeypatch.setattr(_rootfind, "_solve_all", solve_all)
     bs = band_structure(make_potential("two-step"), MagneticConfig(a=0.9),
                         depth, include_flat=False)
     assert not bs.degenerate[0] and len(solved) == 1

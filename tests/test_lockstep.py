@@ -555,7 +555,8 @@ def test_the_lane_rule_counts_pieces():
 @pytest.mark.parametrize("force", [_scalar, _arrays])
 def test_the_forcing_helpers_force_every_phase(force, monkeypatch):
     # _scalar: the 64-piece jet sees floats alone; _arrays: floats only
-    # in the solve of the lowest edge and the expansion before it
+    # in the expansion before the lowest edge, whose one-lane solve is a
+    # phase like any other
     sizes = []
     jet = monodromy.transfer
     scalar_steps = []
@@ -576,9 +577,8 @@ def test_the_forcing_helpers_force_every_phase(force, monkeypatch):
 
     force(monkeypatch)
     monkeypatch.setattr(monodromy, "transfer", recorded)
-    for name in ("expand_left", "solve_bracketed"):
-        monkeypatch.setattr(_rootfind, name,
-                            scalar(getattr(_rootfind, name)))
+    monkeypatch.setattr(_rootfind, "expand_left",
+                        scalar(_rootfind.expand_left))
     effective_masses(band_structure(_projection(), MagneticConfig(a=0.9),
                                     SHALLOW))
     if force is _scalar:
@@ -600,6 +600,31 @@ def test_a_64_piece_structure_is_the_same_on_both_engines(monkeypatch):
     deep, scalar = _both(monkeypatch, build)
     assert repr(deep) == repr(scalar)
     assert not deep[0].anomalies
+
+
+def test_a_256_piece_structure_is_the_same_on_both_engines(monkeypatch):
+    # from 256 pieces the lane rule sends even the one-lane phase of the
+    # lowest edge to the array engine; the structure is that of the float
+    # lanes
+    q = make_potential(
+        lambda t: 5.0 * math.cos(2.0 * math.pi * t) + 2.0 * t, mesh=256)
+    cfg = MagneticConfig(a=0.9)
+    solve = _rootfind._solve_array
+    lanes = []
+
+    def solve_array(f, pick, lo, hi, flo, fhi, index, *args):
+        lanes.append(index.tolist())
+        return solve(f, pick, lo, hi, flo, fhi, index, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(_rootfind, "_solve_array", solve_array)
+        natural = band_structure(q, cfg, SHALLOW)
+    assert [0] in lanes
+    with monkeypatch.context() as m:
+        _scalar(m)
+        scalar = band_structure(q, cfg, SHALLOW)
+    assert repr(natural) == repr(scalar)
+    assert not natural.anomalies
 
 
 @pytest.mark.parametrize("size", [1, _LOCKSTEP_GAPS - 1, _LOCKSTEP_GAPS,

@@ -172,6 +172,50 @@ def test_partial_fraction_rejects_points_near_edges(zero_q,
                                 bs=bs, mt=mt)
 
 
+_PF_LAMS = [-5.0, -20.0]
+
+
+def _pf_inputs(zero_q, structure_factory, mass_factory):
+    cfg = MagneticConfig(a=math.pi / 3)
+    return (cfg, structure_factory(zero_q, cfg, 20),
+            mass_factory(zero_q, cfg, 20))
+
+
+def test_partial_fraction_rejects_a_structure_of_another_depth(
+        zero_q, structure_factory, mass_factory):
+    # the series would run over the 20 gaps of bs, not over n_max
+    cfg, bs, mt = _pf_inputs(zero_q, structure_factory, mass_factory)
+    verify_partial_fraction(zero_q, cfg, _PF_LAMS, 20, bs=bs, mt=mt)
+    with pytest.raises(ValueError, match="30-gap structure"):
+        verify_partial_fraction(zero_q, cfg, _PF_LAMS, 30, bs=bs, mt=mt)
+
+
+def test_partial_fraction_rejects_a_structure_of_another_potential(
+        zero_q, two_step, structure_factory, mass_factory):
+    # xi would come from two_step, the edges and masses from zero_q
+    cfg, bs, mt = _pf_inputs(zero_q, structure_factory, mass_factory)
+    with pytest.raises(ValueError, match="structure of"):
+        verify_partial_fraction(two_step, cfg, _PF_LAMS, 20, bs=bs, mt=mt)
+
+
+def test_partial_fraction_rejects_a_structure_of_another_sector(
+        zero_q, structure_factory, mass_factory):
+    cfg, bs, mt = _pf_inputs(zero_q, structure_factory, mass_factory)
+    other = MagneticConfig(a=math.pi / 3, N=2, j=1)
+    with pytest.raises(ValueError, match="structure of"):
+        verify_partial_fraction(zero_q, other, _PF_LAMS, 20, bs=bs, mt=mt)
+
+
+def test_partial_fraction_rejects_a_mass_table_of_another_structure(
+        zero_q, structure_factory, mass_factory):
+    cfg, bs, _ = _pf_inputs(zero_q, structure_factory, mass_factory)
+    mt = mass_factory(zero_q, cfg, 10)
+    with pytest.raises(ValueError, match="mass table"):
+        verify_partial_fraction(zero_q, cfg, _PF_LAMS, 20, bs=bs, mt=mt)
+    with pytest.raises(ValueError, match="mass table"):
+        verify_partial_fraction(zero_q, cfg, _PF_LAMS, 20, mt=mt)
+
+
 def test_mass_series_even_edges(zero_q, structure_factory, mass_factory):
     # c = 1/2: odd gaps degenerate, their coinciding edges enter twice
     cfg = MagneticConfig(a=math.pi / 3)

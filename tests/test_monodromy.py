@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from nanoband.monodromy import dirichlet_spectrum
 from nanoband.potential import make_potential
-from oracles import evaluate, fd_periodic_eigenvalues, ode_monodromy
+from oracles import (evaluate, fd_periodic_eigenvalues, fd_periodic_matrix,
+                     ode_monodromy)
 
 
 def test_free_discriminant_at_pi_squared():
@@ -108,6 +110,20 @@ def test_hill_edges_against_finite_difference_oracle(two_step):
     for e in fd_periodic_eigenvalues(two_step, mesh=4096, k=5).tolist():
         m = evaluate(two_step, e)
         assert abs(m.Delta ** 2 - 1.0) <= 1e-4 * abs(2.0 * m.Delta * m.dDelta)
+
+
+def test_finite_difference_matrix_is_the_dense_stencil(two_step):
+    # the sparse build from diagonals equals the dense stencil with its
+    # periodic corners entry for entry
+    mesh = 64
+    h = 2.0 / mesh
+    qv = np.array([two_step.value_at((i + 0.5) * h) for i in range(mesh)])
+    off = -np.ones(mesh - 1) / h ** 2
+    dense = np.diag(2.0 / h ** 2 + qv) + np.diag(off, 1) + np.diag(off, -1)
+    dense[0, -1] = dense[-1, 0] = -1.0 / h ** 2
+    sparse = fd_periodic_matrix(qv)
+    assert sparse.format == "csc" and sparse.nnz == 3 * mesh
+    assert np.array_equal(sparse.toarray(), dense)
 
 
 @pytest.mark.parametrize("q", [

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from nanoband import _rootfind, monodromy
-from nanoband._rootfind import _solve_all, solve_bracketed
+from nanoband._rootfind import _solve_all
 from nanoband.potential import make_potential
 from nanoband.spectrum import MagneticConfig, band_structure
 
@@ -52,9 +52,6 @@ def test_converged_newton_step_ends_the_solve(monkeypatch):
     # Newton reaches pi/2 at the sixth point; the next step rounds back
     # onto it, and an open bracket test would bisect the rest of [1, 2]
     # down to the step tolerance instead (37 points in all)
-    f = _Counted()
-    assert solve_bracketed(f, 1.0, 2.0) == math.pi / 2
-    assert len(f.points) <= 10
     for gaps in ENGINES:
         root, points = _solve_cos(monkeypatch, gaps)
         assert root == [math.pi / 2]
