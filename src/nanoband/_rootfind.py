@@ -49,8 +49,8 @@ raise the same RootBracketError, that of the lowest failing lane.
 comb_roots takes its inputs as arrays: the critical windows of every
 gap and a start for every gap-edge solve.  Every root it returns
 leaves through _solve_all: the critical points, the lowest edge (a
-phase of one lane, index 0) and the gap edges, whose solves share one
-edge function, _edge.  It reads f''
+phase of one lane, index 0, entered through solve_bracketed) and the
+gap edges, whose solves share one edge function, _edge.  It reads f''
 only in the solve for the critical points; its edge evaluator fdf
 returns (f, f') alone, the same numbers as the first two of f, and
 serves f at the critical points, the lowest edge and the gap edges, so
@@ -268,6 +268,19 @@ def _solve_all(f: Callable, pick: Callable, lo, hi, flo, fhi, what: str,
     return _solve_array(f, pick, lo, hi, flo, fhi, index, start, pieces)
 
 
+def solve_bracketed(fdf: Callable, lo: float, hi: float, flo: float,
+                    fhi: float, what: str, pieces: int = 1) -> float:
+    """The lowest edge: the zero of f - 1 (the edge function _edge at
+    n = 0) on [lo, hi], whose ends have the values flo, fhi of f - 1,
+    where fdf(x) is (f, f', ...); a one-lane _solve_all phase of index 0
+    from the midpoint.  It has a public name of its own because the
+    per-layer tracer of perfbench/ times the package's public functions:
+    rootfind.solve_calls and rootfind.solve_evals count these solves."""
+    lane = (np.array([v]) for v in (lo, hi, flo, fhi))
+    return float(_solve_all(fdf, _edge, *lane, what, np.zeros(1, dtype=int),
+                            None, pieces)[0])
+
+
 def _roots_all(f: Callable, pick: Callable, lo, hi, prefer, what: str,
                index, pieces: int = 1) -> np.ndarray:
     """The zero of g_i nearest prefer[i] in [lo[i], hi[i]] for each i
@@ -483,12 +496,6 @@ class CombRoots:
         return tuple(n for n in range(1, self.n_max + 1)
                      if not self.degenerate[n - 1])
 
-    def first_open_gap(self) -> int | None:
-        for n in range(1, self.n_max + 1):
-            if not self.degenerate[n - 1]:
-                return n
-        return None
-
     def merged_intervals(self) -> tuple[tuple[int, int, float, float], ...]:
         """Maximal spectral intervals [plus_n, minus_n1] made of n1 - n
         bands joined through degenerate interior gaps.
@@ -568,10 +575,8 @@ def comb_roots(f: Callable, fdf: Callable, lo: np.ndarray, hi: np.ndarray,
     left, fleft = expand_left(lambda x: fdf(x)[0] - 1.0,
                               min(lambda0_seed, float(crit[0])) - 0.25, 0.5,
                               what=f"{what}: lowest edge")
-    lam0 = float(_solve_all(fdf, _edge, np.array([left]), crit[:1],
-                            np.array([fleft]), fcrit[:1] - 1.0,
-                            f"{what}: lowest edge", np.zeros(1, dtype=int),
-                            None, pieces)[0])
+    lam0 = solve_bracketed(fdf, left, crit[0], fleft, fcrit[0] - 1.0,
+                           f"{what}: lowest edge", pieces)
 
     # heights and degeneracy from d_n = (-1)^n f(crit_n) - 1
     t = _parity(ns)

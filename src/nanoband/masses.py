@@ -188,13 +188,16 @@ def verify_partial_fraction(q: PotentialSpec, cfg: MagneticConfig,
 
     Test points must keep distance >= 0.1 from every computed edge.  A
     given bs must be the n_max-gap structure of (q, cfg), and a given mt
-    a mass table of its depth; ValueError otherwise.
+    a mass table of its depth and sector; ValueError otherwise.  A mass
+    table does not record its potential, so one of another potential in
+    the same sector and depth goes through.
     """
     if bs is None:
         bs = _spec.band_structure(q, cfg, n_max, include_flat=False)
     if mt is None:
         mt = effective_masses(bs)
-    if (bs.n_max, bs.q, bs.cfg, mt.n_max) != (n_max, q, cfg, n_max):
+    if ((bs.n_max, bs.q, bs.cfg, mt.n_max, mt.cfg)
+            != (n_max, q, cfg, n_max, cfg)):
         raise ValueError(f"bs and mt must be the {n_max}-gap structure of "
                          "(q, cfg) and its mass table")
     edges = (bs.lambda0,) + bs.minus + bs.plus

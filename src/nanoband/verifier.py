@@ -167,7 +167,7 @@ def check_height_mass_gap(bs: BandStructure,
         recs.append(_rec("h^2 <= 2*g*sqrt(m+*|m-|)", n,
                          h * h, 2 * gs * math.sqrt(msp * abs(msm)), ex))
 
-    first = bs.first_open_gap()
+    first = next(iter(bs.open_gaps()), None)
     if first is not None:
         recs.append(_rec("-mu(first open)- <= mu0", first,
                          -mt.minus[first - 1], mt.mu0))

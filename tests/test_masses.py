@@ -214,6 +214,11 @@ def test_partial_fraction_rejects_a_mass_table_of_another_structure(
         verify_partial_fraction(zero_q, cfg, _PF_LAMS, 20, bs=bs, mt=mt)
     with pytest.raises(ValueError, match="mass table"):
         verify_partial_fraction(zero_q, cfg, _PF_LAMS, 20, mt=mt)
+    # same depth, another sector
+    other = mass_factory(zero_q, MagneticConfig(a=math.pi / 3, N=2, j=1), 20)
+    assert other.n_max == 20 and other.cfg != cfg
+    with pytest.raises(ValueError, match="mass table"):
+        verify_partial_fraction(zero_q, cfg, _PF_LAMS, 20, bs=bs, mt=other)
 
 
 def test_mass_series_even_edges(zero_q, structure_factory, mass_factory):
