@@ -39,10 +39,15 @@ GRID_SEED = 1
 
 def _leaves(x, path: str, out: dict) -> dict:
     """x flattened into out, path -> None, a number or a string (the
-    repr of anything else); dataclasses without their inputs q and cfg."""
+    repr of anything else); dataclasses without their inputs q and cfg,
+    and with flat_bands where they have it (a field of BandStructure in
+    older checkouts, a property solved on first read since)."""
     if dataclasses.is_dataclass(x):
-        x = {f.name: getattr(x, f.name) for f in dataclasses.fields(x)
-             if f.name not in ("q", "cfg")}
+        fields = {f.name: getattr(x, f.name) for f in dataclasses.fields(x)
+                  if f.name not in ("q", "cfg")}
+        if hasattr(x, "flat_bands"):
+            fields["flat_bands"] = x.flat_bands
+        x = fields
     if isinstance(x, dict):
         for k, v in x.items():
             _leaves(v, f"{path}.{k}", out)

@@ -153,6 +153,14 @@ def _alloc_peak_kb(fn) -> float:
         tracemalloc.stop()
 
 
+def _with_flat(bs):
+    """bs after reading its flat bands, which band_structure builds
+    eagerly in older checkouts and on first read since, so that both
+    sides time the same work."""
+    bs.flat_bands
+    return bs
+
+
 def _cases(src: str) -> dict:
     """name -> (unit, fn) for the package in src, fn(clock) returning one
     sample timed with the clock of that name."""
@@ -179,20 +187,21 @@ def _cases(src: str) -> dict:
     for n in DEPTHS:
         cases[f"band_structure_s.n_max_{n}"] = (
             "s", lambda clock, n=n: _timed(
-                clock, lambda: nanoband.band_structure(two_step, cfg, n)))
+                clock, lambda: _with_flat(
+                    nanoband.band_structure(two_step, cfg, n))))
     sector = {1: jets[1], 2: two_step, 3: jets[3], 64: jets[64]}
     for m, q in sector.items():
         cases[f"sector_structure_ms.pieces_{m}"] = (
             "ms", lambda clock, q=q: 1e3 * _timed(clock, lambda: [
-                nanoband.effective_masses(
-                    nanoband.band_structure(q, cfg, SECTOR_N_MAX))
+                nanoband.effective_masses(_with_flat(
+                    nanoband.band_structure(q, cfg, SECTOR_N_MAX)))
                 for _ in range(SECTOR_BUILDS)]) / SECTOR_BUILDS)
     for n in DIRICHLET_DEPTHS:
         cases[f"dirichlet_spectrum_s.n_max_{n}"] = (
             "s", lambda clock, n=n: _timed(
                 clock, lambda: dirichlet_spectrum(two_step, n)))
     for n in IDENTITY_DEPTHS:
-        bs = nanoband.band_structure(two_step, cfg, n, include_flat=False)
+        bs = nanoband.band_structure(two_step, cfg, n)
         mt = nanoband.effective_masses(bs)
         cases[f"identity_checks_ms.n_max_{n}"] = (
             "ms", lambda clock, bs=bs, mt=mt: 1e3 * _timed(
@@ -226,13 +235,13 @@ def _cases(src: str) -> dict:
     lo, hi, points = ORACLE_GRID
     grid = np.linspace(lo, hi, points).tolist()
     for m, q in jets.items():
-        bs = nanoband.band_structure(q, cfg, 20, include_flat=False)
+        bs = nanoband.band_structure(q, cfg, 20)
         cases[f"oracle_us_per_lambda.pieces_{m}"] = (
             "us", lambda clock, q=q, bs=bs: 1e6 * _timed(
                 clock, lambda: cross_validate(q, cfg, grid, bs=bs)) / points)
     cases["deep_alloc_peak_kb"] = ("kB", lambda clock: _alloc_peak_kb(
-        lambda: nanoband.effective_masses(
-            nanoband.band_structure(jets[1], cfg, DEEP_ALLOC_N_MAX))))
+        lambda: nanoband.effective_masses(_with_flat(
+            nanoband.band_structure(jets[1], cfg, DEEP_ALLOC_N_MAX)))))
     for name, command in CLI_RUNS.items():
         cases[name] = ("s", lambda clock, command=command: _timed(
             clock, lambda: subprocess.run(
@@ -293,7 +302,7 @@ def _counts() -> dict:
     try:
         for n in COUNT_DEPTHS:
             seen.clear()
-            nanoband.band_structure(two_step, cfg, n, include_flat=False)
+            nanoband.band_structure(two_step, cfg, n)
             crit, edges = seen.get(2, 0), seen.get(1, 0)
             seen.clear()
             monodromy.dirichlet_spectrum(two_step, n)

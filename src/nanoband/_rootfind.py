@@ -474,10 +474,18 @@ class CombRoots:
     def n_max(self) -> int:
         return len(self.minus)
 
+    def _index(self, n: int) -> int:
+        """n - 1 for a band or gap index n in 1..n_max; ValueError
+        otherwise (a python index would wrap or run off the end)."""
+        if not 1 <= n <= self.n_max:
+            raise ValueError(f"n={n} outside 1..{self.n_max}")
+        return n - 1
+
     def band(self, n: int) -> tuple[float, float]:
-        """Spectral band sigma_n = [plus_{n-1}, minus_n] (n >= 1)."""
-        left = self.lambda0 if n == 1 else self.plus[n - 2]
-        return left, self.minus[n - 1]
+        """Spectral band sigma_n = [plus_{n-1}, minus_n] (1 <= n <= n_max)."""
+        i = self._index(n)
+        left = self.lambda0 if i == 0 else self.plus[i - 1]
+        return left, self.minus[i]
 
     def band_length(self, n: int) -> float:
         lo, hi = self.band(n)
@@ -485,12 +493,14 @@ class CombRoots:
 
     def gap(self, n: int) -> tuple[float, float] | None:
         """Open gap gamma_n = (minus_n, plus_n), or None if degenerate."""
-        if self.degenerate[n - 1]:
+        i = self._index(n)
+        if self.degenerate[i]:
             return None
-        return self.minus[n - 1], self.plus[n - 1]
+        return self.minus[i], self.plus[i]
 
     def gap_length(self, n: int) -> float:
-        return self.plus[n - 1] - self.minus[n - 1]
+        i = self._index(n)
+        return self.plus[i] - self.minus[i]
 
     def open_gaps(self) -> tuple[int, ...]:
         return tuple(n for n in range(1, self.n_max + 1)

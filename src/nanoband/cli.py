@@ -284,7 +284,7 @@ def cmd_bands(q, cfg, n_max, lams):
 
 
 def cmd_masses(q, cfg, n_max, lams):
-    bs = _spec.band_structure(q, cfg, n_max, include_flat=False)
+    bs = _spec.band_structure(q, cfg, n_max)
     mt = _masses.effective_masses(bs)
     result = {
         "mu0": mt.mu0,
@@ -306,14 +306,13 @@ def cmd_dispersion(q, cfg, n_max, lams):
 
 
 def cmd_verify(q, cfg, n_max, lams):
-    bs = _spec.band_structure(q, cfg, n_max, include_flat=False)
+    bs = _spec.band_structure(q, cfg, n_max)
     mt = _masses.effective_masses(bs)
     trace = _masses.verify_trace_identity(mt)
     # the partial-fraction series needs depth regardless of the display
     # range; reuse the structure when it is already deep enough
     n_pf = max(n_max, 200)
-    bs_pf = bs if n_pf == n_max else _spec.band_structure(
-        q, cfg, n_pf, include_flat=False)
+    bs_pf = bs if n_pf == n_max else _spec.band_structure(q, cfg, n_pf)
     mt_pf = mt if bs_pf is bs else _masses.effective_masses(bs_pf)
     test_lams = [bs.lambda0 - d for d in (5.0, 20.0, 100.0)]
     pf = _masses.verify_partial_fraction(q, cfg, test_lams, n_pf,

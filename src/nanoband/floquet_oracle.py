@@ -227,8 +227,7 @@ def cross_validate(q: PotentialSpec, cfg: MagneticConfig, lam_grid,
     """
     lams = [float(x) for x in lam_grid]
     if bs is None:
-        bs = _spec.band_structure(q, cfg, _depth_for(max(lams), q.q0),
-                                  include_flat=False)
+        bs = _spec.band_structure(q, cfg, _depth_for(max(lams), q.q0))
     devs = []
     kept = []
     skipped = []

@@ -56,11 +56,13 @@ def bare_mass(c: float, n: int | np.ndarray, sign: int
 
 @dataclass(frozen=True)
 class MassTable:
-    """Effective masses mu_n^+- for gaps 1..n_max plus mu_0 at the bottom.
+    """Effective masses mu_n^+- for gaps 1..n_max plus mu_0 at the bottom,
+    of the structure of potential q in sector cfg.
 
     bare_* hold the zero-potential values at the same c for comparison.
     """
 
+    q: PotentialSpec
     cfg: MagneticConfig
     mu0: float
     plus: tuple[float, ...]
@@ -101,7 +103,7 @@ def effective_masses(bs: BandStructure) -> MassTable:
     ns = np.arange(1, bs.n_max + 1)
     bare_p, bare_m = (np.where(closed, 0.0, bare_mass(c, ns, sign)).tolist()
                       for sign in (+1, -1))
-    return MassTable(cfg=cfg, mu0=float(-d1[0] / c),
+    return MassTable(q=q, cfg=cfg, mu0=float(-d1[0] / c),
                      plus=tuple(mu[:, 0].tolist()),
                      minus=tuple(mu[:, 1].tolist()),
                      bare_mu0=bare_mass(c, 0, +1), bare_plus=tuple(bare_p),
@@ -159,11 +161,12 @@ class TraceReport:
 
 def verify_trace_identity(mt: MassTable, n_max: int | None = None) -> TraceReport:
     """Partial sums of mu_0 + sum (mu_n^+ + mu_n^-) with 1/n tail
-    extrapolation; the residual is |extrapolated - 2|."""
+    extrapolation; the residual is |extrapolated - 2|.  n_max lies in
+    1..mt.n_max (ValueError otherwise); None takes the whole table."""
     if n_max is None:
         n_max = mt.n_max
-    if n_max > mt.n_max:
-        raise ValueError(f"mass table only reaches n={mt.n_max}")
+    if not 1 <= n_max <= mt.n_max:
+        raise ValueError(f"n_max={n_max} outside 1..{mt.n_max}")
     sums = _partial_sums(mt.mu0, np.add(mt.plus[:n_max], mt.minus[:n_max]))
     extrap = fit_tail(range(1, n_max + 1), sums)
     return TraceReport(n_max=n_max, partial_sum=sums[-1],
@@ -188,16 +191,15 @@ def verify_partial_fraction(q: PotentialSpec, cfg: MagneticConfig,
 
     Test points must keep distance >= 0.1 from every computed edge.  A
     given bs must be the n_max-gap structure of (q, cfg), and a given mt
-    a mass table of its depth and sector; ValueError otherwise.  A mass
-    table does not record its potential, so one of another potential in
-    the same sector and depth goes through.
+    a mass table of the same potential, sector and depth; ValueError
+    otherwise.
     """
     if bs is None:
-        bs = _spec.band_structure(q, cfg, n_max, include_flat=False)
+        bs = _spec.band_structure(q, cfg, n_max)
     if mt is None:
         mt = effective_masses(bs)
-    if ((bs.n_max, bs.q, bs.cfg, mt.n_max, mt.cfg)
-            != (n_max, q, cfg, n_max, cfg)):
+    if ((bs.n_max, bs.q, bs.cfg, mt.n_max, mt.q, mt.cfg)
+            != (n_max, q, cfg, n_max, q, cfg)):
         raise ValueError(f"bs and mt must be the {n_max}-gap structure of "
                          "(q, cfg) and its mass table")
     edges = (bs.lambda0,) + bs.minus + bs.plus
@@ -237,10 +239,16 @@ def verify_mass_series(mt: MassTable, bs: BandStructure, n: int, sign: int,
     Even-index edges (n even, including n=0 with sign +1) sum
     2/(odd edges - edge); odd-index edges sum over the even edges, where
     the bottom edge enters once and every degenerate gap contributes its
-    coinciding pair twice.  Partial sums are tail-extrapolated in 1/m.
+    coinciding pair twice.  Partial sums are tail-extrapolated in 1/m;
+    m_max (>= 1, or None for all) caps their number.  n lies in
+    0..bs.n_max; ValueError otherwise.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
+    if not 0 <= n <= bs.n_max:
+        raise ValueError(f"n={n} outside 0..{bs.n_max}")
+    if m_max is not None and m_max < 1:
+        raise ValueError(f"m_max={m_max} must be >= 1 or None")
     if n == 0:
         if sign != +1:
             raise ValueError("edge (0,-) does not exist")
@@ -256,7 +264,7 @@ def verify_mass_series(mt: MassTable, bs: BandStructure, n: int, sign: int,
     # the gaps 2m - 1 (n even) or 2m (n odd) for m = 1 .. m_stop
     odd = n % 2
     limit = (bs.n_max + 1 - odd) // 2
-    m_stop = min(m_max, limit) if m_max else limit
+    m_stop = limit if m_max is None else min(m_max, limit)
     gaps = slice(odd, 2 * m_stop, 2)
     terms = (1.0 / (np.array(bs.minus[gaps]) - target)
              + 1.0 / (np.array(bs.plus[gaps]) - target))

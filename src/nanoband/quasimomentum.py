@@ -48,8 +48,7 @@ def k_eval(q: PotentialSpec, cfg: MagneticConfig, lam: float | np.ndarray,
     where xi or xi' is not a finite float."""
     pts = np.atleast_1d(lam).tolist()
     if bs is None:
-        bs = _spec.band_structure(q, cfg, _depth_for(max(pts), q.q0),
-                                  include_flat=False)
+        bs = _spec.band_structure(q, cfg, _depth_for(max(pts), q.q0))
     where = [bs.locate(x) for x in pts]
     vals, d1s = (np.atleast_1d(v).tolist()
                  for v in _spec._xi_finite(q, cfg, lam, 1))
@@ -93,7 +92,7 @@ def verify_deep_asymptotics(q: PotentialSpec, cfg: MagneticConfig,
     if not ys or ys[0] <= 0.0:
         raise ValueError("y values must be positive")
     c = cfg.c_abs
-    lam0 = _spec.band_structure(q, cfg, 1, include_flat=False).lambda0
+    lam0 = _spec.band_structure(q, cfg, 1).lambda0
     qn = q.shifted(-lam0)
     q0n = qn.q0
     (vals,) = _spec._xi_finite(qn, cfg, np.array([-y * y for y in ys]), 0)

@@ -240,25 +240,30 @@ class BandStructure(CombRoots):
     """Labeled nanotube band structure for one (q, magnetic sector).
 
     The comb data (edges, criticals, heights, degeneracy flags) and its
-    band/gap bookkeeping come from CombRoots.  flat_bands holds the
-    Dirichlet set (eigenvalues of infinite multiplicity, present for
-    every c).  xi_sign records the sign of c_j: for negative c_j the
-    parity labeling follows |c_j|.
+    band/gap bookkeeping come from CombRoots.  xi_sign records the sign
+    of c_j: for negative c_j the parity labeling follows |c_j|.
     """
 
     q: PotentialSpec
     cfg: MagneticConfig
-    flat_bands: tuple[float, ...]
     xi_sign: float
 
+    @cached_property
+    def flat_bands(self) -> tuple[float, ...]:
+        """The Dirichlet roots 1..n_max of q (eigenvalues of infinite
+        multiplicity, present for every c), solved when first read; a
+        RootBracketError of that solve is raised here."""
+        return monodromy.dirichlet_spectrum(self.q, self.n_max)
 
-def band_structure(q: PotentialSpec, cfg: MagneticConfig, n_max: int,
-                   include_flat: bool = True) -> BandStructure:
+
+def band_structure(q: PotentialSpec, cfg: MagneticConfig,
+                   n_max: int) -> BandStructure:
     """All band edges, critical points and heights through gap n_max.
 
     Brackets are seeded by the zero-potential closed forms shifted by q0,
     and so are the starts of the edge solves; a RootBracketError carries
-    the offending index if expansion fails.
+    the offending index if expansion fails.  The flat bands depend on q
+    alone and are solved when BandStructure.flat_bands is first read.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -279,9 +284,8 @@ def band_structure(q: PotentialSpec, cfg: MagneticConfig, n_max: int,
                        windows[:-1], windows[1:], float(zp[0] * zp[0] + q0),
                        edges * edges + q0, what="band structure",
                        pieces=len(q.pieces))
-    flats = monodromy.dirichlet_spectrum(q, n_max) if include_flat else ()
-    return BandStructure(q=q, cfg=cfg, flat_bands=flats,
-                         xi_sign=math.copysign(1.0, cfg.c_j), **vars(roots))
+    return BandStructure(q=q, cfg=cfg, xi_sign=math.copysign(1.0, cfg.c_j),
+                         **vars(roots))
 
 
 # ----------------------------------------------------------------------

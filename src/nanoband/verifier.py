@@ -229,8 +229,8 @@ def check_monotonicity(q: PotentialSpec, a_values, n_max: int = 20,
     data = []
     for a in a_list:
         cfg = MagneticConfig(a=a, N=N, j=j)
-        bs = _spec.band_structure(q, cfg, n_max, include_flat=False)
-        bz = _spec.band_structure(zero, cfg, n_max, include_flat=False)
+        bs = _spec.band_structure(q, cfg, n_max)
+        bz = _spec.band_structure(zero, cfg, n_max)
         data.append((a, bs, effective_masses(bs), bz, effective_masses(bz)))
 
     recs: list[CheckRecord] = []

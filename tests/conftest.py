@@ -13,9 +13,9 @@ from nanoband.spectrum import BandStructure, MagneticConfig, band_structure
 
 
 @lru_cache(maxsize=None)
-def cached_structure(q: PotentialSpec, cfg: MagneticConfig, n_max: int,
-                     include_flat: bool = False) -> BandStructure:
-    return band_structure(q, cfg, n_max, include_flat=include_flat)
+def cached_structure(q: PotentialSpec, cfg: MagneticConfig,
+                     n_max: int) -> BandStructure:
+    return band_structure(q, cfg, n_max)
 
 
 @lru_cache(maxsize=None)

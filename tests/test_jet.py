@@ -215,7 +215,8 @@ def test_edges_from_order_one_equal_full_jet(depth, monkeypatch):
 
     def build():
         orders.clear()
-        return ([repr(band_structure(q, cfg, depth)) for q, cfg in cases],
+        structures = [band_structure(q, cfg, depth) for q, cfg in cases]
+        return ([repr((bs, bs.flat_bands)) for bs in structures],
                 orders.count(1), orders.count(2))
 
     monkeypatch.setattr(monodromy, "transfer", counted)
@@ -241,8 +242,7 @@ def test_the_first_scan_attempt_evaluates_each_window_end_once(
         return evaluate(f, x, pieces)
 
     monkeypatch.setattr(_rootfind, "_eval", recorded)
-    band_structure(make_potential("two-step"), MagneticConfig(a=0.9), depth,
-                   include_flat=False)
+    band_structure(make_potential("two-step"), MagneticConfig(a=0.9), depth)
     assert len(calls[0]) == len(set(calls[0])) == depth + 2
 
 
@@ -266,7 +266,7 @@ def test_f_at_the_critical_points_is_read_at_order_one(depth, monkeypatch):
     for q, cfg in ((make_potential("two-step"), MagneticConfig(a=0.9)),
                    (make_potential("three-step"), MagneticConfig(a=2.2))):
         seen.clear()
-        bs = band_structure(q, cfg, depth, include_flat=False)
+        bs = band_structure(q, cfg, depth)
         assert [seen[x, 1] for x in bs.critical] == [1] * depth
 
 
@@ -287,7 +287,7 @@ def test_the_lowest_anchor_reaches_the_jet_once(kind, monkeypatch):
     seen = _recorded(monkeypatch)
     q = make_potential("two-step")
     if kind == "band structure":
-        band_structure(q, MagneticConfig(a=0.9), 20, include_flat=False)
+        band_structure(q, MagneticConfig(a=0.9), 20)
     else:
         spectrum.flat_spectrum(q, MagneticConfig(a=math.pi / 2), 20)
     assert len(found) == 1
@@ -316,7 +316,7 @@ def test_lambda0_does_not_reach_the_jet_after_its_solve(depth, monkeypatch):
     monkeypatch.setattr(monodromy, "transfer", recorded)
     monkeypatch.setattr(_rootfind, "_solve_all", solve_all)
     bs = band_structure(make_potential("two-step"), MagneticConfig(a=0.9),
-                        depth, include_flat=False)
+                        depth)
     assert not bs.degenerate[0] and len(solved) == 1
     assert bs.lambda0 not in lams[solved[0]:]
 

@@ -452,7 +452,7 @@ def test_array_engine_equals_scalar_lanes_at_equal_depth(monkeypatch, seed):
 
         def build():
             bs = band_structure(q, cfg, DEEP)
-            return bs, effective_masses(bs)
+            return bs, bs.flat_bands, effective_masses(bs)
 
         deep, scalar = _both(monkeypatch, build)
         assert repr(deep) == repr(scalar), (seed, k)
@@ -504,10 +504,14 @@ def test_masked_branches_stay_silent_and_exact(monkeypatch):
 
     # degenerate gaps mixed with open ones: at c = 1 the even gaps of the
     # zero potential are closed
-    deep, scalar = _both(monkeypatch, lambda: band_structure(
-        make_potential("zero"), MagneticConfig(a=0.0), DEEP))
+    def build():
+        bs = band_structure(make_potential("zero"), MagneticConfig(a=0.0),
+                            DEEP)
+        return bs, bs.flat_bands
+
+    deep, scalar = _both(monkeypatch, build)
     assert repr(deep) == repr(scalar)
-    assert any(deep.degenerate) and not all(deep.degenerate)
+    assert any(deep[0].degenerate) and not all(deep[0].degenerate)
 
 
 @pytest.mark.parametrize("q", [make_potential([(1.0, 3.0)]), _projection()],
@@ -616,15 +620,19 @@ def test_a_256_piece_structure_is_the_same_on_both_engines(monkeypatch):
         lanes.append(index.tolist())
         return solve(f, pick, lo, hi, flo, fhi, index, *args)
 
+    def build():
+        bs = band_structure(q, cfg, SHALLOW)
+        return bs, bs.flat_bands
+
     with monkeypatch.context() as m:
         m.setattr(_rootfind, "_solve_array", solve_array)
-        natural = band_structure(q, cfg, SHALLOW)
+        natural = build()
     assert [0] in lanes
     with monkeypatch.context() as m:
         _scalar(m)
-        scalar = band_structure(q, cfg, SHALLOW)
+        scalar = build()
     assert repr(natural) == repr(scalar)
-    assert not natural.anomalies
+    assert not natural[0].anomalies
 
 
 @pytest.mark.parametrize("size", [1, _LOCKSTEP_GAPS - 1, _LOCKSTEP_GAPS,

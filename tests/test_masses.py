@@ -136,8 +136,9 @@ def test_trace_bookkeeping_without_bottom_term(zero_q, mass_factory):
 
 def test_trace_requires_enough_entries(zero_q, mass_factory):
     mt = mass_factory(zero_q, MagneticConfig(a=0.9), 10)
-    with pytest.raises(ValueError):
-        verify_trace_identity(mt, 50)
+    for n_max in (50, 0, -1):
+        with pytest.raises(ValueError, match=rf"n_max={n_max} outside"):
+            verify_trace_identity(mt, n_max)
 
 
 def test_partial_fraction_identity(zero_q, structure_factory, mass_factory):
@@ -219,6 +220,34 @@ def test_partial_fraction_rejects_a_mass_table_of_another_structure(
     assert other.n_max == 20 and other.cfg != cfg
     with pytest.raises(ValueError, match="mass table"):
         verify_partial_fraction(zero_q, cfg, _PF_LAMS, 20, bs=bs, mt=other)
+    # same sector and depth, another potential: only q tells them apart
+    other = mass_factory(make_potential("two-step"), cfg, 20)
+    assert (other.n_max, other.cfg) == (20, cfg)
+    with pytest.raises(ValueError, match="mass table"):
+        verify_partial_fraction(zero_q, cfg, _PF_LAMS, 20, bs=bs, mt=other)
+
+
+def test_mass_series_rejects_an_edge_outside_the_structure(
+        two_step, structure_factory, mass_factory):
+    cfg = MagneticConfig(a=0.9)
+    bs = structure_factory(two_step, cfg, 5)
+    mt = mass_factory(two_step, cfg, 5)
+    for n in (-1, 6):
+        with pytest.raises(ValueError, match=rf"n={n} outside 0\.\.5"):
+            verify_mass_series(mt, bs, n, +1)
+    verify_mass_series(mt, bs, 5, +1)
+
+
+def test_mass_series_rejects_a_term_count_below_one(
+        two_step, structure_factory, mass_factory):
+    # m_max = 0 must not pass for None (every term)
+    cfg = MagneticConfig(a=0.9)
+    bs = structure_factory(two_step, cfg, 5)
+    mt = mass_factory(two_step, cfg, 5)
+    for m_max in (0, -2):
+        with pytest.raises(ValueError, match=rf"m_max={m_max} must be >= 1"):
+            verify_mass_series(mt, bs, 1, +1, m_max)
+    assert verify_mass_series(mt, bs, 1, +1, 1).m_terms == 1
 
 
 def test_mass_series_even_edges(zero_q, structure_factory, mass_factory):

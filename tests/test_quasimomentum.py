@@ -192,7 +192,7 @@ def test_k_eval_at_every_near_pure_point_edge(two_step):
     # up to ~1e-11 off the comb, beyond the 1e-12 clamp tolerance but
     # within the edge resolution |xi'| SOLVE_XTOL max(1, |lam|)
     cfg = MagneticConfig(a=math.acos(1e-4))
-    bs = band_structure(two_step, cfg, 5, include_flat=False)
+    bs = band_structure(two_step, cfg, 5)
     assert not any(bs.degenerate)
     k0 = k_eval(two_step, cfg, bs.lambda0, bs)
     assert k0.imag == 0.0 and 0.0 <= k0.real < 1e-5
@@ -216,7 +216,7 @@ def test_k_eval_refuses_values_beyond_the_edge_resolution(two_step):
     # is stretched over them: xi is off the band by about r times the
     # slack; half a resolution is accepted, three are refused
     cfg = MagneticConfig(a=math.acos(1e-4))
-    bs = band_structure(two_step, cfg, 5, include_flat=False)
+    bs = band_structure(two_step, cfg, 5)
     edge = bs.minus[0]
     res = SOLVE_XTOL * max(1.0, abs(edge))
     for r, ok in ((0.5, True), (3.0, False)):

@@ -101,7 +101,7 @@ def test_deep_gap_edges_take_few_evaluations(monkeypatch):
 
     monkeypatch.setattr(monodromy, "transfer", counted)
     bs = band_structure(make_potential("two-step"), MagneticConfig(a=0.9),
-                        2000, include_flat=False)
+                        2000)
     edges = 2 * len(bs.open_gaps())
     assert edges > 3000
     assert sum(edge_lams) / edges <= 6.0

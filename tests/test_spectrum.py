@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from nanoband import monodromy
 from nanoband.potential import fourier_coeffs, make_potential
 from nanoband.spectrum import (MagneticConfig, PurePointRegimeError,
                                band_structure, bare_cosh_heights, bare_edge,
@@ -205,6 +206,38 @@ def test_flat_spectrum_equals_dirichlet_for_generic_c(two_step):
     fs = flat_spectrum(two_step, MagneticConfig(a=0.9), 4)
     assert fs.f_locus == ()
     assert fs.dirichlet == dirichlet_spectrum(two_step, 4)
+
+
+def test_flat_bands_are_solved_on_first_read_and_once(two_step,
+                                                      monkeypatch):
+    calls = []
+    solve = monodromy.dirichlet_spectrum
+
+    def counted(q, n_max):
+        calls.append((q, n_max))
+        return solve(q, n_max)
+
+    monkeypatch.setattr(monodromy, "dirichlet_spectrum", counted)
+    bs = band_structure(two_step, MagneticConfig(a=0.9), 20)
+    assert calls == []
+    first, second = bs.flat_bands, bs.flat_bands
+    assert calls == [(two_step, 20)] and first is second
+    assert repr(first) == repr(solve(two_step, 20))
+
+
+@pytest.mark.parametrize("read", [
+    lambda bs, n: bs.band(n), lambda bs, n: bs.band_length(n),
+    lambda bs, n: bs.gap(n), lambda bs, n: bs.gap_length(n)],
+    ids=["band", "band_length", "gap", "gap_length"])
+def test_band_and_gap_indices_outside_the_structure_are_rejected(
+        two_step, structure_factory, read):
+    # a python index would wrap (n = 0, -1) or run off the end (n = 6)
+    bs = structure_factory(two_step, MagneticConfig(a=0.9), 5)
+    for n in (0, -1, 6):
+        with pytest.raises(ValueError, match=rf"n={n} outside 1\.\.5"):
+            read(bs, n)
+    read(bs, 1)
+    read(bs, 5)
 
 
 def test_merged_intervals_pairing_at_no_field(zero_q, structure_factory):
