@@ -29,6 +29,7 @@ import struct
 import subprocess
 import sys
 from collections import defaultdict
+from collections.abc import Sequence
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 POOLS = [("deep-tables", 1), ("deep-tables", 2), ("sector-sweep", 1),
@@ -41,7 +42,10 @@ def _leaves(x, path: str, out: dict) -> dict:
     """x flattened into out, path -> None, a number or a string (the
     repr of anything else); dataclasses without their inputs q and cfg,
     and with flat_bands where they have it (a field of BandStructure in
-    older checkouts, a property solved on first read since)."""
+    older checkouts, a property solved on first read since); any
+    sequence but a string item by item, as a tuple (the records of an
+    InequalityReport are a tuple in older checkouts, a read-only view
+    since)."""
     if dataclasses.is_dataclass(x):
         fields = {f.name: getattr(x, f.name) for f in dataclasses.fields(x)
                   if f.name not in ("q", "cfg")}
@@ -51,7 +55,7 @@ def _leaves(x, path: str, out: dict) -> dict:
     if isinstance(x, dict):
         for k, v in x.items():
             _leaves(v, f"{path}.{k}", out)
-    elif isinstance(x, (tuple, list)):
+    elif isinstance(x, Sequence) and not isinstance(x, str):
         for i, v in enumerate(x):
             _leaves(v, f"{path}[{i}]", out)
     else:

@@ -32,6 +32,11 @@ quantities:
   (mu < 0) take its hyperbolic branch, and 21 and 41 lambdas per array
   call at orders 1 and 2, spread over the range of a 20-gap structure
   like its critical-point and edge phases;
+* both inequality checks of a `sector-sweep` job
+  (`check_height_mass_gap` and `check_merged_band_bound`) for 1, 3 and
+  64 pieces on a 20-gap structure at a = 0.9 and its mass table, built
+  beforehand, each report read for `passed_all` as the job reads it, in
+  microseconds per pair of checks (`verifier_us`);
 * the Floquet oracle `cross_validate` for 1, 3 and 64 pieces over a
   300-point grid, its band structure built beforehand, in microseconds
   per lambda;
@@ -102,6 +107,7 @@ JET_PHASES = (21, 41)
 SECTOR_TOP = (math.pi * 21 / 2) ** 2
 PHASE_CALLS = 20
 ORACLE_GRID = (0.05, 40.0, 300)  # lo, hi, points
+VERIFIER_CALLS = 50  # pairs of checks per sample
 DEEP_ALLOC_N_MAX = 2400
 CLI_RUNS = {
     "cli_bands_n_max_2000_s": "bands --q two-step --a 0.9 --n-max 2000",
@@ -232,6 +238,14 @@ def _cases(src: str) -> dict:
                     * _timed(clock, lambda: [transfer(q, batch, order)
                                              for _ in range(PHASE_CALLS)])
                     / (PHASE_CALLS * batch.size))
+    for m, q in jets.items():
+        bs = nanoband.band_structure(q, cfg, SECTOR_N_MAX)
+        mt = nanoband.effective_masses(bs)
+        cases[f"verifier_us.pieces_{m}"] = (
+            "us", lambda clock, bs=bs, mt=mt: 1e6 * _timed(
+                clock, lambda: [_sector_verdict(nanoband, bs, mt)
+                                for _ in range(VERIFIER_CALLS)])
+            / VERIFIER_CALLS)
     lo, hi, points = ORACLE_GRID
     grid = np.linspace(lo, hi, points).tolist()
     for m, q in jets.items():
@@ -279,6 +293,14 @@ def _identity_checks(nanoband, bs, mt) -> None:
     nanoband.verify_partial_fraction(
         bs.q, bs.cfg, [bs.lambda0 - d for d in (5.0, 20.0, 100.0)],
         bs.n_max, bs=bs, mt=mt)
+
+
+def _sector_verdict(nanoband, bs, mt) -> bool:
+    """Both inequality reports of a sector-sweep job on bs and mt, read
+    as the job reads them."""
+    return all(rep.passed_all
+               for rep in (nanoband.check_height_mass_gap(bs, mt),
+                           nanoband.check_merged_band_bound(bs, mt)))
 
 
 def _counts() -> dict:

@@ -319,7 +319,7 @@ def cmd_verify(q, cfg, n_max, lams):
                                          bs=bs_pf, mt=mt_pf)
     ineq = _ver.check_height_mass_gap(bs, mt)
     merged = _ver.check_merged_band_bound(bs, mt)
-    records = [_record_dict(r) for r in ineq.records + merged.records]
+    records = [_record_dict(r) for r in (*ineq.records, *merged.records)]
     result = {
         "trace_residual": trace.residual,
         "trace_partial_sum": trace.partial_sum,

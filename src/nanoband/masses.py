@@ -110,6 +110,19 @@ def effective_masses(bs: BandStructure) -> MassTable:
                      bare_minus=tuple(bare_m))
 
 
+def _check_table(bs: BandStructure, mt: MassTable | None, q: PotentialSpec,
+                 cfg: MagneticConfig, n_max: int) -> MassTable:
+    """mt, or the mass table of bs for None; ValueError unless bs is the
+    n_max-gap structure of (q, cfg) and mt its mass table: the guard of
+    every reader of (bs, mt)."""
+    mt = effective_masses(bs) if mt is None else mt
+    if ((bs.n_max, bs.q, bs.cfg, mt.n_max, mt.q, mt.cfg)
+            != (n_max, q, cfg, n_max, q, cfg)):
+        raise ValueError(f"bs and mt must be the {n_max}-gap structure of "
+                         "(q, cfg) and its mass table")
+    return mt
+
+
 # ----------------------------------------------------------------------
 # tail extrapolation
 # ----------------------------------------------------------------------
@@ -196,12 +209,7 @@ def verify_partial_fraction(q: PotentialSpec, cfg: MagneticConfig,
     """
     if bs is None:
         bs = _spec.band_structure(q, cfg, n_max)
-    if mt is None:
-        mt = effective_masses(bs)
-    if ((bs.n_max, bs.q, bs.cfg, mt.n_max, mt.q, mt.cfg)
-            != (n_max, q, cfg, n_max, q, cfg)):
-        raise ValueError(f"bs and mt must be the {n_max}-gap structure of "
-                         "(q, cfg) and its mass table")
+    mt = _check_table(bs, mt, q, cfg, n_max)
     edges = (bs.lambda0,) + bs.minus + bs.plus
     sp, sm, lp, lm = map(np.array, (mt.plus, mt.minus, bs.plus, bs.minus))
     out = []
@@ -241,8 +249,10 @@ def verify_mass_series(mt: MassTable, bs: BandStructure, n: int, sign: int,
     the bottom edge enters once and every degenerate gap contributes its
     coinciding pair twice.  Partial sums are tail-extrapolated in 1/m;
     m_max (>= 1, or None for all) caps their number.  n lies in
-    0..bs.n_max; ValueError otherwise.
+    0..bs.n_max, and mt is the mass table of bs (the same potential,
+    sector and depth); ValueError otherwise.
     """
+    _check_table(bs, mt, bs.q, bs.cfg, bs.n_max)
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     if not 0 <= n <= bs.n_max:
@@ -300,7 +310,9 @@ def verify_mass_asymptotics(mt: MassTable, bs: BandStructure,
                             n_range) -> MassAsymptoticsReport:
     """Residuals of mu_n^+- against the zero-potential value plus the
     curvature correction (d2F0 at the bare edge) * eps / c, where
-    eps = edge - bare edge - q0."""
+    eps = edge - bare edge - q0.  mt must be the mass table of bs (the
+    same potential, sector and depth); ValueError otherwise."""
+    _check_table(bs, mt, bs.q, bs.cfg, bs.n_max)
     c = bs.cfg.c_abs
     ns = np.array(list(n_range), dtype=int)
     outside = ns[(ns < 1) | (ns > bs.n_max)]

@@ -6,15 +6,20 @@ spectral oracle diagonalizes a finite-difference discretization, the
 Fourier oracle integrates by adaptive quadrature, and the mass oracle
 fits the dispersion curvature through the quasimomentum map alone.
 
-The three exceptions are bit-level references rather than independent
+The four exceptions are bit-level references rather than independent
 oracles: `reference_jet`, the product of 2x2 tuples by `_mul`/`_add`
 that the fused loop of `monodromy.transfer` replaced, over the
 package's own per-piece factors, taken block by block as the jet takes
 it (`sequential_jet` is that product over one run of pieces);
 `reference_scan`, the sign-change scan of one bracket on floats that
 `_rootfind._scan_array` runs for every lane of a search phase at once;
-and `reference_json`, the standard library encoder that the CLI's JSON
-writer replaced, with its own projection of nan and infinities.
+`reference_json`, the standard library encoder that the CLI's JSON
+writer replaced, with its own projection of nan and infinities; and
+the verifier's four checks as the loops that built one `CheckRecord`
+per inequality and gap before the checks became columnar
+(`reference_height_mass_gap`, `reference_merged_band_bound`,
+`reference_monotonicity`, `reference_comb_comparison`), with the
+verdict read record by record (`reference_verdict`).
 `evaluate` is no oracle either: it reads the package's jet at one
 lambda through the named fields of `Monodromy`, the view the tests
 check against the oracles and the identities.
@@ -33,9 +38,12 @@ from scipy.sparse.linalg import eigsh
 
 from nanoband._rootfind import (_BLOCK, MAX_DOUBLINGS, SCAN_SAMPLES,
                                 RootBracketError)
+from nanoband.masses import effective_masses
 from nanoband.monodromy import _factor, _factor_batch, transfer
-from nanoband.potential import PotentialSpec
+from nanoband.potential import PotentialSpec, make_potential
 from nanoband.quasimomentum import k_eval
+from nanoband.spectrum import MagneticConfig, band_structure
+from nanoband.verifier import GUARD_REL, CheckRecord, InequalityReport
 
 
 def ode_monodromy(q: PotentialSpec, lam: float,
@@ -278,3 +286,191 @@ def reference_json(x, indent: int | None = 1) -> str:
     comment lines): the bytes `cli._to_json(x, nl)` must reproduce, nl
     "\n" for indent 1 and None for None."""
     return json.dumps(_projected(x), sort_keys=True, indent=indent)
+
+
+# ----------------------------------------------------------------------
+# the verifier's checks as per-record loops
+# ----------------------------------------------------------------------
+
+def _ref_rec(name: str, n: int, lhs: float, rhs: float,
+             extras: tuple[tuple[str, float], ...] = (),
+             note: str = "") -> CheckRecord:
+    guard = GUARD_REL * max(1.0, abs(lhs), abs(rhs))
+    return CheckRecord(name=name, n=n, lhs=lhs, rhs=rhs, slack=rhs - lhs,
+                       passed=lhs <= rhs + guard, extras=extras, note=note)
+
+
+def _ref_skip(name: str, n: int, note: str) -> CheckRecord:
+    return CheckRecord(name=name, n=n, lhs=math.nan, rhs=math.nan,
+                       slack=math.nan, passed=True, skipped=True, note=note)
+
+
+def reference_verdict(records) -> tuple:
+    """(passed_all, failures, worst_slack, checked) of a tuple of
+    records, read record by record."""
+    failures = tuple(r for r in records if not r.passed and not r.skipped)
+    active = [r.slack for r in records if not r.skipped]
+    return (not failures, failures, min(active) if active else math.inf,
+            sum(1 for r in records if not r.skipped))
+
+
+def reference_height_mass_gap(bs, mt) -> InequalityReport:
+    """check_height_mass_gap(bs, mt) one gap and one record at a time."""
+    shift = bs.lambda0
+    recs: list[CheckRecord] = []
+    pi = math.pi
+    for n in range(1, bs.n_max + 1):
+        if bs.degenerate[n - 1]:
+            recs.append(_ref_rec("degenerate gap: all quantities vanish", n,
+                                 bs.heights[n - 1], 0.0))
+            continue
+        h = bs.heights[n - 1]
+        g = bs.plus[n - 1] - bs.minus[n - 1]
+        lp = bs.plus[n - 1] - shift
+        lm = bs.minus[n - 1] - shift
+        mp = mt.plus[n - 1]
+        mm = mt.minus[n - 1]
+        zp = math.sqrt(lp)
+        zm = math.sqrt(lm)
+        gs = g / (zp + zm)
+        msp = 2.0 * zp * mp
+        msm = 2.0 * zm * mm
+        ex = (("gap", g), ("gap_scaled", gs), ("mass_scaled_plus", msp),
+              ("mass_scaled_minus", msm), ("z_plus", zp), ("z_minus", zm))
+
+        recs.append(_ref_rec("h <= 3*pi*sqrt(gap*|mu+|/2)", n,
+                             h, 3 * pi * math.sqrt(g * abs(mp) / 2), ex))
+        recs.append(_ref_rec("h <= 3*pi*sqrt(gap*|mu-|/2)", n,
+                             h, 3 * pi * math.sqrt(g * abs(mm) / 2), ex))
+        recs.append(_ref_rec(
+            "3*pi*sqrt(gap*|mu+|/2) <= 6*pi^2*n*(mu+ - mu-)", n,
+            3 * pi * math.sqrt(g * abs(mp) / 2),
+            6 * pi * pi * n * (mp - mm), ex))
+        recs.append(_ref_rec(
+            "3*pi*sqrt(gap*|mu-|/2) <= 6*pi^2*n*(mu+ - mu-)", n,
+            3 * pi * math.sqrt(g * abs(mm) / 2),
+            6 * pi * pi * n * (mp - mm), ex))
+        recs.append(_ref_rec("gap <= (4*pi*n)^2*(mu+ - mu-)", n,
+                             g, (4 * pi * n) ** 2 * (mp - mm), ex))
+        recs.append(_ref_rec("gap <= 8*lam+*mu+", n, g, 8 * lp * mp, ex))
+        recs.append(_ref_rec("gap <= 8*lam-*|mu-| + 16*lam-*mu-^2", n,
+                             g, 8 * lm * abs(mm) + 16 * lm * mm * mm, ex))
+        recs.append(_ref_rec("h <= 4*pi*sqrt(lam+)*mu+", n,
+                             h, 4 * pi * zp * mp, ex))
+        recs.append(_ref_rec("h <= 4*pi*sqrt(lam-)*|mu-|", n,
+                             h, 4 * pi * zm * abs(mm), ex))
+        recs.append(_ref_rec("h <= pi*sqrt(2*gap*|mu-|)", n,
+                             h, pi * math.sqrt(2 * g * abs(mm)), ex))
+        recs.append(_ref_rec("h <= 2*pi*sqrt(gap*mu+)", n,
+                             h, 2 * pi * math.sqrt(g * mp), ex))
+        recs.append(_ref_rec("h^2 <= 2*gap*sqrt(mu+*|mu-|)", n,
+                             h * h, 2 * g * math.sqrt(mp * abs(mm)), ex))
+        # scaled-variable family
+        recs.append(_ref_rec("g/2 <= h", n, gs / 2, h, ex))
+        recs.append(_ref_rec("h <= pi*sqrt(2*g*|m+|)", n,
+                             h, pi * math.sqrt(2 * gs * abs(msp)), ex))
+        recs.append(_ref_rec("h <= pi*sqrt(2*g*|m-|)", n,
+                             h, pi * math.sqrt(2 * gs * abs(msm)), ex))
+        recs.append(_ref_rec("g <= 2*|m+|", n, gs, 2 * abs(msp), ex))
+        recs.append(_ref_rec("g <= 2*|m-|", n, gs, 2 * abs(msm), ex))
+        recs.append(_ref_rec("h^2 <= 2*g*sqrt(m+*|m-|)", n,
+                             h * h, 2 * gs * math.sqrt(msp * abs(msm)), ex))
+
+    first = next(iter(bs.open_gaps()), None)
+    if first is not None:
+        recs.append(_ref_rec("-mu(first open)- <= mu0", first,
+                             -mt.minus[first - 1], mt.mu0))
+    return InequalityReport(kind="height_mass_gap", records=tuple(recs),
+                            shift=shift)
+
+
+def reference_merged_band_bound(bs, mt) -> InequalityReport:
+    """check_merged_band_bound(bs, mt) one interval at a time."""
+    shift = bs.lambda0
+    recs: list[CheckRecord] = []
+    for n, n1, lo, hi in bs.merged_intervals():
+        lam_lo = lo - shift
+        lam_hi = hi - shift
+        span = lam_hi - lam_lo
+        count = n1 - n
+        mu_lo = mt.mu0 if n == 0 else mt.plus[n - 1]
+        mu_hi = mt.minus[n1 - 1]
+        ex = (("n_start", float(n)), ("n_end", float(n1)), ("span", span))
+        recs.append(_ref_rec("mu+ * span <= 16*(n1-n)^2*(lam+ + lam1-)", n1,
+                             mu_lo * span,
+                             16 * count ** 2 * (lam_lo + lam_hi), ex))
+        recs.append(_ref_rec("|mu-| * span <= 32*(n1-n)^2*lam1-", n1,
+                             abs(mu_hi) * span, 32 * count ** 2 * lam_hi,
+                             ex))
+        recs.append(_ref_rec("merged components n1-n <= 2", n1,
+                             float(count), 2.0, ex))
+    return InequalityReport(kind="merged_band", records=tuple(recs),
+                            shift=shift)
+
+
+def reference_monotonicity(q: PotentialSpec, a_values, n_max: int = 20,
+                           N: int = 1, j: int = 0) -> InequalityReport:
+    """check_monotonicity(q, a_values, n_max, N, j) one gap at a time."""
+    data = []
+    for a in sorted(float(a) for a in a_values):
+        cfg = MagneticConfig(a=a, N=N, j=j)
+        bs = band_structure(q, cfg, n_max)
+        bz = band_structure(make_potential("zero"), cfg, n_max)
+        data.append((a, bs, effective_masses(bs), bz, effective_masses(bz)))
+    recs: list[CheckRecord] = []
+    for a, bs, mt, bz, mz in data:
+        tag = (("a", a),)
+        for n in range(1, n_max + 1):
+            recs.append(_ref_rec("h0(a) <= h(a)", n,
+                                 bz.heights[n - 1], bs.heights[n - 1], tag))
+            recs.append(_ref_rec("|mu0+(a)| <= |mu+(a)|", n,
+                                 abs(mz.plus[n - 1]), abs(mt.plus[n - 1]),
+                                 tag))
+            recs.append(_ref_rec("|mu0-(a)| <= |mu-(a)|", n,
+                                 abs(mz.minus[n - 1]), abs(mt.minus[n - 1]),
+                                 tag))
+            recs.append(_ref_rec("|band(a)| <= |band0(a)|", n,
+                                 bs.band_length(n), bz.band_length(n), tag))
+    for (a0, b0, m0, z0, _), (a1, b1, m1, _, _) in zip(data, data[1:]):
+        tag = (("a_low", a0), ("a_high", a1))
+        for n in range(1, n_max + 1):
+            recs.append(_ref_rec("h(a) <= h(a1)", n,
+                                 b0.heights[n - 1], b1.heights[n - 1], tag))
+            recs.append(_ref_rec("|mu+(a)| <= |mu+(a1)|", n,
+                                 abs(m0.plus[n - 1]), abs(m1.plus[n - 1]),
+                                 tag))
+            recs.append(_ref_rec("|mu-(a)| <= |mu-(a1)|", n,
+                                 abs(m0.minus[n - 1]), abs(m1.minus[n - 1]),
+                                 tag))
+            recs.append(_ref_rec("|band(a1)| <= |band(a)|", n,
+                                 b1.band_length(n), b0.band_length(n), tag))
+            recs.append(_ref_rec("|band(a1)| <= |band0(a)|", n,
+                                 b1.band_length(n), z0.band_length(n), tag))
+    return InequalityReport(kind="monotonicity", records=tuple(recs))
+
+
+def reference_comb_comparison(bs1, bs2) -> InequalityReport:
+    """check_comb_comparison(bs1, bs2) one gap at a time."""
+    n_max = min(bs1.n_max, bs2.n_max)
+    recs: list[CheckRecord] = []
+    bad = [n for n in range(1, n_max + 1)
+           if bs1.heights[n - 1] > bs2.heights[n - 1]
+           + GUARD_REL * max(1.0, bs2.heights[n - 1])]
+    for n in range(1, n_max + 1):
+        recs.append(_ref_rec("hypothesis h1 <= h2", n,
+                             bs1.heights[n - 1], bs2.heights[n - 1]))
+    if bad:
+        recs.append(_ref_skip("comparison conclusions", -1,
+                              f"height hypothesis fails at n={bad}; "
+                              "pair skipped"))
+        return InequalityReport(kind="comb_comparison", records=tuple(recs))
+    mt1 = effective_masses(bs1)
+    mt2 = effective_masses(bs2)
+    for n in range(1, n_max + 1):
+        recs.append(_ref_rec("|band2| <= |band1|", n,
+                             bs2.band_length(n), bs1.band_length(n)))
+        recs.append(_ref_rec("|mu1+| <= |mu2+|", n,
+                             abs(mt1.plus[n - 1]), abs(mt2.plus[n - 1])))
+        recs.append(_ref_rec("|mu1-| <= |mu2-|", n,
+                             abs(mt1.minus[n - 1]), abs(mt2.minus[n - 1])))
+    return InequalityReport(kind="comb_comparison", records=tuple(recs))

@@ -10,6 +10,7 @@ from nanoband.masses import (bare_mass, fit_tail,
 from nanoband.potential import make_potential
 from nanoband.spectrum import (MagneticConfig, bare_edge, bare_edge_z, d2F0,
                                gap_phase_even, gap_phase_odd)
+from nanoband.verifier import check_height_mass_gap, check_merged_band_bound
 from oracles import mass_from_curvature
 
 
@@ -225,6 +226,28 @@ def test_partial_fraction_rejects_a_mass_table_of_another_structure(
     assert (other.n_max, other.cfg) == (20, cfg)
     with pytest.raises(ValueError, match="mass table"):
         verify_partial_fraction(zero_q, cfg, _PF_LAMS, 20, bs=bs, mt=other)
+
+
+@pytest.mark.parametrize("read", [
+    lambda mt, bs: verify_mass_series(mt, bs, 1, +1),
+    lambda mt, bs: verify_mass_asymptotics(mt, bs, range(1, 11)),
+    lambda mt, bs: check_height_mass_gap(bs, mt),
+    lambda mt, bs: check_merged_band_bound(bs, mt)],
+    ids=["mass_series", "mass_asymptotics", "height_mass_gap",
+         "merged_band_bound"])
+@pytest.mark.parametrize("other", ["potential", "sector", "deeper",
+                                   "shallower"])
+def test_readers_reject_a_mass_table_of_another_structure(
+        two_step, zero_q, structure_factory, mass_factory, read, other):
+    cfg = MagneticConfig(a=0.9)
+    bs = structure_factory(two_step, cfg, 20)
+    read(mass_factory(two_step, cfg, 20), bs)
+    mt = {"potential": lambda: mass_factory(zero_q, cfg, 20),
+          "sector": lambda: mass_factory(two_step, MagneticConfig(a=1.1), 20),
+          "deeper": lambda: mass_factory(two_step, cfg, 40),
+          "shallower": lambda: mass_factory(two_step, cfg, 10)}[other]()
+    with pytest.raises(ValueError, match="mass table"):
+        read(mt, bs)
 
 
 def test_mass_series_rejects_an_edge_outside_the_structure(
