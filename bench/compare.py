@@ -36,19 +36,23 @@ POOLS = [("deep-tables", 1), ("deep-tables", 2), ("sector-sweep", 1),
          ("sector-sweep", 2)]
 PROBE_SEED = 1
 GRID_SEED = 1
+# the zero-potential masses, fields of a MassTable in older checkouts
+_OLD_FIELDS = ("bare_mu0", "bare_plus", "bare_minus")
 
 
 def _leaves(x, path: str, out: dict) -> dict:
     """x flattened into out, path -> None, a number or a string (the
-    repr of anything else); dataclasses without their inputs q and cfg,
-    and with flat_bands where they have it (a field of BandStructure in
-    older checkouts, a property solved on first read since); any
-    sequence but a string item by item, as a tuple (the records of an
-    InequalityReport are a tuple in older checkouts, a read-only view
-    since)."""
+    repr of anything else); dataclasses without their inputs q and cfg
+    and without the zero-potential masses bare_mu0, bare_plus and
+    bare_minus (fields of MassTable in older checkouts, which no longer
+    holds them), and with flat_bands where they have it (a field of
+    BandStructure in older checkouts, a property solved on first read
+    since); any sequence but a string item by item, as a tuple (the
+    records of an InequalityReport are a tuple in older checkouts, a
+    read-only view since)."""
     if dataclasses.is_dataclass(x):
         fields = {f.name: getattr(x, f.name) for f in dataclasses.fields(x)
-                  if f.name not in ("q", "cfg")}
+                  if f.name not in ("q", "cfg", *_OLD_FIELDS)}
         if hasattr(x, "flat_bands"):
             fields["flat_bands"] = x.flat_bands
         x = fields

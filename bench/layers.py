@@ -206,12 +206,15 @@ def _cases(src: str) -> dict:
         cases[f"dirichlet_spectrum_s.n_max_{n}"] = (
             "s", lambda clock, n=n: _timed(
                 clock, lambda: dirichlet_spectrum(two_step, n)))
+    pf_takes_q = "q" in inspect.signature(
+        nanoband.verify_partial_fraction).parameters
     for n in IDENTITY_DEPTHS:
         bs = nanoband.band_structure(two_step, cfg, n)
         mt = nanoband.effective_masses(bs)
         cases[f"identity_checks_ms.n_max_{n}"] = (
             "ms", lambda clock, bs=bs, mt=mt: 1e3 * _timed(
-                clock, lambda: _identity_checks(nanoband, bs, mt)))
+                clock, lambda: _identity_checks(nanoband, bs, mt,
+                                                pf_takes_q)))
     xs = scalar_lams[:JET_CALLS]
     has_order = "order" in inspect.signature(transfer).parameters
     for m, q in jets.items():
@@ -283,16 +286,21 @@ def _in_process(clock: str, cli_main, argv: list[str]) -> float:
     return t
 
 
-def _identity_checks(nanoband, bs, mt) -> None:
+def _identity_checks(nanoband, bs, mt, pf_takes_q: bool) -> None:
     """The trace identity, the mass series of a deep-tables job (the
     bottom edge and three open-gap edges) and the partial fraction at
-    the `verify` command's test lambdas, for the structure bs."""
+    the `verify` command's test lambdas, for the structure bs; pf_takes_q
+    for the (q, cfg, test_lambdas, n_max, bs, mt) form of
+    verify_partial_fraction in older checkouts."""
     nanoband.verify_trace_identity(mt)
     for n, sign in [(0, +1), *zip(bs.open_gaps(), (+1, -1, +1))]:
         nanoband.verify_mass_series(mt, bs, n, sign)
-    nanoband.verify_partial_fraction(
-        bs.q, bs.cfg, [bs.lambda0 - d for d in (5.0, 20.0, 100.0)],
-        bs.n_max, bs=bs, mt=mt)
+    lams = [bs.lambda0 - d for d in (5.0, 20.0, 100.0)]
+    if pf_takes_q:
+        nanoband.verify_partial_fraction(bs.q, bs.cfg, lams, bs.n_max,
+                                         bs=bs, mt=mt)
+    else:
+        nanoband.verify_partial_fraction(mt, bs, lams)
 
 
 def _sector_verdict(nanoband, bs, mt) -> bool:

@@ -286,13 +286,16 @@ def cmd_bands(q, cfg, n_max, lams):
 def cmd_masses(q, cfg, n_max, lams):
     bs = _spec.band_structure(q, cfg, n_max)
     mt = _masses.effective_masses(bs)
+    # the zero-potential masses at the same c, 0 at the degenerate gaps
+    c, ns = cfg.c_abs, np.arange(1, n_max + 1)
+    bare = (np.where(bs.degenerate, 0.0, _masses.bare_mass(c, ns, sign))
+            .tolist() for sign in (+1, -1))
     result = {
         "mu0": mt.mu0,
-        "bare_mu0": mt.bare_mu0,
+        "bare_mu0": _masses.bare_mass(c, 0, +1),
         "entries": [{"n": n, "mu_plus": mp, "mu_minus": mm,
-                     "bare_mu_plus": mt.bare_plus[n - 1],
-                     "bare_mu_minus": mt.bare_minus[n - 1]}
-                    for n, mp, mm in mt.entries()],
+                     "bare_mu_plus": bp, "bare_mu_minus": bm}
+                    for (n, mp, mm), bp, bm in zip(mt.entries(), *bare)],
     }
     return result, result["entries"], [
         "n", "mu_plus", "mu_minus", "bare_mu_plus", "bare_mu_minus"]
@@ -315,8 +318,7 @@ def cmd_verify(q, cfg, n_max, lams):
     bs_pf = bs if n_pf == n_max else _spec.band_structure(q, cfg, n_pf)
     mt_pf = mt if bs_pf is bs else _masses.effective_masses(bs_pf)
     test_lams = [bs.lambda0 - d for d in (5.0, 20.0, 100.0)]
-    pf = _masses.verify_partial_fraction(q, cfg, test_lams, n_pf,
-                                         bs=bs_pf, mt=mt_pf)
+    pf = _masses.verify_partial_fraction(mt_pf, bs_pf, test_lams)
     ineq = _ver.check_height_mass_gap(bs, mt)
     merged = _ver.check_merged_band_bound(bs, mt)
     records = [_record_dict(r) for r in (*ineq.records, *merged.records)]

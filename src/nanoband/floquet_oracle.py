@@ -218,6 +218,8 @@ def cross_validate(q: PotentialSpec, cfg: MagneticConfig, lam_grid,
     """Compare cos(p_j + pi j / N) from the cell-system roots against xi
     over a grid, and the band/gap classification of the roots against
     the band structure (at points farther than EDGE_MARGIN from edges).
+    Without bs, a structure deep enough to cover the grid is built; a
+    given bs must be a structure of (q, cfg) (ValueError otherwise).
 
     Grid points in the flat-band vicinity are skipped and reported.  The
     grid goes through in chunks of _CHUNK points: per chunk, one transfer
@@ -228,6 +230,8 @@ def cross_validate(q: PotentialSpec, cfg: MagneticConfig, lam_grid,
     lams = [float(x) for x in lam_grid]
     if bs is None:
         bs = _spec.band_structure(q, cfg, _depth_for(max(lams), q.q0))
+    elif not _spec._is_structure_of(bs, q, cfg):
+        raise ValueError("bs must be a structure of (q, cfg)")
     devs = []
     kept = []
     skipped = []

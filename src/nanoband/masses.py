@@ -59,7 +59,8 @@ class MassTable:
     """Effective masses mu_n^+- for gaps 1..n_max plus mu_0 at the bottom,
     of the structure of potential q in sector cfg.
 
-    bare_* hold the zero-potential values at the same c for comparison.
+    The table holds the masses alone; the zero-potential values at the
+    same c are bare_mass(c, n, sign).
     """
 
     q: PotentialSpec
@@ -67,9 +68,6 @@ class MassTable:
     mu0: float
     plus: tuple[float, ...]
     minus: tuple[float, ...]
-    bare_mu0: float
-    bare_plus: tuple[float, ...]
-    bare_minus: tuple[float, ...]
 
     @property
     def n_max(self) -> int:
@@ -84,12 +82,11 @@ class MassTable:
 
 
 def effective_masses(bs: BandStructure) -> MassTable:
-    """Masses from the exact discriminant derivative at every open-gap
-    edge of bs; zeros at degenerate gaps."""
+    """The masses of bs, from the exact discriminant derivative at every
+    open-gap edge; zeros at degenerate gaps."""
     q, cfg = bs.q, bs.cfg
     c = cfg.c_abs
-    closed = np.array(bs.degenerate)
-    g = np.flatnonzero(~closed)  # open gaps, as n - 1
+    g = np.flatnonzero(~np.array(bs.degenerate))  # open gaps, as n - 1
     edges = np.column_stack((np.array(bs.plus)[g], np.array(bs.minus)[g]))
     # F' at every edge in one array call (_eval).  At the 4801 edges of a
     # 2400-gap one-piece structure that raised the allocation peak from
@@ -100,27 +97,18 @@ def effective_masses(bs: BandStructure) -> MassTable:
                len(q.pieces))[1]
     mu = np.zeros((bs.n_max, 2))  # columns plus, minus
     mu[g] = -_parity(g + 1)[:, None] * d1[1:].reshape(-1, 2) / c
-    ns = np.arange(1, bs.n_max + 1)
-    bare_p, bare_m = (np.where(closed, 0.0, bare_mass(c, ns, sign)).tolist()
-                      for sign in (+1, -1))
     return MassTable(q=q, cfg=cfg, mu0=float(-d1[0] / c),
                      plus=tuple(mu[:, 0].tolist()),
-                     minus=tuple(mu[:, 1].tolist()),
-                     bare_mu0=bare_mass(c, 0, +1), bare_plus=tuple(bare_p),
-                     bare_minus=tuple(bare_m))
+                     minus=tuple(mu[:, 1].tolist()))
 
 
-def _check_table(bs: BandStructure, mt: MassTable | None, q: PotentialSpec,
-                 cfg: MagneticConfig, n_max: int) -> MassTable:
-    """mt, or the mass table of bs for None; ValueError unless bs is the
-    n_max-gap structure of (q, cfg) and mt its mass table: the guard of
-    every reader of (bs, mt)."""
-    mt = effective_masses(bs) if mt is None else mt
-    if ((bs.n_max, bs.q, bs.cfg, mt.n_max, mt.q, mt.cfg)
-            != (n_max, q, cfg, n_max, q, cfg)):
-        raise ValueError(f"bs and mt must be the {n_max}-gap structure of "
-                         "(q, cfg) and its mass table")
-    return mt
+def _check_table(bs: BandStructure, mt: MassTable) -> None:
+    """ValueError unless mt is the mass table of bs (the same depth and a
+    structure of the same potential and sector): the guard of every
+    reader of (bs, mt)."""
+    if mt.n_max != bs.n_max or not _spec._is_structure_of(bs, mt.q, mt.cfg):
+        raise ValueError("mt must be the mass table of bs (the same "
+                         f"potential and sector, {bs.n_max} gaps)")
 
 
 # ----------------------------------------------------------------------
@@ -194,22 +182,17 @@ class PartialFractionCheck:
     residual_rel: float
 
 
-def verify_partial_fraction(q: PotentialSpec, cfg: MagneticConfig,
-                            test_lambdas, n_max: int,
-                            bs: BandStructure | None = None,
-                            mt: MassTable | None = None
+def verify_partial_fraction(mt: MassTable, bs: BandStructure, test_lambdas
                             ) -> tuple[PartialFractionCheck, ...]:
     """Compare k'(lambda)^2 = xi'^2 / (1 - xi^2) against the paired
-    partial-fraction series over gap edges, with tail extrapolation.
+    partial-fraction series over the edges of bs, with tail
+    extrapolation; xi is that of the potential and sector of bs, and the
+    series runs over its n_max gaps.
 
-    Test points must keep distance >= 0.1 from every computed edge.  A
-    given bs must be the n_max-gap structure of (q, cfg), and a given mt
-    a mass table of the same potential, sector and depth; ValueError
-    otherwise.
+    Test points must keep distance >= 0.1 from every computed edge, and
+    mt is the mass table of bs; ValueError otherwise.
     """
-    if bs is None:
-        bs = _spec.band_structure(q, cfg, n_max)
-    mt = _check_table(bs, mt, q, cfg, n_max)
+    _check_table(bs, mt)
     edges = (bs.lambda0,) + bs.minus + bs.plus
     sp, sm, lp, lm = map(np.array, (mt.plus, mt.minus, bs.plus, bs.minus))
     out = []
@@ -218,7 +201,7 @@ def verify_partial_fraction(q: PotentialSpec, cfg: MagneticConfig,
         if dist < 0.1:
             raise ValueError(f"test lambda {lam} is {dist:.3g} from an edge "
                              "(need >= 0.1)")
-        v, d1 = _spec._xi_eff(q, cfg, lam, 1)
+        v, d1 = _spec._xi_eff(bs.q, bs.cfg, lam, 1)
         direct = d1 * d1 / (1.0 - v * v)
         rp, rm = 1.0 / (lam - lp), 1.0 / (lam - lm)
         terms = 0.5 * (sp + sm) * (rp + rm) + 0.5 * (sp - sm) * (rp - rm)
@@ -252,7 +235,7 @@ def verify_mass_series(mt: MassTable, bs: BandStructure, n: int, sign: int,
     0..bs.n_max, and mt is the mass table of bs (the same potential,
     sector and depth); ValueError otherwise.
     """
-    _check_table(bs, mt, bs.q, bs.cfg, bs.n_max)
+    _check_table(bs, mt)
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     if not 0 <= n <= bs.n_max:
@@ -312,7 +295,7 @@ def verify_mass_asymptotics(mt: MassTable, bs: BandStructure,
     curvature correction (d2F0 at the bare edge) * eps / c, where
     eps = edge - bare edge - q0.  mt must be the mass table of bs (the
     same potential, sector and depth); ValueError otherwise."""
-    _check_table(bs, mt, bs.q, bs.cfg, bs.n_max)
+    _check_table(bs, mt)
     c = bs.cfg.c_abs
     ns = np.array(list(n_range), dtype=int)
     outside = ns[(ns < 1) | (ns > bs.n_max)]

@@ -32,12 +32,18 @@ NAMED_POTENTIALS: dict[str, tuple[tuple[float, float], ...]] = {
 class PotentialSpec:
     """A 1-periodic piecewise-constant potential.
 
-    pieces are (width, value) with positive widths summing to 1.
-    Immutable; all operations on it are pure.
+    pieces are (width, value) with positive widths summing to 1 and
+    finite values (ValueError for nan or an infinity, however the
+    potential is given).  Immutable; all operations on it are pure.
     """
 
     pieces: tuple[tuple[float, float], ...]
     label: str = ""
+
+    def __post_init__(self):
+        for _, v in self.pieces:
+            if not math.isfinite(v):
+                raise ValueError(f"potential values must be finite, got {v}")
 
     @property
     def q0(self) -> float:

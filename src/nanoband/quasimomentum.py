@@ -42,13 +42,16 @@ def k_eval(q: PotentialSpec, cfg: MagneticConfig, lam: float | np.ndarray,
     entries: one jet call for all of them (the same numbers as one lam at
     a time, bit for bit, see monodromy), then the comb branch point by
     point.  Without bs, a structure deep enough to cover every lam is
-    built.  Raises ValueError where xi is off the comb branch by more
-    than the clamp tolerance plus the edge resolution at lam, and
-    monodromy._JetOverflowError (a ValueError) naming the lowest lam
-    where xi or xi' is not a finite float."""
+    built; a given bs must be a structure of (q, cfg).  Raises
+    ValueError for a bs of another potential or sector, where xi is off
+    the comb branch by more than the clamp tolerance plus the edge
+    resolution at lam, and monodromy._JetOverflowError (a ValueError)
+    naming the lowest lam where xi or xi' is not a finite float."""
     pts = np.atleast_1d(lam).tolist()
     if bs is None:
         bs = _spec.band_structure(q, cfg, _depth_for(max(pts), q.q0))
+    elif not _spec._is_structure_of(bs, q, cfg):
+        raise ValueError("bs must be a structure of (q, cfg)")
     where = [bs.locate(x) for x in pts]
     vals, d1s = (np.atleast_1d(v).tolist()
                  for v in _spec._xi_finite(q, cfg, lam, 1))

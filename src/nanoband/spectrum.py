@@ -288,6 +288,13 @@ def band_structure(q: PotentialSpec, cfg: MagneticConfig,
                          **vars(roots))
 
 
+def _is_structure_of(bs: BandStructure, q: PotentialSpec,
+                     cfg: MagneticConfig) -> bool:
+    """Whether bs is a structure of q in sector cfg: the same pieces and
+    sector phase a_j, the inputs of xi (a label and B only name them)."""
+    return bs.q.pieces == q.pieces and bs.cfg.a_j == cfg.a_j
+
+
 # ----------------------------------------------------------------------
 # flat (infinite-multiplicity) spectrum
 # ----------------------------------------------------------------------

@@ -179,7 +179,7 @@ def _table(rows) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
 # ----------------------------------------------------------------------
 
 def check_height_mass_gap(bs: BandStructure,
-                          mt: MassTable | None = None) -> InequalityReport:
+                          mt: MassTable) -> InequalityReport:
     """Height/gap/mass inequalities at every gap, plus the comparison of
     the lowest mass with the first open gap's lower-edge mass.
 
@@ -191,8 +191,9 @@ def check_height_mass_gap(bs: BandStructure,
     h <= 2 pi |m| and h <= 4 pi sqrt(lambda) |mu| agree).  A degenerate
     gap gives one record, h <= 0.  A negative square root raises
     ValueError as math.sqrt does, at the first open gap that has one.
+    mt is the mass table of bs (ValueError otherwise).
     """
-    mt = _check_table(bs, mt, bs.q, bs.cfg, bs.n_max)
+    _check_table(bs, mt)
     shift, pi = bs.lambda0, math.pi
     h, plus, minus, mp, mm, deg = map(np.array, (
         bs.heights, bs.plus, bs.minus, mt.plus, mt.minus, bs.degenerate))
@@ -263,11 +264,12 @@ def check_height_mass_gap(bs: BandStructure,
 # ----------------------------------------------------------------------
 
 def check_merged_band_bound(bs: BandStructure,
-                            mt: MassTable | None = None) -> InequalityReport:
+                            mt: MassTable) -> InequalityReport:
     """Both merged-band mass estimates per maximal spectral interval,
     including the trivial single-band case, plus the observed bound on
-    the number of merged components."""
-    mt = _check_table(bs, mt, bs.q, bs.cfg, bs.n_max)
+    the number of merged components.  mt is the mass table of bs
+    (ValueError otherwise)."""
+    _check_table(bs, mt)
     # n, n1 as floats: the counts and indices are small integers
     n, n1, lo, hi = np.array(bs.merged_intervals(), float).reshape(-1, 4).T
     with np.errstate(all="ignore"):

@@ -94,8 +94,7 @@ def test_criterion_04_partial_fractions(zero_q, two_step, structure_factory,
         cfg = MagneticConfig(a=a)
         bs = structure_factory(q, cfg, 500)
         mt = mass_factory(q, cfg, 500)
-        checks = verify_partial_fraction(q, cfg, [-5.0, -20.0, -100.0],
-                                         500, bs=bs, mt=mt)
+        checks = verify_partial_fraction(mt, bs, [-5.0, -20.0, -100.0])
         for chk in checks:
             assert chk.residual_rel < 1e-3, (q.label, a, chk)
             worst = max(worst, chk.residual_rel)

@@ -126,6 +126,18 @@ def test_missing_magnetic_input_usage_error(capsys):
     # json.load reads NaN
     ("bands --config run.json",
      {"potential": "two-step", "magnetic": {"a": math.nan}}),
+    # a potential value that is not finite, however it is given
+    ("bands --q [[0.5,NaN],[0.5,1]] --a 0.9", None),
+    ("flatbands --q [[0.5,NaN],[0.5,1]] --a 0.9", None),
+    ("oracle --q [[0.5,NaN],[0.5,1]] --a 0.9", None),
+    ("dispersion --q [[0.5,NaN],[0.5,1]] --a 0.9 --grid 1:2:3", None),
+    ("bands --q [[0.5,Infinity],[0.5,1]] --a 0.9", None),
+    ("masses --q [1,-Infinity] --a 0.9", None),
+    ("bands --config run.json",
+     {"potential": {"samples": [1, math.inf]}, "magnetic": {"a": 0.9}}),
+    ("verify --config run.json",
+     {"potential": {"name": "two-step", "shift": math.nan},
+      "magnetic": {"a": 0.9}}),
 ])
 def test_malformed_input_is_a_usage_error(argv, config, tmp_path, capsys,
                                           monkeypatch):

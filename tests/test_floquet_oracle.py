@@ -7,6 +7,7 @@ from nanoband.floquet_oracle import (FlatBandVicinityError, build_cell_system,
                                      cos_k_from_root, cross_validate,
                                      dispersion_roots, is_ac_multiplier_pair)
 from nanoband.monodromy import dirichlet_spectrum
+from nanoband.potential import make_potential
 from nanoband.spectrum import MagneticConfig, xi
 
 
@@ -103,6 +104,22 @@ def test_cross_validation_against_discriminant(conf, zero_q, two_step):
     assert rep.max_deviation < 1e-7
     assert not rep.membership_mismatches
     assert rep.membership_checked > 150
+
+
+def test_cross_validation_rejects_a_structure_of_another_input(
+        two_step, structure_factory):
+    # the band/gap membership would be read off another structure
+    cfg = MagneticConfig(a=0.9)
+    grid = _grid(0.05, 40.0, 200)
+    for q, other in ((two_step, MagneticConfig(a=0.3)),
+                     (two_step.shifted(3.0), cfg)):
+        with pytest.raises(ValueError, match="structure of"):
+            cross_validate(two_step, cfg, grid,
+                           bs=structure_factory(q, other, 20))
+    named = make_potential(two_step, label="renamed")
+    rep = cross_validate(two_step, cfg, grid,
+                         bs=structure_factory(named, cfg, 20))
+    assert rep == cross_validate(two_step, cfg, grid)
 
 
 def test_cross_validation_skips_flat_band_points(zero_q):

@@ -67,11 +67,12 @@ def test_array_bare_forms_equal_scalar_formulas(c):
 
 def test_computed_masses_match_bare_for_zero_potential(zero_q, mass_factory):
     for a in (0.2, math.pi / 3, 1.3):
+        c = math.cos(a)
         mt = mass_factory(zero_q, MagneticConfig(a=a), 20)
-        assert abs(mt.mu0 - mt.bare_mu0) < 1e-8
+        assert abs(mt.mu0 - bare_mass(c, 0, +1)) < 1e-8
         for n in range(1, 21):
-            assert abs(mt.plus[n - 1] - mt.bare_plus[n - 1]) < 1e-8
-            assert abs(mt.minus[n - 1] - mt.bare_minus[n - 1]) < 1e-8
+            assert abs(mt.plus[n - 1] - bare_mass(c, n, +1)) < 1e-8
+            assert abs(mt.minus[n - 1] - bare_mass(c, n, -1)) < 1e-8
 
 
 def test_mass_signs_and_pair_decay(zero_q, mass_factory, structure_factory):
@@ -146,8 +147,7 @@ def test_partial_fraction_identity(zero_q, structure_factory, mass_factory):
     cfg = MagneticConfig(a=math.pi / 3)
     bs = structure_factory(zero_q, cfg, 500)
     mt = mass_factory(zero_q, cfg, 500)
-    checks = verify_partial_fraction(zero_q, cfg, [-5.0, -20.0, -100.0],
-                                     500, bs=bs, mt=mt)
+    checks = verify_partial_fraction(mt, bs, [-5.0, -20.0, -100.0])
     for chk in checks:
         assert chk.residual_rel < 1e-3
 
@@ -158,7 +158,7 @@ def test_partial_fraction_deep_limit(two_step, structure_factory,
     cfg = MagneticConfig(a=math.pi / 5)
     bs = structure_factory(two_step, cfg, 500)
     mt = mass_factory(two_step, cfg, 500)
-    chk, = verify_partial_fraction(two_step, cfg, [-1e4], 500, bs=bs, mt=mt)
+    chk, = verify_partial_fraction(mt, bs, [-1e4])
     assert chk.residual_rel < 1e-3
     assert abs(chk.direct - 1.0 / -1e4) <= 1e-2 * abs(1.0 / -1e4)
 
@@ -170,71 +170,20 @@ def test_partial_fraction_rejects_points_near_edges(zero_q,
     bs = structure_factory(zero_q, cfg, 20)
     mt = mass_factory(zero_q, cfg, 20)
     with pytest.raises(ValueError):
-        verify_partial_fraction(zero_q, cfg, [bs.lambda0 + 0.01], 20,
-                                bs=bs, mt=mt)
+        verify_partial_fraction(mt, bs, [bs.lambda0 + 0.01])
 
 
 _PF_LAMS = [-5.0, -20.0]
 
 
-def _pf_inputs(zero_q, structure_factory, mass_factory):
-    cfg = MagneticConfig(a=math.pi / 3)
-    return (cfg, structure_factory(zero_q, cfg, 20),
-            mass_factory(zero_q, cfg, 20))
-
-
-def test_partial_fraction_rejects_a_structure_of_another_depth(
-        zero_q, structure_factory, mass_factory):
-    # the series would run over the 20 gaps of bs, not over n_max
-    cfg, bs, mt = _pf_inputs(zero_q, structure_factory, mass_factory)
-    verify_partial_fraction(zero_q, cfg, _PF_LAMS, 20, bs=bs, mt=mt)
-    with pytest.raises(ValueError, match="30-gap structure"):
-        verify_partial_fraction(zero_q, cfg, _PF_LAMS, 30, bs=bs, mt=mt)
-
-
-def test_partial_fraction_rejects_a_structure_of_another_potential(
-        zero_q, two_step, structure_factory, mass_factory):
-    # xi would come from two_step, the edges and masses from zero_q
-    cfg, bs, mt = _pf_inputs(zero_q, structure_factory, mass_factory)
-    with pytest.raises(ValueError, match="structure of"):
-        verify_partial_fraction(two_step, cfg, _PF_LAMS, 20, bs=bs, mt=mt)
-
-
-def test_partial_fraction_rejects_a_structure_of_another_sector(
-        zero_q, structure_factory, mass_factory):
-    cfg, bs, mt = _pf_inputs(zero_q, structure_factory, mass_factory)
-    other = MagneticConfig(a=math.pi / 3, N=2, j=1)
-    with pytest.raises(ValueError, match="structure of"):
-        verify_partial_fraction(zero_q, other, _PF_LAMS, 20, bs=bs, mt=mt)
-
-
-def test_partial_fraction_rejects_a_mass_table_of_another_structure(
-        zero_q, structure_factory, mass_factory):
-    cfg, bs, _ = _pf_inputs(zero_q, structure_factory, mass_factory)
-    mt = mass_factory(zero_q, cfg, 10)
-    with pytest.raises(ValueError, match="mass table"):
-        verify_partial_fraction(zero_q, cfg, _PF_LAMS, 20, bs=bs, mt=mt)
-    with pytest.raises(ValueError, match="mass table"):
-        verify_partial_fraction(zero_q, cfg, _PF_LAMS, 20, mt=mt)
-    # same depth, another sector
-    other = mass_factory(zero_q, MagneticConfig(a=math.pi / 3, N=2, j=1), 20)
-    assert other.n_max == 20 and other.cfg != cfg
-    with pytest.raises(ValueError, match="mass table"):
-        verify_partial_fraction(zero_q, cfg, _PF_LAMS, 20, bs=bs, mt=other)
-    # same sector and depth, another potential: only q tells them apart
-    other = mass_factory(make_potential("two-step"), cfg, 20)
-    assert (other.n_max, other.cfg) == (20, cfg)
-    with pytest.raises(ValueError, match="mass table"):
-        verify_partial_fraction(zero_q, cfg, _PF_LAMS, 20, bs=bs, mt=other)
-
-
 @pytest.mark.parametrize("read", [
+    lambda mt, bs: verify_partial_fraction(mt, bs, _PF_LAMS),
     lambda mt, bs: verify_mass_series(mt, bs, 1, +1),
     lambda mt, bs: verify_mass_asymptotics(mt, bs, range(1, 11)),
     lambda mt, bs: check_height_mass_gap(bs, mt),
     lambda mt, bs: check_merged_band_bound(bs, mt)],
-    ids=["mass_series", "mass_asymptotics", "height_mass_gap",
-         "merged_band_bound"])
+    ids=["partial_fraction", "mass_series", "mass_asymptotics",
+         "height_mass_gap", "merged_band_bound"])
 @pytest.mark.parametrize("other", ["potential", "sector", "deeper",
                                    "shallower"])
 def test_readers_reject_a_mass_table_of_another_structure(
@@ -248,6 +197,17 @@ def test_readers_reject_a_mass_table_of_another_structure(
           "shallower": lambda: mass_factory(two_step, cfg, 10)}[other]()
     with pytest.raises(ValueError, match="mass table"):
         read(mt, bs)
+
+
+def test_readers_take_the_mass_table_of_a_renamed_structure(
+        two_step, structure_factory, mass_factory):
+    # a label and a field strength B name the inputs of a structure; the
+    # table of the same pieces and sector phase is its mass table
+    named = MagneticConfig.from_field(2.0, 3)
+    bs = structure_factory(two_step, MagneticConfig(a=named.a, N=3), 20)
+    mt = mass_factory(make_potential(two_step, label="renamed"), named, 20)
+    verify_partial_fraction(mt, bs, _PF_LAMS)
+    assert check_height_mass_gap(bs, mt).checked
 
 
 def test_mass_series_rejects_an_edge_outside_the_structure(
@@ -417,8 +377,7 @@ def test_series_checks_equal_term_by_term_loops(name, a, structure_factory,
         edges += [(2, +1, None), (4, -1, 3), (40, +1, None)]
     tr = verify_trace_identity(mt)
     got = [(tr.partial_sum, tr.extrapolated, tr.residual)]
-    got += [c.series for c in verify_partial_fraction(q, cfg, lams, 41,
-                                                       bs=bs, mt=mt)]
+    got += [c.series for c in verify_partial_fraction(mt, bs, lams)]
     got += [(c.series, c.m_terms) for c in (
         verify_mass_series(mt, bs, n, sign, m_max)
         for n, sign, m_max in edges)]

@@ -48,6 +48,20 @@ def test_nonpositive_width_rejected():
         make_potential([(0.0, 1.0), (1.0, 2.0)])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_values_rejected(bad):
+    # every way a potential can be given reaches PotentialSpec
+    for make in (lambda: make_potential([(0.5, bad), (0.5, 1.0)]),
+                 lambda: make_potential([1.0, bad]),
+                 lambda: make_potential(lambda t: bad if t > 0.5 else 0.0,
+                                        mesh=4),
+                 lambda: from_config({"pieces": [[0.5, bad], [0.5, 1.0]]}),
+                 lambda: from_config({"name": "two-step", "shift": bad}),
+                 lambda: make_potential("two-step").shifted(bad)):
+        with pytest.raises(ValueError, match="must be finite"):
+            make()
+
+
 def test_unknown_name_rejected():
     with pytest.raises(ValueError):
         make_potential("no-such-potential")

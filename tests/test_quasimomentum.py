@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nanoband._rootfind import SOLVE_XTOL, _comb_k, _edge_slack
+from nanoband.potential import make_potential
 from nanoband.quasimomentum import (k_eval, verify_deep_asymptotics,
                                     verify_kprime_squared)
 from nanoband.spectrum import (MagneticConfig, _xi_eff, band_structure,
@@ -17,6 +18,28 @@ def test_k_value_in_first_band(zero_q):
     k = k_eval(zero_q, cfg, (math.pi / 3) ** 2)
     assert abs(k.imag) < 1e-14
     assert abs(k.real - math.acos(-0.6875)) < 1e-12
+
+
+def test_k_eval_rejects_a_structure_of_another_potential_or_sector(
+        two_step, structure_factory):
+    # with the edges of another structure k would be read off the wrong
+    # comb: a wrong value at some lambda, an error at others
+    cfg = MagneticConfig(a=0.9)
+    lams = np.linspace(0.5, 60.0, 600)
+    for q, other in ((two_step.shifted(3.0), cfg),
+                     (two_step, MagneticConfig(a=0.3)),
+                     (two_step, MagneticConfig(a=0.9, N=2, j=1))):
+        bs = structure_factory(q, other, 20)
+        for lam in (lams, 30.0):
+            with pytest.raises(ValueError, match="structure of"):
+                k_eval(two_step, cfg, lam, bs)
+    # a label and a field strength B only name the inputs
+    named = MagneticConfig.from_field(2.0, 3)
+    bs = structure_factory(two_step, named, 20)
+    relabeled = make_potential(two_step, label="renamed")
+    assert [repr(k) for k in k_eval(relabeled, MagneticConfig(
+        a=named.a, N=3), lams, bs).tolist()] \
+        == [repr(k) for k in k_eval(two_step, named, lams, bs).tolist()]
 
 
 def test_k_at_edges_and_critical(two_step, structure_factory):

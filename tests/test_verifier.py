@@ -31,9 +31,11 @@ def test_height_mass_gap_passes_open_even_gap(zero_q, structure_factory,
                if "degenerate" not in r.name)
 
 
-def test_height_mass_gap_degenerate_rows_trivial(zero_q, structure_factory):
-    bs = structure_factory(zero_q, MagneticConfig(a=0.0), 6)
-    rep = check_height_mass_gap(bs)
+def test_height_mass_gap_degenerate_rows_trivial(zero_q, structure_factory,
+                                                mass_factory):
+    cfg = MagneticConfig(a=0.0)
+    bs = structure_factory(zero_q, cfg, 6)
+    rep = check_height_mass_gap(bs, mass_factory(zero_q, cfg, 6))
     deg = [r for r in rep.records if "degenerate" in r.name]
     assert {r.n for r in deg} == {2, 4, 6}
     assert all(r.passed for r in deg)
@@ -60,9 +62,11 @@ def test_first_open_gap_mass_bound(two_step, structure_factory,
     assert rec[0].n == 1 and rec[0].passed
 
 
-def test_scaled_variables_attached(two_step, structure_factory):
-    bs = structure_factory(two_step, MagneticConfig(a=0.9), 4)
-    rep = check_height_mass_gap(bs)
+def test_scaled_variables_attached(two_step, structure_factory,
+                                  mass_factory):
+    cfg = MagneticConfig(a=0.9)
+    bs = structure_factory(two_step, cfg, 4)
+    rep = check_height_mass_gap(bs, mass_factory(two_step, cfg, 4))
     rec = next(r for r in rep.records if r.n == 1 and r.extras)
     keys = dict(rec.extras)
     # the scaled variables reproduce their defining identities
