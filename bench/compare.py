@@ -38,6 +38,9 @@ PROBE_SEED = 1
 GRID_SEED = 1
 # the zero-potential masses, fields of a MassTable in older checkouts
 _OLD_FIELDS = ("bare_mu0", "bare_plus", "bare_minus")
+# the edge slopes of a structure, which older checkouts do not keep;
+# the mass tables, read from them, are compared instead
+_NEW_FIELDS = ("slopes",)
 
 
 def _leaves(x, path: str, out: dict) -> dict:
@@ -45,14 +48,16 @@ def _leaves(x, path: str, out: dict) -> dict:
     repr of anything else); dataclasses without their inputs q and cfg
     and without the zero-potential masses bare_mu0, bare_plus and
     bare_minus (fields of MassTable in older checkouts, which no longer
-    holds them), and with flat_bands where they have it (a field of
+    holds them) or the edge slopes (a field of BandStructure that older
+    checkouts lack), and with flat_bands where they have it (a field of
     BandStructure in older checkouts, a property solved on first read
     since); any sequence but a string item by item, as a tuple (the
     records of an InequalityReport are a tuple in older checkouts, a
     read-only view since)."""
     if dataclasses.is_dataclass(x):
         fields = {f.name: getattr(x, f.name) for f in dataclasses.fields(x)
-                  if f.name not in ("q", "cfg", *_OLD_FIELDS)}
+                  if f.name not in ("q", "cfg", *_OLD_FIELDS,
+                                    *_NEW_FIELDS)}
         if hasattr(x, "flat_bands"):
             fields["flat_bands"] = x.flat_bands
         x = fields

@@ -54,10 +54,17 @@ quantities:
 Beside the timings, `counts` holds the comb engine's work per gap for
 the two-step potential at a = 0.9 and n_max 20, 200, 2000 and 20000:
 the lambdas at which the monodromy jet is evaluated, counted by wrapping
-`monodromy.transfer`, split into critical points (the order-2 lambdas of
-`band_structure` without flat bands), edges (its order-1 lambdas: f at
-the critical points, the lowest edge and both edges of every open gap)
-and Dirichlet roots (`dirichlet_spectrum`), each over n_max.  Every
+`monodromy.transfer`, each over n_max, by stage of a `band_structure`
+without flat bands plus its `effective_masses`, and by the order the
+jet is asked for (`<stage>.order_1`, `<stage>.order_2`).  The stages
+are the critical scan (`scan`), the critical solve (`critical_solve`),
+f at the critical points where it is evaluated apart from that solve
+(`f_at_criticals`), the leftward expansion and solve of the lowest
+edge (`lowest_edge`), the solve of both edges of every open gap
+(`gap_edges`) and the mass table (`effective_masses`); they are told
+apart by wrapping the root engine's private `_scan_array`,
+`_solve_all`, `expand_left` and, in older checkouts, `_critical_all`.
+`dirichlet` counts the Dirichlet roots (`dirichlet_spectrum`).  Every
 round counts them again and the run stops if they differ.
 
 The file also records the processor count and the Python and numpy
@@ -75,6 +82,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import inspect
 import json
 import math
@@ -167,14 +175,21 @@ def _with_flat(bs):
     return bs
 
 
-def _cases(src: str) -> dict:
-    """name -> (unit, fn) for the package in src, fn(clock) returning one
-    sample timed with the clock of that name."""
+def _cases(nanoband, src: str) -> dict:
+    """name -> (unit, fn) for the package module nanoband, imported from
+    src (the subprocess cases import it from there by its own name), fn
+    (clock) returning one sample timed with the clock of that name.  The
+    submodules are those of the same package, whatever its name (see
+    bench/ab.py)."""
     import numpy as np
-    import nanoband
-    from nanoband.cli import main as cli_main
-    from nanoband.floquet_oracle import cross_validate
-    from nanoband.monodromy import dirichlet_spectrum, transfer
+
+    def sub(name):
+        return importlib.import_module(f"{nanoband.__name__}.{name}")
+
+    cli_main = sub("cli").main
+    cross_validate = sub("floquet_oracle").cross_validate
+    dirichlet_spectrum = sub("monodromy").dirichlet_spectrum
+    transfer = sub("monodromy").transfer
 
     two_step = nanoband.make_potential("two-step")
     cfg = nanoband.MagneticConfig(a=0.9)
@@ -311,36 +326,75 @@ def _sector_verdict(nanoband, bs, mt) -> bool:
                            nanoband.check_merged_band_bound(bs, mt)))
 
 
+# the stages of a structure build that _counts tells apart, and the
+# stage of a _solve_all phase by the last part of its `what`
+STAGES = ("scan", "critical_solve", "f_at_criticals", "lowest_edge",
+          "gap_edges", "effective_masses")
+SOLVE_STAGES = {"critical point": "critical_solve",
+                "lowest edge": "lowest_edge", "gap edge": "gap_edges"}
+
+
 def _counts() -> dict:
-    """Jet lambdas per gap of the comb engine (see the module docstring),
-    counted through a wrapper of monodromy.transfer."""
+    """Jet lambdas per gap of the comb engine by stage and order (see
+    the module docstring), counted through a wrapper of
+    monodromy.transfer."""
     import numpy as np
     import nanoband
-    from nanoband import monodromy
+    from nanoband import _rootfind, monodromy
 
     two_step = nanoband.make_potential("two-step")
     cfg = nanoband.MagneticConfig(a=0.9)
-    transfer = monodromy.transfer
+    stage = ["other"]
     seen = {}
 
+    def staged(fn, name_of):
+        def wrapper(*args, **kwargs):
+            stage.append(name_of(*args))
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stage.pop()
+        return wrapper
+
     def counted(q, lam, order=2):
-        seen[order] = seen.get(order, 0) + np.size(lam)
+        key = (stage[-1], order)
+        seen[key] = seen.get(key, 0) + np.size(lam)
         return transfer(q, lam, order)
 
+    transfer = monodromy.transfer
+    patches = [(monodromy, "transfer", counted)]
+    for name, name_of in (
+            ("_scan_array", lambda *a: "scan"),
+            ("_solve_all", lambda *a: SOLVE_STAGES.get(
+                a[6].rsplit(": ", 1)[-1], "other")),
+            ("expand_left", lambda *a: "lowest_edge"),
+            ("_critical_all", lambda *a: "f_at_criticals")):
+        if hasattr(_rootfind, name):
+            patches.append((_rootfind, name,
+                            staged(getattr(_rootfind, name), name_of)))
+    saved = [(mod, name, getattr(mod, name)) for mod, name, _ in patches]
     out = {}
-    monodromy.transfer = counted
+    for mod, name, fn in patches:
+        setattr(mod, name, fn)
     try:
         for n in COUNT_DEPTHS:
             seen.clear()
-            nanoband.band_structure(two_step, cfg, n)
-            crit, edges = seen.get(2, 0), seen.get(1, 0)
+            bs = nanoband.band_structure(two_step, cfg, n)
+            stage.append("effective_masses")
+            nanoband.effective_masses(bs)
+            stage.pop()
+            keys = [(part, order) for part in STAGES for order in (1, 2)]
+            keys += sorted(k for k in seen if k[0] == "other")
+            for part, order in keys:
+                out[f"evals_per_gap.n_max_{n}.{part}.order_{order}"] = (
+                    seen.get((part, order), 0) / n)
             seen.clear()
             monodromy.dirichlet_spectrum(two_step, n)
-            for part, lams in (("criticals", crit), ("edges", edges),
-                               ("dirichlet", sum(seen.values()))):
-                out[f"evals_per_gap.n_max_{n}.{part}"] = lams / n
+            out[f"evals_per_gap.n_max_{n}.dirichlet"] = (
+                sum(seen.values()) / n)
     finally:
-        monodromy.transfer = transfer
+        for mod, name, fn in saved:
+            setattr(mod, name, fn)
     return out
 
 
@@ -349,7 +403,9 @@ def _round(src: str) -> dict:
     wall-clock sample of each and the best of BEST_OF process-time
     samples, then the counts."""
     sys.path.insert(0, src)
-    cases = _cases(src)
+    import nanoband
+
+    cases = _cases(nanoband, src)
     for _, fn in cases.values():
         fn("wall")
     return {"units": {name: unit for name, (unit, _) in cases.items()},

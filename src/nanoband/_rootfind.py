@@ -19,9 +19,10 @@ for a sign change at the ends of a window, then at samples across it,
 then in windows widened around a preferred point.  A structure
 describes each phase of its search as arrays of brackets, one lane per
 gap or edge, for one evaluator f that maps a float to a tuple of floats
-and a float64 array to a tuple of arrays: _critical_all (critical
-points), _roots_all (the zero nearest a guess, solved from the guess)
-and _solve_all (zeros on known brackets, from optional starts).
+and a float64 array to a tuple of arrays: _roots_all (the zero nearest
+a guess, solved from the guess, which finds the critical points with
+the pick _slope) and _solve_all (zeros on known brackets, from optional
+starts).
 
 Every scan runs all lanes of its phase at once on arrays (_scan_array).
 One rule, _lockstep, picks floats or arrays for the rest, from the
@@ -48,14 +49,23 @@ raise the same RootBracketError, that of the lowest failing lane.
 
 comb_roots takes its inputs as arrays: the critical windows of every
 gap and a start for every gap-edge solve.  Every root it returns
-leaves through _solve_all: the critical points, the lowest edge (a
-phase of one lane, index 0, entered through solve_bracketed) and the
-gap edges, whose solves share one edge function, _edge.  It reads f''
-only in the solve for the critical points; its edge evaluator fdf
-returns (f, f') alone, the same numbers as the first two of f, and
-serves f at the critical points, the lowest edge and the gap edges, so
-the structures ask the monodromy jet for order 1 there and skip its
-second derivative.  The point where the leftward expansion for the
+leaves through _solve_all together with the evaluator's values there:
+the critical points, the lowest edge (a phase of one lane, index 0,
+entered through solve_bracketed) and the gap edges, whose solves share
+one edge function, _edge.  A root's values are those of the solve step
+that evaluated it: the last one, or the one before when the last
+polish step cycles back onto that point by an ulp.  A root that is a
+bracket end, or that the last polish step moved to a new point, is
+evaluated once more (on the array engine, in one _eval call of every
+such root of the phase).  Only the critical-point solve reads f''.
+The edge evaluator fdf returns (f, f') alone, the same numbers as the
+first two of f: the critical scan reads the sign of f' from it, and the
+lowest edge and the gap edges are solved with it, so the structures ask
+the monodromy jet for order 2 in the critical solve alone.  f at the
+critical points, which sets the heights and the edge brackets, is the
+critical solve's value, and f' at the edges, kept as CombRoots.slopes
+for the effective masses, is the edge solves' value: neither costs an
+evaluation of its own.  The point where the leftward expansion for the
 lowest edge stops is evaluated once: its value is a bracket end of its
 phase.  band_structure passes the zero-potential edges shifted by q0 as
 starts, which lie O(1/n) from the edges, so a deep edge takes 3-4
@@ -158,10 +168,11 @@ class RootBracketError(RuntimeError):
         super().__init__(msg)
 
 
-def _solve_one(g, lo, hi, flo, fhi, what, index, start):
+def _solve_one(f, pick, what, i, lo, hi, flo, fhi, start):
     """Safeguarded Newton/bisection solve of g(x) = 0 on [lo, hi], whose
-    ends have the values flo, fhi, where g(x) is (g(x), g'(x)) for a
-    float x (g' may be None: pure bisection).
+    ends have the values flo, fhi, where pick(f(x), i) is (g(x), g'(x))
+    for a float x (g' may be None: pure bisection); returns the root and
+    f there.
 
     The solve starts at `start` if it lies strictly inside (lo, hi) and
     at the midpoint otherwise (nan: always the midpoint).  As in rtsafe
@@ -174,25 +185,28 @@ def _solve_one(g, lo, hi, flo, fhi, what, index, start):
     POLISH_STEPS unguarded Newton steps push the root to machine
     accuracy, stopping at a step that no longer moves it.  No point is
     evaluated twice in a row: the first polish step reads the values at
-    the last iterate, and the last one evaluates nothing.  The bracket
-    sign invariant is maintained throughout the main loop.  A bracket
-    without a sign change raises RootBracketError(what, index)."""
+    the last iterate, and the last one evaluates nothing.  f at the root
+    comes from the evaluation of that point: the last one, or the one
+    before when the last polish step cycles back onto it; f is evaluated
+    once more only when the root is a bracket end or the last polish
+    step moved it to a new point.  The bracket sign invariant is
+    maintained throughout the main loop.  A bracket without a sign
+    change raises RootBracketError(what, i)."""
     if flo == 0.0:
-        return lo
+        return lo, f(lo)
     if fhi == 0.0:
-        return hi
+        return hi, f(hi)
     if (flo > 0) == (fhi > 0):
-        raise RootBracketError(f"{what}: no sign change on [{lo}, {hi}]",
-                               index)
+        raise RootBracketError(f"{what}: no sign change on [{lo}, {hi}]", i)
     lo_pos = flo > 0
 
     x = start if lo < start < hi else 0.5 * (lo + hi)
-    fx, dfx = g(x)
+    fx, dfx = pick(v := f(x), i)
     dx_old = abs(hi - lo)
     dx = dx_old
     for _ in range(SOLVE_MAXITER):
         if fx == 0.0:
-            return x
+            return x, v
         if lo_pos == (fx > 0):
             lo = x
         else:
@@ -210,19 +224,26 @@ def _solve_one(g, lo, hi, flo, fhi, what, index, start):
         tol = SOLVE_XTOL * max(1.0, abs(x_new))
         if x_new != x:  # (fx, dfx) at x are in hand otherwise
             x = x_new
-            fx, dfx = g(x)
+            fx, dfx = pick(v := f(x), i)
         if abs(dx) < tol or hi - lo < tol:
             break
-    for i in range(POLISH_STEPS):
+    prev = x, v  # the point evaluated before x, and f there
+    for k in range(POLISH_STEPS):
         if not dfx:
             break
         step = fx / dfx
         if abs(step) > 1e-3 * max(1.0, abs(x)) or x - step == x:
             break
+        if k == POLISH_STEPS - 1:
+            # the last step evaluates nothing; f at the root is in hand
+            # when it cycles back onto the point before x (by an ulp; a
+            # nonzero float equal to another has its bits)
+            x -= step
+            return x, prev[1] if x == prev[0] != 0.0 else f(x)
+        prev = x, v
         x -= step
-        if i < POLISH_STEPS - 1:
-            fx, dfx = g(x)
-    return x
+        fx, dfx = pick(v := f(x), i)
+    return x, v
 
 
 def expand_left(f: Callable[[float], float], start: float, step: float,
@@ -241,23 +262,27 @@ def expand_left(f: Callable[[float], float], start: float, step: float,
 
 
 def _solve_all(f: Callable, pick: Callable, lo, hi, flo, fhi, what: str,
-               index, start=None, pieces: int = 1) -> np.ndarray:
+               index, start=None, pieces: int = 1
+               ) -> tuple[np.ndarray, tuple]:
     """The zero of g_i in each bracket [lo[i], hi[i]] whose ends have the
     values flo[i], fhi[i] (float64 arrays), where pick(f(x), index[i]) is
     (g_i(x), g_i'(x)) for the int array index; solved as _solve_one
     does from start[i] (a float64 array, or None: every lane from its
     midpoint), one lane at a time by _solve_one where the lane rule
     _lockstep leaves the lanes on floats for a potential of `pieces`
-    pieces, and by _solve_array otherwise.  A bracket without a sign
-    change raises RootBracketError(what, index[i]) for the lowest such
-    i."""
+    pieces, and by _solve_array otherwise.  Returns the roots and f at
+    them, as _eval returns it: on both engines the values of the step
+    that evaluated the root, and one more evaluation for the roots that
+    are a bracket end or that the last polish step moved to a new point
+    (see _solve_one).  A bracket without a sign change raises
+    RootBracketError(what, index[i]) for the lowest such i."""
     if start is None:
         start = np.full(lo.shape, math.nan)
     if not _lockstep(lo.size, pieces):
-        return np.array([
-            _solve_one(lambda x, i=i: pick(f(x), i), a, b, fa, fb, what, i, x0)
-            for i, a, b, fa, fb, x0 in zip(*(v.tolist() for v in (
-                index, lo, hi, flo, fhi, start)))])
+        out = [_solve_one(f, pick, what, *lane) for lane in zip(*(
+            v.tolist() for v in (index, lo, hi, flo, fhi, start)))]
+        return (np.array([x for x, _ in out]),
+                tuple(map(np.array, zip(*(v for _, v in out)))))
     bad = np.flatnonzero((flo != 0.0) & (fhi != 0.0)
                          & ((flo > 0) == (fhi > 0)))
     if bad.size:
@@ -269,40 +294,40 @@ def _solve_all(f: Callable, pick: Callable, lo, hi, flo, fhi, what: str,
 
 
 def solve_bracketed(fdf: Callable, lo: float, hi: float, flo: float,
-                    fhi: float, what: str, pieces: int = 1) -> float:
-    """The lowest edge: the zero of f - 1 (the edge function _edge at
-    n = 0) on [lo, hi], whose ends have the values flo, fhi of f - 1,
-    where fdf(x) is (f, f', ...); a one-lane _solve_all phase of index 0
-    from the midpoint.  It has a public name of its own because the
-    per-layer tracer of perfbench/ times the package's public functions:
-    rootfind.solve_calls and rootfind.solve_evals count these solves."""
-    lane = (np.array([v]) for v in (lo, hi, flo, fhi))
-    return float(_solve_all(fdf, _edge, *lane, what, np.zeros(1, dtype=int),
-                            None, pieces)[0])
+                    fhi: float, what: str, pieces: int = 1
+                    ) -> tuple[float, tuple]:
+    """The lowest edge and fdf there: the zero of f - 1 (the edge
+    function _edge at n = 0) on [lo, hi], whose ends have the values
+    flo, fhi of f - 1, where fdf(x) is (f, f', ...); a one-lane
+    _solve_all phase of index 0 from the midpoint.  It has a public name
+    of its own because the per-layer tracer of perfbench/ times the
+    package's public functions: rootfind.solve_calls and
+    rootfind.solve_evals count these solves."""
+    root, vals = _solve_all(fdf, _edge, *np.array([[lo], [hi], [flo], [fhi]]),
+                            what, np.zeros(1, dtype=int), None, pieces)
+    return float(root[0]), tuple(float(v[0]) for v in vals)
 
 
-def _roots_all(f: Callable, pick: Callable, lo, hi, prefer, what: str,
-               index, pieces: int = 1) -> np.ndarray:
-    """The zero of g_i nearest prefer[i] in [lo[i], hi[i]] for each i
-    (arguments as for _solve_all): _scan_array finds the brackets and
-    _solve_all solves them, each lane from prefer[i] if that lies inside
-    its bracket.  If the scans of some lanes fail, the lowest one's
-    RootBracketError is raised."""
-    *bracket, failed = _scan_array(f, lambda v, i: pick(v, i)[0], lo, hi,
+def _roots_all(scan: Callable, f: Callable, pick: Callable, lo, hi, prefer,
+               what: str, index, pieces: int = 1) -> tuple[np.ndarray, tuple]:
+    """The zero of g_i nearest prefer[i] in [lo[i], hi[i]] for each i,
+    and f there (arguments and result as for _solve_all): _scan_array
+    finds the brackets, reading pick(scan(x), index[i])[0], where the
+    evaluator scan gives g_i as f does, and _solve_all solves them, each
+    lane from prefer[i] if that lies inside its bracket.  If the scans of
+    some lanes fail, the lowest one's RootBracketError is raised."""
+    *bracket, failed = _scan_array(scan, lambda v, i: pick(v, i)[0], lo, hi,
                                    prefer, index, pieces)
     if failed.size:
         raise RootBracketError(what, int(index[failed[0]]))
     return _solve_all(f, pick, *bracket, what, index, prefer, pieces)
 
 
-def _critical_all(f: Callable, fdf: Callable, lo, hi, prefer, what: str,
-                  index, pieces: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """x and f(x) at the zero x of f' nearest prefer[i] in [lo[i], hi[i]]
-    for each i (as _roots_all), for an evaluator f returning
-    (f, f', f''); f(x) is read from fdf, which returns (f, f') alone."""
-    xs = _roots_all(f, lambda v, i: (v[1], v[2]), lo, hi, prefer, what,
-                    index, pieces)
-    return xs, _eval(fdf, xs, pieces)[0]
+def _slope(v, i):
+    """pick for a critical point, the zero of f': (f', f'') from the
+    values v = (f, f', f'') of the solve, (f',) from the values (f, f')
+    of a scan, which reads the first alone."""
+    return v[1:]
 
 
 def _eval(f, x, pieces: int = 1):
@@ -396,17 +421,27 @@ def _solve_array(f, pick, lo, hi, flo, fhi, index, start, pieces):
     Newton/bisection steps up to SOLVE_MAXITER and polish steps above
     it; a converged lane jumps to SOLVE_MAXITER, or one past it when its
     converging step left x in place and so took the first polish step
-    too.  Divisions by
-    g' = 0 are masked where Python would not reach them, and overflow to
-    inf or nan stays silent as with floats."""
+    too.  Divisions by g' = 0 are masked where Python would not reach
+    them, and overflow to inf or nan stays silent as with floats.  Every
+    step writes its points and f there into one of two slots, by its
+    parity, so a lane's last two steps are in hand: a root equal to
+    either point keeps f there (not at 0.0, which equals -0.0), and the
+    other roots get f from one _eval call of them all at the end."""
     root = np.where(flo == 0.0, lo, hi)
     live = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
     a, b, lo_pos = lo[live], hi[live], flo[live] > 0
     x = _start(a, b, start[live])
     dx = dx_old = np.abs(b - a)
     k = np.zeros(live.size, dtype=np.intp)
+    slots, odd = [], 0  # [x, *f] per slot; x is nan where never written
     while live.size:
-        fx, dfx = pick(_eval(f, x, pieces), index[live])
+        v = _eval(f, x, pieces)
+        slots = slots or [[np.full(lo.size, math.nan)]
+                          + [np.empty(lo.size) for _ in v] for _ in range(2)]
+        for col, c in zip(slots[odd], (x, *v)):
+            col[live] = c
+        odd ^= 1
+        fx, dfx = pick(v, index[live])
         main = k < SOLVE_MAXITER
         with np.errstate(over="ignore", invalid="ignore"):
             nz = dfx != 0.0
@@ -442,7 +477,17 @@ def _solve_array(f, pick, lo, hi, flo, fhi, index, start, pieces):
             keep = ~done
             live, a, b, lo_pos, x, dx, dx_old, k = (
                 v[keep] for v in (live, a, b, lo_pos, x, dx, dx_old, k))
-    return root
+    miss, vals = np.ones(lo.size, dtype=bool), []
+    for xs, *vs in slots:
+        hit = miss & (root == xs) & (root != 0.0)
+        vals = [np.where(hit, c, w) for c, w in zip(vs, vals or vs)]
+        miss &= ~hit
+    miss = np.flatnonzero(miss)
+    v = _eval(f, root[miss], pieces)  # no call of f when nothing is missing
+    vals = vals or [np.empty(lo.size) for _ in v]
+    for col, c in zip(vals, v):
+        col[miss] = c
+    return root, tuple(vals)
 
 
 def _start(lo, hi, start):
@@ -459,7 +504,12 @@ class CombRoots:
     n = 1..n_max (python index n-1); lambda0 is the lowest spectral point
     (the simple zero of f - 1 left of everything else).  heights[n-1] is
     arccosh((-1)^n f(critical[n-1])), clipped at 0.  Band n is
-    [plus_{n-1}, minus_n] with plus_0 = lambda0.
+    [plus_{n-1}, minus_n] with plus_0 = lambda0.  slopes holds f' at the
+    interlaced edges lambda0, minus_1, plus_1, minus_2, ... as their
+    solves evaluated it, 0.0 at both edges of a degenerate gap; the
+    effective masses are read from it.  heights and slopes are derived
+    from the edges and criticals: dataclasses.replace carries them along
+    unchanged.
     """
 
     lambda0: float
@@ -468,6 +518,7 @@ class CombRoots:
     critical: tuple[float, ...]
     degenerate: tuple[bool, ...]
     heights: tuple[float, ...]
+    slopes: tuple[float, ...]
     anomalies: tuple[str, ...]
 
     @property
@@ -561,9 +612,10 @@ def comb_roots(f: Callable, fdf: Callable, lo: np.ndarray, hi: np.ndarray,
     adjacent criticals, for gaps n = 1 .. n_max + 1 (n_max = lo.size - 1;
     the extra gap is a right anchor).  Every critical point is found
     first, then the lowest edge, then both edges of every open gap
-    together.  The edges read only (f, f'): fdf returns those two (the
-    same numbers as the first two of f) and serves every edge
-    evaluation, so an evaluator can skip f'' there.  edge_seeds is an
+    together.  The critical scan and the edges read only (f, f'): fdf
+    returns those two (the same numbers as the first two of f) and
+    serves every evaluation but those of the critical solve, so an
+    evaluator can skip f'' there.  edge_seeds is an
     (n_max, 2) array of guesses (minus_n, plus_n) at the edges of gap n
     in row n - 1: each edge solve starts there when the guess lies
     inside its bracket [crit_{n-1}, crit_n] or [crit_n, crit_{n+1}] and
@@ -573,11 +625,12 @@ def comb_roots(f: Callable, fdf: Callable, lo: np.ndarray, hi: np.ndarray,
     the lane rule of every phase (_lockstep).
     """
     n_max = lo.size - 1
-    # critical points for gaps 1 .. n_max+1, with f there: it sets the
-    # heights and the bracket ends of the edges
+    # critical points for gaps 1 .. n_max+1, with f there (the solve's
+    # own value): it sets the heights and the bracket ends of the edges;
+    # the scan reads the sign of f' from fdf
     ns = np.arange(1, n_max + 2)
-    crit, fcrit = _critical_all(f, fdf, lo, hi, 0.5 * (lo + hi),
-                                f"{what}: critical point", ns, pieces)
+    crit, (fcrit, *_) = _roots_all(fdf, f, _slope, lo, hi, 0.5 * (lo + hi),
+                                   f"{what}: critical point", ns, pieces)
 
     # lowest edge: the edge function at n = 0, f - 1, is zero on
     # (-inf, crit_1); a one-lane phase from the point the expansion found
@@ -585,8 +638,8 @@ def comb_roots(f: Callable, fdf: Callable, lo: np.ndarray, hi: np.ndarray,
     left, fleft = expand_left(lambda x: fdf(x)[0] - 1.0,
                               min(lambda0_seed, float(crit[0])) - 0.25, 0.5,
                               what=f"{what}: lowest edge")
-    lam0 = solve_bracketed(fdf, left, crit[0], fleft, fcrit[0] - 1.0,
-                           f"{what}: lowest edge", pieces)
+    lam0, at0 = solve_bracketed(fdf, left, crit[0], fleft, fcrit[0] - 1.0,
+                                f"{what}: lowest edge", pieces)
 
     # heights and degeneracy from d_n = (-1)^n f(crit_n) - 1
     t = _parity(ns)
@@ -600,7 +653,7 @@ def comb_roots(f: Callable, fdf: Callable, lo: np.ndarray, hi: np.ndarray,
     # rounding, and the solvers read only the sign of -f(lam0) - 1 and
     # whether it is zero
     below = np.concatenate(([lam0], crit)), np.concatenate(([1.0], fcrit))
-    roots = _solve_all(
+    roots, at_roots = _solve_all(
         fdf, _edge, *(np.column_stack(pair).ravel() for pair in (
             (below[0][g], crit[g]), (crit[g], crit[g + 1]),
             (t[g] * below[1][g] - 1.0, d[g]),
@@ -614,6 +667,10 @@ def comb_roots(f: Callable, fdf: Callable, lo: np.ndarray, hi: np.ndarray,
     minus[g[wide]], plus[g[wide]] = lo[wide], hi[wide]
     degenerate = np.ones(n_max, dtype=bool)
     degenerate[g[wide]] = False
+    # f' at both edges of every open gap, from the edge solves
+    slopes = np.zeros((n_max, 2))
+    if g.size:  # (no lane, no values)
+        slopes[g[wide]] = at_roots[1].reshape(-1, 2)[wide]
 
     notes = [(n, f"(-1)^{n} f at critical point {n} is {1.0 + d[n - 1]:.3e}"
                  " < 1") for n in (np.flatnonzero(d < -1e-9) + 1).tolist()]
@@ -622,6 +679,7 @@ def comb_roots(f: Callable, fdf: Callable, lo: np.ndarray, hi: np.ndarray,
     return CombRoots(lam0, tuple(minus.tolist()), tuple(plus.tolist()),
                      tuple(crit[:n_max].tolist()),
                      tuple(degenerate.tolist()), heights,
+                     (at0[1], *slopes.ravel().tolist()),
                      tuple(note for _, note in sorted(notes,
                                                       key=lambda p: p[0])))
 

@@ -5,7 +5,11 @@ modified discriminant,
 
     mu_n^{+-} = -(-1)^n xi'(edge) = -(-1)^n F'(edge) / c,
 
-with mu = 0 at degenerate gaps by convention.  The verification
+with mu = 0 at degenerate gaps by convention.  xi' at the edges is the
+value the edge solves of band_structure evaluated there
+(BandStructure.slopes), so a mass table costs no jet call; the sign
+flip is exact, so the masses are those of F' evaluated at the edges
+anew, bit for bit.  The verification
 operations check, numerically and with explicit tail handling:
 
   * the trace identity  mu_0 + sum_n (mu_n^+ + mu_n^-) = 2;
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectrum as _spec
-from ._rootfind import _eval, _parity
+from ._rootfind import _parity
 from .potential import PotentialSpec
 from .spectrum import (BandStructure, MagneticConfig, bare_edge,
                        bare_edge_z, d2F0, _sin2z_over_z)
@@ -82,24 +86,15 @@ class MassTable:
 
 
 def effective_masses(bs: BandStructure) -> MassTable:
-    """The masses of bs, from the exact discriminant derivative at every
-    open-gap edge; zeros at degenerate gaps."""
-    q, cfg = bs.q, bs.cfg
-    c = cfg.c_abs
+    """The masses of bs, read without a jet call from xi' at its edges
+    as the edge solves of band_structure evaluated it (bs.slopes, the
+    exact discriminant derivative); zeros at degenerate gaps."""
     g = np.flatnonzero(~np.array(bs.degenerate))  # open gaps, as n - 1
-    edges = np.column_stack((np.array(bs.plus)[g], np.array(bs.minus)[g]))
-    # F' at every edge in one array call (_eval).  At the 4801 edges of a
-    # 2400-gap one-piece structure that raised the allocation peak from
-    # 0.48 MB (512-edge pieces) to 0.72 MB (tracemalloc) and was no
-    # slower (best of 9, process time: 2.0-2.8 ms against 2.6-4.0 ms)
-    d1 = _eval(lambda x: _spec.F_with_derivs(q, x, 1),
-               np.concatenate(([bs.lambda0], edges.ravel())),
-               len(q.pieces))[1]
-    mu = np.zeros((bs.n_max, 2))  # columns plus, minus
-    mu[g] = -_parity(g + 1)[:, None] * d1[1:].reshape(-1, 2) / c
-    return MassTable(q=q, cfg=cfg, mu0=float(-d1[0] / c),
-                     plus=tuple(mu[:, 0].tolist()),
-                     minus=tuple(mu[:, 1].tolist()))
+    mu = np.zeros((bs.n_max, 2))  # columns minus, plus
+    mu[g] = -_parity(g + 1)[:, None] * np.reshape(bs.slopes[1:], (-1, 2))[g]
+    return MassTable(q=bs.q, cfg=bs.cfg, mu0=-bs.slopes[0],
+                     plus=tuple(mu[:, 1].tolist()),
+                     minus=tuple(mu[:, 0].tolist()))
 
 
 def _check_table(bs: BandStructure, mt: MassTable) -> None:

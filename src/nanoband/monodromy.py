@@ -315,6 +315,6 @@ def dirichlet_spectrum(q: PotentialSpec, n_max: int) -> tuple[float, ...]:
     z = math.pi * (np.arange(1, n_max + 2) - 0.5)
     w = z * z + q0
     prefer = np.array([(math.pi * n) ** 2 + q0 for n in range(1, n_max + 1)])
-    return tuple(_roots_all(f, lambda v, n: v, w[:-1], w[1:], prefer,
+    return tuple(_roots_all(f, f, lambda v, n: v, w[:-1], w[1:], prefer,
                             "dirichlet root", np.arange(1, n_max + 1),
-                            len(q.pieces)).tolist())
+                            len(q.pieces))[0].tolist())

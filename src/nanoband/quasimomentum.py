@@ -34,6 +34,15 @@ from .potential import PotentialSpec
 from .spectrum import BandStructure, MagneticConfig
 
 
+def _finite(values: list[float], what: str) -> list[float]:
+    """values, or ValueError naming the first one that is not finite; one
+    pass over them."""
+    if not all(map(math.isfinite, values)):
+        bad = next(x for x in values if not math.isfinite(x))
+        raise ValueError(f"{what} must be finite, got {bad}")
+    return values
+
+
 def k_eval(q: PotentialSpec, cfg: MagneticConfig, lam: float | np.ndarray,
            bs: BandStructure | None = None) -> complex | np.ndarray:
     """Quasimomentum at real lam; complex on gaps and below the spectrum.
@@ -43,11 +52,12 @@ def k_eval(q: PotentialSpec, cfg: MagneticConfig, lam: float | np.ndarray,
     a time, bit for bit, see monodromy), then the comb branch point by
     point.  Without bs, a structure deep enough to cover every lam is
     built; a given bs must be a structure of (q, cfg).  Raises
-    ValueError for a bs of another potential or sector, where xi is off
+    ValueError for a lam that is not finite, for a bs of another
+    potential or sector, where xi is off
     the comb branch by more than the clamp tolerance plus the edge
     resolution at lam, and monodromy._JetOverflowError (a ValueError)
     naming the lowest lam where xi or xi' is not a finite float."""
-    pts = np.atleast_1d(lam).tolist()
+    pts = _finite(np.atleast_1d(lam).tolist(), "lambda")
     if bs is None:
         bs = _spec.band_structure(q, cfg, _depth_for(max(pts), q.q0))
     elif not _spec._is_structure_of(bs, q, cfg):
@@ -89,9 +99,10 @@ def verify_deep_asymptotics(q: PotentialSpec, cfg: MagneticConfig,
 
     The candidates differ in their c-dependence, so running this at two
     magnetic phases separates them; the residual column uses the resolved
-    constant and should decay ~ 1/y^2.
+    constant and should decay ~ 1/y^2.  The y values must be finite and
+    positive, and there must be at least one; ValueError otherwise.
     """
-    ys = tuple(sorted(float(y) for y in y_values))
+    ys = tuple(sorted(_finite([float(y) for y in y_values], "y values")))
     if not ys or ys[0] <= 0.0:
         raise ValueError("y values must be positive")
     c = cfg.c_abs
@@ -147,10 +158,12 @@ class KprimeSquaredReport:
 def verify_kprime_squared(q: PotentialSpec, cfg: MagneticConfig,
                           lambdas) -> KprimeSquaredReport:
     """Evaluate lambda^2 (k'^2 - 1/lambda) at the given (very negative)
-    lambdas; k'^2 = xi'^2 / (1 - xi^2) by the exact chain rule."""
-    lams = tuple(sorted(float(x) for x in lambdas))
-    if lams[-1] >= 0.0:
-        raise ValueError("test lambdas must be negative")
+    lambdas; k'^2 = xi'^2 / (1 - xi^2) by the exact chain rule.  The
+    lambdas must be finite and negative, and there must be at least one;
+    ValueError otherwise."""
+    lams = tuple(sorted(_finite(list(map(float, lambdas)), "test lambdas")))
+    if not lams or lams[-1] >= 0.0:
+        raise ValueError("test lambdas must be negative, and one at least")
     vals = []
     xs, d1s = _spec._xi_finite(q, cfg, np.array(lams), 1)
     for lam, v, d1 in zip(lams, xs.tolist(), d1s.tolist()):

@@ -26,8 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from . import monodromy
-from ._rootfind import (CombRoots, _critical_all, _solve_all, comb_roots,
-                        expand_left)
+from ._rootfind import (CombRoots, _roots_all, _slope, _solve_all,
+                        comb_roots, expand_left)
 from .potential import PotentialSpec
 
 #: Below this |cos a_j| the operator is in the pure-point regime and xi
@@ -199,7 +199,9 @@ def _xi_eff(q: PotentialSpec, cfg: MagneticConfig, lam: float | np.ndarray,
     if jet is None:
         jet = monodromy.transfer(q, lam, order)
     f = _F_jet(jet, order)
-    return ((f[0] + cfg.s_j ** 2) / c, *[x / c for x in f[1:]])
+    v = (f[0] + cfg.s_j ** 2) / c
+    return ((v, f[1] / c, f[2] / c) if order == 2
+            else (v, f[1] / c) if order else (v,))
 
 
 def _xi_finite(q: PotentialSpec, cfg: MagneticConfig,
@@ -340,8 +342,8 @@ def flat_spectrum(q: PotentialSpec, cfg: MagneticConfig,
     zr = 0.25 * math.pi * (2 * ns + 1)
     prefer = np.array([(0.5 * math.pi * n) ** 2 + q0
                        for n in range(1, count + 1)])
-    xs, fs = _critical_all(f, fdf, zl * zl + q0, zr * zr + q0, prefer,
-                           "flat locus critical", ns, len(q.pieces))
+    xs, (fs, *_) = _roots_all(fdf, f, _slope, zl * zl + q0, zr * zr + q0,
+                              prefer, "flat locus critical", ns, len(q.pieces))
     left, fleft = expand_left(lambda x: fdf(x)[0] + 1.0, float(xs[0]) - 0.25,
                               0.5, what="flat locus: leftmost root")
     xs = np.concatenate(([left], xs))
@@ -349,9 +351,9 @@ def flat_spectrum(q: PotentialSpec, cfg: MagneticConfig,
 
     # the root of F + 1 between anchors i and i + 1, where they bracket one
     lanes = np.flatnonzero((g[:-1] > 0) != (g[1:] > 0))
-    roots = _solve_all(fdf, lambda v, i: (v[0] + 1.0, v[1]), xs[lanes],
-                       xs[lanes + 1], g[lanes], g[lanes + 1],
-                       "flat locus root", lanes, pieces=len(q.pieces))
+    roots, _ = _solve_all(fdf, lambda v, i: (v[0] + 1.0, v[1]), xs[lanes],
+                          xs[lanes + 1], g[lanes], g[lanes + 1],
+                          "flat locus root", lanes, pieces=len(q.pieces))
     ceiling = diri[-1]
     return FlatSpectrum(dirichlet=diri,
                         f_locus=tuple(r for r in roots.tolist()

@@ -6,8 +6,10 @@ spectral oracle diagonalizes a finite-difference discretization, the
 Fourier oracle integrates by adaptive quadrature, and the mass oracle
 fits the dispersion curvature through the quasimomentum map alone.
 
-The four exceptions are bit-level references rather than independent
-oracles: `reference_jet`, the product of 2x2 tuples by `_mul`/`_add`
+The five exceptions are bit-level references rather than independent
+oracles: `reference_masses`, the mass table as `effective_masses`
+computed it before the edge solves kept xi' at the edges, from F'
+evaluated at every edge anew; `reference_jet`, the product of 2x2 tuples by `_mul`/`_add`
 that the fused loop of `monodromy.transfer` replaced, over the
 package's own per-piece factors, taken block by block as the jet takes
 it (`sequential_jet` is that product over one run of pieces);
@@ -38,11 +40,12 @@ from scipy.sparse.linalg import eigsh
 
 from nanoband._rootfind import (_BLOCK, MAX_DOUBLINGS, SCAN_SAMPLES,
                                 RootBracketError)
-from nanoband.masses import effective_masses
+from nanoband._rootfind import _parity
+from nanoband.masses import MassTable, effective_masses
 from nanoband.monodromy import _factor, _factor_batch, transfer
 from nanoband.potential import PotentialSpec, make_potential
 from nanoband.quasimomentum import k_eval
-from nanoband.spectrum import MagneticConfig, band_structure
+from nanoband.spectrum import F_with_derivs, MagneticConfig, band_structure
 from nanoband.verifier import GUARD_REL, CheckRecord, InequalityReport
 
 
@@ -182,6 +185,24 @@ def mass_from_curvature(q, cfg, bs, n: int, sign: int,
     ys = np.asarray(ys)
     slope, intercept = np.polyfit(xs, ys, 1)
     return float(intercept)
+
+
+def reference_masses(bs) -> MassTable:
+    """The mass table of bs from F' evaluated at lambda0 and at both
+    edges of every open gap in one array call, mu = -(-1)^n F' / c with
+    c = |c_j|, and zeros at degenerate gaps: effective_masses as it was
+    computed before the edge solves kept xi' at the edges."""
+    q, cfg = bs.q, bs.cfg
+    c = cfg.c_abs
+    g = np.flatnonzero(~np.array(bs.degenerate))  # open gaps, as n - 1
+    edges = np.column_stack((np.array(bs.plus)[g], np.array(bs.minus)[g]))
+    d1 = F_with_derivs(q, np.concatenate(([bs.lambda0], edges.ravel())),
+                       1)[1]
+    mu = np.zeros((bs.n_max, 2))  # columns plus, minus
+    mu[g] = -_parity(g + 1)[:, None] * d1[1:].reshape(-1, 2) / c
+    return MassTable(q=q, cfg=cfg, mu0=float(-d1[0] / c),
+                     plus=tuple(mu[:, 0].tolist()),
+                     minus=tuple(mu[:, 1].tolist()))
 
 
 def _mul(a, b):

@@ -5,10 +5,11 @@ reference bit for bit (`repr`), on floats and on arrays, also for piece
 counts that leave a short last block.  Against the exact product of the
 same float factors, the blocked product of a long potential errs on the
 scale of the sequential one, below the solver's step tolerance.
-Structures whose edges are solved
-with the order-1 evaluator `fdf` equal those solved with the full jet;
-f at the critical points comes from `fdf` too, and the point where the
-leftward expansion stops reaches the jet once."""
+Structures whose critical scan and edges are
+evaluated with the order-1 evaluator `fdf` equal those evaluated with
+the full jet; f at the critical points is the critical solve's own
+value, and the point where the leftward expansion stops reaches the jet
+once."""
 
 import math
 import random
@@ -206,27 +207,46 @@ def test_edges_from_order_one_equal_full_jet(depth, monkeypatch):
              (make_potential("three-step"), MagneticConfig(a=2.2)),
              (proj, MagneticConfig(a=0.4, N=4, j=3))]
     assert cases[1][1].c_j < 0 and cases[2][1].c_j < 0
-    orders = []
+    calls = []  # (lambda, order, inside a critical-point solve)
+    critical = [False]
     jet = monodromy.transfer
+    solve = _rootfind._solve_all
 
     def counted(q, lam, order=2):
-        orders.append(order)
+        calls.extend((x, order, critical[-1])
+                     for x in np.atleast_1d(lam).tolist())
         return jet(q, lam, order)
 
+    def solve_all(f, pick, lo, hi, flo, fhi, what, *args, **kwargs):
+        critical.append(what.endswith("critical point"))
+        try:
+            return solve(f, pick, lo, hi, flo, fhi, what, *args, **kwargs)
+        finally:
+            critical.pop()
+
     def build():
-        orders.clear()
+        calls.clear()
         structures = [band_structure(q, cfg, depth) for q, cfg in cases]
-        return ([repr((bs, bs.flat_bands)) for bs in structures],
-                orders.count(1), orders.count(2))
+        return [repr((bs, bs.flat_bands)) for bs in structures], calls[:]
 
     monkeypatch.setattr(monodromy, "transfer", counted)
-    with_fdf, order1, order2 = build()
+    monkeypatch.setattr(_rootfind, "_solve_all", solve_all)
+    with_fdf, calls_fdf = build()
     monkeypatch.setattr(spectrum, "comb_roots", _f_as_fdf)
-    without, order1_all, order2_all = build()
+    without, calls_all = build()
     assert with_fdf == without
-    # the edges moved from the full jet to order 1, call for call
-    assert 0 < order2 < order2_all
-    assert order1 - order1_all == order2_all - order2
+    # the same lambdas, call for call; with fdf only the critical-point
+    # solves ask for order 2, and every other comb evaluation (the
+    # critical scan, the lowest edge, the gap edges) moved from the full
+    # jet to order 1; the Dirichlet roots of the flat bands take order 1
+    # on both sides
+    assert [x for x, _, _ in calls_fdf] == [x for x, _, _ in calls_all]
+    assert all((order == 2) == crit for _, order, crit in calls_fdf)
+    moved = [(o1, o2) for (_, o1, _), (_, o2, _) in zip(calls_fdf, calls_all)
+             if o1 != o2]
+    assert moved and set(moved) == {(1, 2)}
+    assert len(moved) == (sum(o == 1 for _, o, _ in calls_fdf)
+                          - sum(o == 1 for _, o, _ in calls_all))
 
 
 @pytest.mark.parametrize("depth", [20, 100])
@@ -261,13 +281,44 @@ def _recorded(monkeypatch):
 
 
 @pytest.mark.parametrize("depth", [20, 100])
-def test_f_at_the_critical_points_is_read_at_order_one(depth, monkeypatch):
-    seen = _recorded(monkeypatch)
+def test_f_at_the_critical_points_comes_from_their_solve(depth, monkeypatch):
+    # F at a critical point is the critical solve's own value there, at
+    # order 2: read from the step that ended on the point, or from one
+    # more evaluation where the last polish step moved the root (back
+    # onto a point of an earlier step, when the polish oscillates by an
+    # ulp); never at order 1, and never after the critical solve
+    lams = []
+    jet = monodromy.transfer
+    solve = _rootfind._solve_all
+    solved = []
+
+    def recorded(q, lam, order=2):
+        lams.extend((x, order) for x in np.atleast_1d(lam).tolist())
+        return jet(q, lam, order)
+
+    def solve_all(f, pick, lo, hi, flo, fhi, what, *args, **kwargs):
+        out = solve(f, pick, lo, hi, flo, fhi, what, *args, **kwargs)
+        if what.endswith("critical point"):
+            solved.append(len(lams))
+        return out
+
+    monkeypatch.setattr(monodromy, "transfer", recorded)
+    monkeypatch.setattr(_rootfind, "_solve_all", solve_all)
     for q, cfg in ((make_potential("two-step"), MagneticConfig(a=0.9)),
                    (make_potential("three-step"), MagneticConfig(a=2.2))):
-        seen.clear()
+        lams.clear()
+        solved.clear()
         bs = band_structure(q, cfg, depth)
-        assert [seen[x, 1] for x in bs.critical] == [1] * depth
+        seen = Counter(lams)
+        assert all(seen[x, 2] in (1, 2) and not seen[x, 1]
+                   for x in bs.critical)
+        after = {x for x, _ in lams[solved[0]:]}
+        assert not after & set(bs.critical)
+        if depth < _LOCKSTEP_GAPS:
+            # one lane at a time: a lane's points are consecutive, and a
+            # root the solve ended on is not sent to the jet again
+            at = [i for i, (x, _) in enumerate(lams) if x in bs.critical]
+            assert all(lams[i] != lams[i + 1] for i in at)
 
 
 @pytest.mark.parametrize("kind", ["band structure", "flat spectrum"])

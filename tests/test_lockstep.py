@@ -193,7 +193,7 @@ def test_lockstep_raises_the_lowest_failing_lane_not_the_first_to_fail(
     lo = np.array([0.0, 1000.0, 2000.0, 3.0])
     idx = np.array([0, 5, 1, 3])
     assert _both(monkeypatch, lambda: _raised(lambda: _roots_all(
-        _line, _shifted, lo, lo + 1.0, lo + 0.5, "scan", idx))) \
+        _line, _line, _shifted, lo, lo + 1.0, lo + 0.5, "scan", idx))) \
         == ((RootBracketError, "scan (index 5)", 5),) * 2
     # solves: both edges of gap 7 fail (and an edge of gap 3 after them);
     # the lower edge of gap 7 is raised
@@ -207,8 +207,8 @@ def test_lockstep_raises_the_lowest_failing_lane_not_the_first_to_fail(
     lo = np.array([2.0, 0.0])
     idx = np.array([2, 0])
     _arrays(monkeypatch)
-    assert _roots_all(_line, _shifted, lo, lo + 1.0, lo + 0.5, "scan",
-                      idx).tolist() == [2.3, 0.3]
+    assert _roots_all(_line, _line, _shifted, lo, lo + 1.0, lo + 0.5,
+                      "scan", idx)[0].tolist() == [2.3, 0.3]
 
 
 def _cube(x):
@@ -237,8 +237,8 @@ def test_lockstep_keeps_at_most_the_lane_window_live(monkeypatch):
     count = 3 * WIDE + 7
     lo = np.arange(count, dtype=float) + 0.1 * (np.arange(count) % 5)
     idx = np.arange(count)
-    deep = _roots_all(fbatch, _cube_root_at, lo, lo + 1.0, lo + 0.5, "scan",
-                      idx)
+    deep, _ = _roots_all(fbatch, fbatch, _cube_root_at, lo, lo + 1.0,
+                         lo + 0.5, "scan", idx)
     arrays = [n for n in sizes if n is not None]
     widened = (count + 4) // 5 - 1
     assert arrays[:3] == [2 * count, 7 * widened, 9 * widened]
@@ -248,8 +248,9 @@ def test_lockstep_keeps_at_most_the_lane_window_live(monkeypatch):
     # the last live lanes are evaluated on floats, never on small arrays
     assert min(arrays) >= _LOCKSTEP_GAPS and None in sizes
     _scalar(monkeypatch)
-    assert deep.tolist() == _roots_all(_cube, _cube_root_at, lo, lo + 1.0,
-                                       lo + 0.5, "scan", idx).tolist()
+    assert deep.tolist() == _roots_all(_cube, _cube, _cube_root_at, lo,
+                                       lo + 1.0, lo + 0.5, "scan",
+                                       idx)[0].tolist()
 
 
 def test_seeded_lanes_agree_on_both_engines(monkeypatch):
@@ -262,7 +263,7 @@ def test_seeded_lanes_agree_on_both_engines(monkeypatch):
     start = c + np.array([1e-9, 0.25, -0.4, 5.0, math.nan])[idx % 5]
     deep, scalar = _both(monkeypatch, lambda: _solve_all(
         _cube, _cube_root_at, lo, hi, lo ** 3 - c ** 3, hi ** 3 - c ** 3,
-        "cube", idx, start).tolist())
+        "cube", idx, start)[0].tolist())
     assert deep == scalar
     assert np.allclose(deep, c, rtol=1e-12, atol=0.0)
 
@@ -384,8 +385,8 @@ def test_scans_take_the_sign_change_nearest_the_guess(monkeypatch):
     prefer = 0.5 + np.arange(DEEP) % 13
     prefer[-5:] = 1.5
     deep, scalar = _both(monkeypatch, lambda: _roots_all(
-        sine, lambda v, n: v, lo, hi, prefer, "sine",
-        np.arange(DEEP)).tolist())
+        sine, sine, lambda v, n: v, lo, hi, prefer, "sine",
+        np.arange(DEEP))[0].tolist())
     assert deep == scalar
     assert len({round(x / math.pi) for x in deep}) >= 4
 
@@ -490,7 +491,7 @@ def test_masked_branches_stay_silent_and_exact(monkeypatch):
     lo = -np.ones(2 * DEEP)
     idx = np.arange(2 * DEEP)
     deep, scalar = _both(monkeypatch, lambda: _solve_all(
-        cube, pick, lo, -lo, lo + 0.5, -lo + 0.5, "cube", idx).tolist())
+        cube, pick, lo, -lo, lo + 0.5, -lo + 0.5, "cube", idx)[0].tolist())
     assert deep == scalar
     assert abs(deep[0] + 0.5 ** (1 / 3)) < 1e-12
 

@@ -4,14 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from nanoband.masses import (bare_mass, fit_tail,
+from nanoband import monodromy
+from nanoband.masses import (bare_mass, effective_masses, fit_tail,
                              verify_mass_asymptotics, verify_mass_series,
                              verify_partial_fraction, verify_trace_identity)
 from nanoband.potential import make_potential
-from nanoband.spectrum import (MagneticConfig, bare_edge, bare_edge_z, d2F0,
-                               gap_phase_even, gap_phase_odd)
+from nanoband.spectrum import (MagneticConfig, band_structure, bare_edge,
+                               bare_edge_z, d2F0, gap_phase_even,
+                               gap_phase_odd)
 from nanoband.verifier import check_height_mass_gap, check_merged_band_bound
-from oracles import mass_from_curvature
+from oracles import mass_from_curvature, reference_masses
 
 
 def test_bare_mass_closed_values():
@@ -382,3 +384,44 @@ def test_series_checks_equal_term_by_term_loops(name, a, structure_factory,
         verify_mass_series(mt, bs, n, sign, m_max)
         for n, sign, m_max in edges)]
     assert repr(got) == repr(_loop_checks(bs, mt, lams, edges))
+
+
+@pytest.mark.parametrize("depth", [20, 100])
+def test_masses_from_the_edge_solves_equal_F_prime_evaluated_anew(depth):
+    # xi' kept from the edge solves gives the table of F' evaluated at
+    # every edge again, bit for bit (repr), on the float lanes (20 gaps)
+    # and on the array engine (100 gaps): zero, two-step and three-step
+    # potentials, a 64-piece projection, c_j < 0 and c = 1, where every
+    # even gap of the zero potential is degenerate
+    proj = make_potential(lambda t: 3.0 * math.cos(2.0 * math.pi * t)
+                          + math.sin(6.0 * math.pi * t), mesh=64)
+    cases = [(make_potential("zero"), MagneticConfig(a=0.9)),
+             (make_potential("two-step"), MagneticConfig(a=0.9)),
+             (make_potential("three-step"), MagneticConfig(a=2.2)),
+             (proj, MagneticConfig(a=0.4, N=4, j=3)),
+             (make_potential("zero"), MagneticConfig(a=0.0)),
+             (make_potential("two-step"), MagneticConfig(a=0.0))]
+    assert cases[2][1].c_j < 0 and cases[3][1].c_j < 0
+    degenerate = 0
+    for q, cfg in cases:
+        bs = band_structure(q, cfg, depth)
+        degenerate += sum(bs.degenerate)
+        assert repr(effective_masses(bs)) == repr(reference_masses(bs))
+    assert degenerate >= depth // 2
+
+
+def test_a_mass_table_makes_no_jet_call(monkeypatch):
+    calls = []
+    jet = monodromy.transfer
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return jet(*args, **kwargs)
+
+    for depth in (20, 100):
+        bs = band_structure(make_potential("two-step"),
+                            MagneticConfig(a=0.9), depth)
+        monkeypatch.setattr(monodromy, "transfer", counted)
+        effective_masses(bs)
+        monkeypatch.undo()
+    assert calls == []

@@ -259,3 +259,31 @@ def test_k_eval_refuses_values_beyond_the_edge_resolution(two_step):
         _comb_k("band", 1, 1.0 + 2e-9, 1e-9)
     for slack in (0.0, -1.0, math.nan):
         assert _comb_k("gap", 2, 1.0 - 5e-13, slack) == 2.0 * math.pi
+
+
+@pytest.mark.parametrize("lam, named", [
+    (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+    (np.array([1.0, math.nan]), "nan")])
+def test_k_eval_names_a_lambda_that_is_not_finite(two_step, lam, named):
+    # a plain ValueError at entry, not an overflow, a conversion error or
+    # a lambda "above the structure"
+    with pytest.raises(ValueError) as err:
+        k_eval(two_step, MagneticConfig(a=0.9), lam)
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"lambda must be finite, got {named}"
+
+
+@pytest.mark.parametrize("check, values, message", [
+    (verify_kprime_squared, [math.nan], "test lambdas must be finite, got nan"),
+    (verify_kprime_squared, [-1e4, math.nan],
+     "test lambdas must be finite, got nan"),
+    (verify_kprime_squared, [], "test lambdas must be negative, and one "
+     "at least"),
+    (verify_deep_asymptotics, [math.nan], "y values must be finite, got nan"),
+    (verify_deep_asymptotics, [50.0, math.inf],
+     "y values must be finite, got inf")])
+def test_asymptotics_checks_name_a_value_that_is_not_finite(
+        two_step, check, values, message):
+    with pytest.raises(ValueError) as err:
+        check(two_step, MagneticConfig(a=0.9), values)
+    assert type(err.value) is ValueError and str(err.value) == message

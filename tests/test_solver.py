@@ -4,6 +4,7 @@ start point inside the bracket is where the solve begins (the midpoint
 otherwise), and deep gap edges started at their seeds take few steps.
 tests/test_lockstep.py checks that seeded lanes agree on both engines."""
 
+import collections
 import itertools
 import math
 
@@ -43,8 +44,8 @@ def _solve_cos(monkeypatch, gaps, start=None):
     monkeypatch.setattr(_rootfind, "_LOCKSTEP_GAPS", gaps)
     f = _Counted()
     lo, hi = np.array([1.0]), np.array([2.0])
-    root = _solve_all(f, lambda v, i: v, lo, hi, np.cos(lo), np.cos(hi),
-                      "cos", np.array([1]), start)
+    root, _ = _solve_all(f, lambda v, i: v, lo, hi, np.cos(lo), np.cos(hi),
+                         "cos", np.array([1]), start)
     return root.tolist(), f.points
 
 
@@ -68,8 +69,8 @@ def test_polish_stops_at_a_step_that_leaves_x_in_place(gaps, monkeypatch):
     k = np.arange(40)
     lo, hi = k * math.pi + 1.0, k * math.pi + 2.0
     f = _Counted()
-    roots = _solve_all(f, lambda v, i: v, lo, hi, np.cos(lo), np.cos(hi),
-                       "cos", k + 1, None)
+    roots, _ = _solve_all(f, lambda v, i: v, lo, hi, np.cos(lo), np.cos(hi),
+                          "cos", k + 1, None)
     lanes = [[] for _ in k]
     for x in f.points:  # the brackets are disjoint, and so are the lanes
         lanes[int((x - 1.0) // math.pi)].append(x)
@@ -105,3 +106,38 @@ def test_deep_gap_edges_take_few_evaluations(monkeypatch):
     edges = 2 * len(bs.open_gaps())
     assert edges > 3000
     assert sum(edge_lams) / edges <= 6.0
+
+
+@pytest.mark.parametrize("gaps", ENGINES)
+def test_solves_return_the_evaluator_at_each_root(gaps, monkeypatch):
+    # the zero of cos in [k pi + 1, k pi + 2] for 40 lanes: a third take
+    # exact Newton steps and end on an evaluated point, a third read g'
+    # doubled, so that Newton halves the distance and the last polish
+    # step moves the root to a new point, and a third are told that
+    # their lower end is the zero; f at every root is the evaluator's
+    # value there bit for bit, and every root reaches it exactly once
+    monkeypatch.setattr(_rootfind, "_LOCKSTEP_GAPS", gaps)
+    calls = []
+    evaluate = _rootfind._eval
+
+    def recorded(f, x, pieces):
+        calls.append(x.tolist())
+        return evaluate(f, x, pieces)
+
+    monkeypatch.setattr(_rootfind, "_eval", recorded)
+    k = np.arange(40)
+    lo, hi = k * math.pi + 1.0, k * math.pi + 2.0
+    flo = np.where(k % 3 == 2, 0.0, np.cos(lo))
+    f = _Counted()
+    roots, vals = _solve_all(f, lambda v, i: (v[0], v[1] * (1 + (i % 3 == 1))),
+                             lo, hi, flo, np.cos(hi), "cos", k, None)
+    roots = roots.tolist()
+    assert [repr((float(c), float(d))) for c, d in zip(*vals)] \
+        == [repr((math.cos(x), -math.sin(x))) for x in roots]
+    seen = collections.Counter(f.points)
+    assert [seen[x] for x in roots] == [1] * k.size
+    assert all(abs(x / (math.pi * (n + 0.5)) - 1.0) < 1e-12
+               for n, x in zip(k.tolist(), roots) if n % 3 != 2)
+    moved = [x for n, x in zip(k.tolist(), roots) if n % 3]
+    if gaps == 1:  # the array engine: one _eval call of the missing roots
+        assert calls[-1] == moved
